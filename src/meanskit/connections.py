@@ -7,8 +7,10 @@ above.  Each connection is encoded by a scalar representing function f via
     A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}
 
 for invertible A, extended to singular A by the decreasing limit over
-A + eps*I.  Connection values are immutable and freely shareable across
-threads; ``apply`` is reentrant.
+A + eps*I.  Connections whose f is affine, alpha + beta x, are evaluated as
+alpha A + beta B instead, exactly for every PSD pair.  Builtins, measures
+and user functions all share this one evaluator.  Connection values are
+immutable and freely shareable across threads; ``apply`` is reentrant.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .linalg import (
     _eigh,
     _eigvalsh,
     _fn_calculus_raw,
+    _psd_scale,
     _regularize_raw,
     _spectral_scale,
 )
@@ -75,6 +78,13 @@ BUILTIN_KINDS = (
     "zero",
 )
 WEIGHTED_KINDS = frozenset({"arithmetic", "geometric", "harmonic"})
+# (alpha, beta) of the unweighted kinds whose f is alpha + beta x.
+_AFFINE_KINDS = {
+    "left_trivial": (1.0, 0.0),
+    "right_trivial": (0.0, 1.0),
+    "sum": (1.0, 1.0),
+    "zero": (0.0, 0.0),
+}
 
 
 class ZeroConnectionError(ValueError):
@@ -188,47 +198,42 @@ def _congruence_apply(
     return (x + x.T) * 0.5
 
 
-def _check_operand(m: np.ndarray, tol: Tolerances, label: str) -> None:
-    w = _eigvalsh(m, label)
-    if w[0] < -tol.psd_slack * _spectral_scale(w):
-        raise NotPSDError(
-            f"{label} is not positive semidefinite "
-            f"(min eigenvalue {float(w[0]):.6e})",
-            min_eigenvalue=float(w[0]),
-        )
-
-
 class _FunctionBackedConnection(Connection):
-    """Shared apply machinery for connections given by a scalar function."""
+    """Shared apply machinery for connections given by a representing
+    function ``repr_function``.
+
+    ``_affine`` holds (alpha, beta) when f is exactly alpha + beta x; such a
+    connection is alpha A + beta B for every PSD pair, singular or not, and
+    skips the congruence formula and its epsilon-limit.
+    """
+
+    _affine = None
+
+    def fn(self, x: float) -> float:
+        return self.repr_function(x)
 
     def _apply_raw(self, a, b, tol):
+        if self._affine is not None:
+            for m, label in ((a, "left operand"), (b, "right operand")):
+                _psd_scale(_eigvalsh(m, label), tol, label)
+            alpha, beta = self._affine
+            return alpha * a + beta * b
         w, q = _eigh(a, "left operand")
-        scale = _spectral_scale(w)
-        if w[0] < -tol.psd_slack * scale:
-            raise NotPSDError(
-                f"left operand is not positive semidefinite "
-                f"(min eigenvalue {float(w[0]):.6e})",
-                min_eigenvalue=float(w[0]),
-            )
+        scale = _psd_scale(w, tol, "left operand")
         fn = self.fn
-        if w[0] > tol.psd_slack * scale:
-            try:
-                return _congruence_apply(w, q, b, fn, tol)
-            except NotPSDError:
-                _check_operand(b, tol, "right operand")
-                raise
-        # Singular left operand: clip its spectrum to [0, inf) and take the
-        # decreasing limit over a joint shift of both operands.
-        wc = np.maximum(w, 0.0)
-        eye = np.eye(a.shape[0])
-
-        def g(eps):
-            return _congruence_apply(wc + eps, q, b + eps * eye, fn, tol)
-
         try:
-            return _regularize_raw(g, tol)
+            if w[0] > tol.psd_slack * scale:
+                return _congruence_apply(w, q, b, fn, tol)
+            # Singular left operand: clip its spectrum to [0, inf) and take
+            # the decreasing limit over a joint shift of both operands.
+            wc = np.maximum(w, 0.0)
+            eye = np.eye(a.shape[0])
+            return _regularize_raw(
+                lambda eps: _congruence_apply(wc + eps, q, b + eps * eye, fn, tol), tol
+            )
         except NotPSDError:
-            _check_operand(b, tol, "right operand")
+            # Blame the right operand when it is the one out of the cone.
+            _psd_scale(_eigvalsh(b, "right operand"), tol, "right operand")
             raise
 
 
@@ -236,14 +241,14 @@ class BuiltinConnection(_FunctionBackedConnection):
     """One of the named connections, with exact representing-function
     constants at 0 and 1.
 
-    The trivial projections (left/right trivial, and weighted kinds at
-    weight 0 or 1) are applied by definition rather than through the
-    congruence formula: their betweenness margins are exactly zero, so the
-    formula's conditioning-amplified roundoff would decide a sign that is
-    mathematically fixed.
+    The affine kinds (left/right trivial, arithmetic, sum, zero, and
+    geometric or harmonic at weight 0 or 1) are applied as alpha A + beta B
+    rather than through the congruence formula.  That is exact for
+    singular operands, and it keeps zero betweenness margins zero instead
+    of letting conditioning-amplified roundoff decide their sign.
     """
 
-    __slots__ = ("kind", "weight", "repr_function", "_projects_to")
+    __slots__ = ("kind", "weight", "repr_function", "_affine")
 
     def __init__(self, kind: str, weight: float | None = None):
         if kind not in BUILTIN_KINDS:
@@ -261,22 +266,10 @@ class BuiltinConnection(_FunctionBackedConnection):
         self.kind = kind
         self.weight = weight
         self.repr_function = _builtin_repr_function(kind, weight)
-        if kind == "left_trivial" or weight == 0.0:
-            self._projects_to = "left"
-        elif kind == "right_trivial" or weight == 1.0:
-            self._projects_to = "right"
+        if kind == "arithmetic" or weight in (0.0, 1.0):
+            self._affine = (1.0 - weight, weight)
         else:
-            self._projects_to = None
-
-    def fn(self, x: float) -> float:
-        return self.repr_function(x)
-
-    def _apply_raw(self, a, b, tol):
-        if self._projects_to is None:
-            return super()._apply_raw(a, b, tol)
-        _check_operand(a, tol, "left operand")
-        _check_operand(b, tol, "right operand")
-        return (a if self._projects_to == "left" else b).copy()
+            self._affine = _AFFINE_KINDS.get(kind)
 
     def __repr__(self) -> str:
         if self.weight is None:
@@ -298,9 +291,6 @@ class FunctionConnection(_FunctionBackedConnection):
             self.repr_function = f
         else:
             self.repr_function = ReprFunction.from_callable(f)
-
-    def fn(self, x: float) -> float:
-        return self.repr_function(x)
 
     def __repr__(self) -> str:
         return f"FunctionConnection({self.repr_function!r})"
@@ -350,10 +340,12 @@ def apply(
 ) -> SymMatrix:
     """Evaluate A sigma B.
 
-    For numerically positive-definite A this is the congruence formula;
-    singular A routes through the decreasing epsilon-limit.  The result is
-    PSD within slack, and for dim 1 equals the scalar a * f(b/a) (or the
-    epsilon-limit when a = 0).
+    A connection with affine f = alpha + beta x returns alpha A + beta B,
+    exact for singular operands too.  Otherwise numerically
+    positive-definite A takes the congruence formula and singular A the
+    decreasing epsilon-limit.  Measure connections take the same routes
+    with their quadrature-built f.  The result is PSD within slack, and for
+    dim 1 equals the scalar a * f(b/a) (or the epsilon-limit when a = 0).
     """
     return conn.apply(A, B, tol)
 

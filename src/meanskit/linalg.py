@@ -238,6 +238,19 @@ def _spectral_scale(w: np.ndarray) -> float:
     return max(1.0, abs(float(w[0])), abs(float(w[-1])))
 
 
+def _psd_scale(w: np.ndarray, tol: Tolerances, label: str) -> float:
+    """Spectral scale of an ascending spectrum, after checking that its
+    smallest eigenvalue clears -psd_slack * scale."""
+    scale = _spectral_scale(w)
+    if w[0] < -tol.psd_slack * scale:
+        raise NotPSDError(
+            f"{label} is not positive semidefinite: min eigenvalue "
+            f"{float(w[0]):.6e} below slack {-tol.psd_slack * scale:.3e}",
+            min_eigenvalue=float(w[0]),
+        )
+    return scale
+
+
 def frobenius(A) -> float:
     """Frobenius norm of a SymMatrix or array."""
     return float(np.linalg.norm(_as_array(A)))
@@ -278,13 +291,7 @@ def _fn_calculus_raw(
     label: str = "matrix",
 ) -> np.ndarray:
     w, q = _eigh(m, label)
-    scale = _spectral_scale(w)
-    if w[0] < -tol.psd_slack * scale:
-        raise NotPSDError(
-            f"{label} is not positive semidefinite: min eigenvalue "
-            f"{float(w[0]):.6e} below slack {-tol.psd_slack * scale:.3e}",
-            min_eigenvalue=float(w[0]),
-        )
+    _psd_scale(w, tol, label)
     w = np.maximum(w, 0.0)
     try:
         fw = np.array([float(fn(float(x))) for x in w])

@@ -5,11 +5,15 @@ harmonic interpolants,
 
     A sigma B = integral over [0,1] of (A !_t B) d mu(t),
 
-with scalar kernel 1 !_t x = x / ((1-t) x + t).  Atoms at t = 0 and t = 1
-contribute A and B directly; a density is integrated by a precomputed
-quadrature plan.  Measures are stored unnormalized: normalization (total
-mass 1) is exactly the property of being a mean, and connections such as
-the sum need mass 2.  Measures and plans are immutable after construction.
+with scalar kernel 1 !_t x = x / ((1-t) x + t).  The connection is
+evaluated through its representing function f(x) = integral of
+(1 !_t x) d mu(t), which atoms contribute exactly and a density through a
+precomputed quadrature plan; f then goes through the same function-backed
+evaluator as every other connection, so a matrix result is as accurate as
+the scalar quadrature.  Measures are stored unnormalized: normalization
+(total mass 1) is exactly the property of being a mean, and connections
+such as the sum need mass 2.  Measures and plans are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import Connection
-from .linalg import NotPSDError, _eigh, _regularize_raw, _spectral_scale
+from .connections import ReprFunction, _FunctionBackedConnection
 
 __all__ = [
     "BorelMeasure",
@@ -193,19 +196,20 @@ def repr_fn_from_measure(mu: BorelMeasure, x: float) -> float:
     return float(value)
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) * 0.5
+class MeasureConnection(_FunctionBackedConnection):
+    """Connection with associated measure mu, applied through its
+    representing function
 
+        f(x) = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i),
 
-class MeasureConnection(Connection):
-    """Connection realized by integrating matrix weighted-harmonic means
-    ((1-t) A^{-1} + t B^{-1})^{-1} against a measure.
-
-    Atoms at t = 0 and t = 1 bypass inversion and contribute A and B
-    directly; singular operands route through the epsilon-limit.
+    where w0 and w1 are the atoms at t = 0 and t = 1 and (t_i, w_i) are the
+    interior atoms and the density's quadrature nodes.  By congruence
+    invariance this equals the integral of (A !_t B) d mu(t) under the
+    same quadrature.  A measure with no mass inside (0, 1) is affine,
+    w0 A + w1 B.
     """
 
-    __slots__ = ("measure", "_w0", "_w1", "_ts", "_ws")
+    __slots__ = ("measure", "repr_function", "_affine")
 
     def __init__(self, measure: BorelMeasure):
         self.measure = measure
@@ -220,56 +224,14 @@ class MeasureConnection(Connection):
             else:
                 interior.append((t, w))
         ts, ws = measure.density_nodes()
-        all_t = np.concatenate([np.array([t for t, _ in interior]), ts])
-        all_w = np.concatenate([np.array([w for _, w in interior]), ws])
-        self._w0 = w0
-        self._w1 = w1
-        self._ts = all_t
-        self._ws = all_w
+        ts = np.concatenate([np.array([t for t, _ in interior]), ts])
+        ws = np.concatenate([np.array([w for _, w in interior]), ws])
 
-    def fn(self, x: float) -> float:
-        return repr_fn_from_measure(self.measure, x)
+        def f(x: float) -> float:
+            return w0 + w1 * x + float(ws @ (x / ((1.0 - ts) * x + ts)))
 
-    def _mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = self._w0 * a + self._w1 * b
-        if self._ts.size:
-            ai = _sym(np.linalg.inv(a))
-            bi = _sym(np.linalg.inv(b))
-            t = self._ts[:, None, None]
-            blend = (1.0 - t) * ai + t * bi
-            mixed = np.linalg.inv(blend)
-            out = out + np.tensordot(self._ws, mixed, axes=1)
-        return _sym(out)
-
-    def _apply_raw(self, a, b, tol):
-        wa, qa = _eigh(a, "left operand")
-        wb, qb = _eigh(b, "right operand")
-        if wa[0] < -tol.psd_slack * _spectral_scale(wa):
-            raise NotPSDError(
-                f"left operand is not positive semidefinite "
-                f"(min eigenvalue {float(wa[0]):.6e})",
-                min_eigenvalue=float(wa[0]),
-            )
-        if wb[0] < -tol.psd_slack * _spectral_scale(wb):
-            raise NotPSDError(
-                f"right operand is not positive semidefinite "
-                f"(min eigenvalue {float(wb[0]):.6e})",
-                min_eigenvalue=float(wb[0]),
-            )
-        pd_a = wa[0] > tol.psd_slack * _spectral_scale(wa)
-        pd_b = wb[0] > tol.psd_slack * _spectral_scale(wb)
-        if (pd_a and pd_b) or self._ts.size == 0:
-            # Purely boundary measures need no inversion at all.
-            return self._mix(a, b)
-        wac = np.maximum(wa, 0.0)
-        wbc = np.maximum(wb, 0.0)
-
-        def g(eps):
-            a_eps = (qa * (wac + eps)) @ qa.T
-            b_eps = (qb * (wbc + eps)) @ qb.T
-            return self._mix(_sym(a_eps), _sym(b_eps))
-
-        return _regularize_raw(g, tol)
+        self.repr_function = ReprFunction(f, w0, f(1.0))
+        self._affine = None if ts.size else (w0, w1)
 
     def __repr__(self) -> str:
         return f"MeasureConnection({self.measure!r})"

@@ -51,6 +51,28 @@ def _conditioned_pd(dim: int, rng: np.random.Generator) -> SymMatrix:
     return SymMatrix(g @ g.T + np.eye(dim))
 
 
+def _harmonic_integral(mu, a: SymMatrix, b: SymMatrix) -> np.ndarray:
+    """Direct t-integral of matrix weighted harmonic means, an oracle that
+    shares no code with the function-backed evaluator:
+    w0 A + w1 B + sum_i w_i ((1 - t_i) A^-1 + t_i B^-1)^-1."""
+    out = np.zeros_like(a.data)
+    ts, ws = mu.density_nodes()
+    ai, bi = np.linalg.inv(a.data), np.linalg.inv(b.data)
+    for t, w in [*mu.atoms, *zip(ts, ws)]:
+        if t == 0.0:
+            out += w * a.data
+        elif t == 1.0:
+            out += w * b.data
+        else:
+            out += w * np.linalg.inv((1.0 - t) * ai + t * bi)
+    return out
+
+
+def _rel_to_integral(mu, x: SymMatrix, a: SymMatrix, b: SymMatrix) -> float:
+    want = _harmonic_integral(mu, a, b)
+    return float(np.linalg.norm(x.data - want) / np.linalg.norm(want))
+
+
 @pytest.fixture(scope="module")
 def axiom_battery():
     """Axiom and continuity reports for the full battery, with wall time."""
@@ -108,9 +130,12 @@ def test_criterion_2_fixed_point():
 
 
 def test_criterion_3_measure_correspondence():
-    worst_harm = 0.0
+    # Each measure connection is checked against its builtin and, on an
+    # independent route, against the direct t-integral.
+    worst_harm = worst_integral = 0.0
     for alpha in (0.25, 0.5, 0.75):
-        mc = connection_from_measure(measure_of_builtin("harmonic", alpha))
+        mu = measure_of_builtin("harmonic", alpha)
+        mc = connection_from_measure(mu)
         bc = make_builtin("harmonic", alpha)
         for i in range(100):
             rng = np.random.default_rng([CFG.seed, 3, i])
@@ -118,10 +143,12 @@ def test_criterion_3_measure_correspondence():
             a, b = _conditioned_pd(dim, rng), _conditioned_pd(dim, rng)
             x, y = apply(mc, a, b, TOL), apply(bc, a, b, TOL)
             worst_harm = max(worst_harm, frobenius(x - y) / frobenius(y))
+            worst_integral = max(worst_integral, _rel_to_integral(mu, x, a, b))
 
     worst_arith = 0.0
     for alpha in (0.25, 0.5, 0.75):
-        mc = connection_from_measure(measure_of_builtin("arithmetic", alpha))
+        mu = measure_of_builtin("arithmetic", alpha)
+        mc = connection_from_measure(mu)
         bc = make_builtin("arithmetic", alpha)
         for i in range(100):
             rng = np.random.default_rng([CFG.seed, 31, i])
@@ -129,6 +156,7 @@ def test_criterion_3_measure_correspondence():
             a, b = _conditioned_pd(dim, rng), _conditioned_pd(dim, rng)
             x, y = apply(mc, a, b, TOL), apply(bc, a, b, TOL)
             worst_arith = max(worst_arith, frobenius(x - y) / frobenius(y))
+            worst_integral = max(worst_integral, _rel_to_integral(mu, x, a, b))
 
     arcsine = measure_of_builtin("geometric", 0.5, nodes=256)
     xs = np.logspace(-2, 2, 50)
@@ -145,19 +173,22 @@ def test_criterion_3_measure_correspondence():
         a, b = _conditioned_pd(dim, rng), _conditioned_pd(dim, rng)
         x, y = apply(mc, a, b, TOL), apply(bc, a, b, TOL)
         worst_matrix = max(worst_matrix, frobenius(x - y) / frobenius(y))
+        worst_integral = max(worst_integral, _rel_to_integral(arcsine, x, a, b))
 
     ok = (
         worst_harm <= 1e-12
         and worst_arith <= 1e-12
         and worst_scalar <= 1e-6
         and worst_matrix <= 1e-5
+        and worst_integral <= 1e-12
     )
     _criterion(
         3,
         ok,
         f"delta_a vs harmonic {worst_harm:.1e} (<=1e-12); boundary atoms vs "
         f"arithmetic {worst_arith:.1e} (<=1e-12); arcsine scalar {worst_scalar:.1e} "
-        f"(<=1e-6); arcsine matrix {worst_matrix:.1e} (<=1e-5)",
+        f"(<=1e-6); arcsine matrix {worst_matrix:.1e} (<=1e-5); all three vs "
+        f"the direct t-integral {worst_integral:.1e} (<=1e-12)",
     )
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from meanskit.connections import (
     AUDIT_GRID,
+    BUILTIN_KINDS,
+    WEIGHTED_KINDS,
     ReprFunction,
     ZeroConnectionError,
     apply,
@@ -32,6 +34,7 @@ from meanskit.linalg import (
     regularize_limit,
     spectrum,
 )
+from meanskit.measures import BorelMeasure, connection_from_measure, measure_of_builtin
 from meanskit.verify import REMARK_A, REMARK_B, random_pd, standard_battery, standard_means
 
 
@@ -139,20 +142,22 @@ class TestApply:
             apply(make_builtin("sum"), SymMatrix.identity(2), SymMatrix.identity(3))
 
     def test_non_psd_left_rejected(self):
-        with pytest.raises(NotPSDError, match="left operand"):
-            apply(
-                make_builtin("geometric", 0.5),
-                SymMatrix.diagonal([1, -1]),
-                SymMatrix.identity(2),
-            )
+        for kind in ("geometric", "arithmetic"):
+            with pytest.raises(NotPSDError, match="left operand"):
+                apply(
+                    make_builtin(kind, 0.5),
+                    SymMatrix.diagonal([1, -1]),
+                    SymMatrix.identity(2),
+                )
 
     def test_non_psd_right_rejected(self):
-        with pytest.raises(NotPSDError, match="right operand"):
-            apply(
-                make_builtin("geometric", 0.5),
-                SymMatrix.identity(2),
-                SymMatrix.diagonal([1, -1]),
-            )
+        for kind in ("geometric", "arithmetic"):
+            with pytest.raises(NotPSDError, match="right operand"):
+                apply(
+                    make_builtin(kind, 0.5),
+                    SymMatrix.identity(2),
+                    SymMatrix.diagonal([1, -1]),
+                )
 
     def test_scalar_consistency(self):
         # dim-1 apply must equal a * f(b/a)
@@ -213,6 +218,71 @@ class TestApply:
         b = SymMatrix([[2.0, 0.5], [0.5, 1.0]])
         out = apply(conn, SymMatrix.zeros(2), b)
         assert frobenius(out) <= 1e-5  # 0 # B = 0 at square-root rate
+
+
+def _rank_deficient_pairs():
+    """30 seeded (A, B) with A of rank r < n at dims 2-8 and B positive
+    definite, each also given in the swapped order."""
+    for i in range(30):
+        rng = np.random.default_rng([310, i])
+        n = 2 + i % 7
+        g = rng.standard_normal((n, int(rng.integers(1, n))))
+        h = rng.standard_normal((n, n))
+        a, b = SymMatrix(g @ g.T), SymMatrix(h @ h.T + 0.1 * np.eye(n))
+        yield a, b
+        yield b, a
+
+
+class TestAffineKinds:
+    @pytest.mark.parametrize(
+        "conn,scale",
+        [
+            (make_builtin("arithmetic", 0.5), 0.5),
+            (make_builtin("sum"), 1.0),
+            (connection_from_measure(BorelMeasure(atoms=((0.0, 0.5), (1.0, 0.5)))), 0.5),
+        ],
+        ids=["arithmetic", "sum", "boundary_atoms"],
+    )
+    def test_exact_on_singular_operands(self, conn, scale):
+        for a, b in _rank_deficient_pairs():
+            want = (a + b) * scale
+            assert frobenius(apply(conn, a, b) - want) <= 1e-14 * frobenius(want)
+
+    def test_left_trivial_returns_left_exactly_for_singular_right(self):
+        conn = make_builtin("left_trivial")
+        for b, a in _rank_deficient_pairs():
+            assert np.array_equal(apply(conn, a, b).data, a.data)
+
+    def test_coefficients_match_representing_function(self):
+        curved = {("logarithmic", None), ("parallel_sum", None)}
+        curved |= {(kind, w) for kind in ("geometric", "harmonic") for w in (0.25, 0.5)}
+        conns = []
+        for kind in BUILTIN_KINDS:
+            for weight in (0.0, 0.25, 0.5, 1.0) if kind in WEIGHTED_KINDS else (None,):
+                conn = make_builtin(kind, weight)
+                assert (conn._affine is None) is ((kind, weight) in curved), conn
+                conns.append(conn)
+        conns += [
+            connection_from_measure(BorelMeasure(atoms=((0.0, 0.3), (1.0, 0.7)))),
+            connection_from_measure(BorelMeasure(atoms=((1.0, 2.0),))),
+            connection_from_measure(BorelMeasure()),
+        ]
+        for conn in conns:
+            if conn._affine is None:
+                continue
+            alpha, beta = conn._affine
+            for x in AUDIT_GRID:
+                assert alpha + beta * x == pytest.approx(conn.fn(x), rel=1e-15), conn
+
+    def test_coefficients_unset_for_curved_connections(self):
+        arcsine = measure_of_builtin("geometric", 0.5, nodes=16)
+        for conn in (
+            connection_from_function(lambda x: (1.0 + x) / 2.0),
+            connection_from_measure(BorelMeasure(atoms=((0.5, 1.0),))),
+            connection_from_measure(BorelMeasure(atoms=((0.0, 0.5), (0.25, 0.5)))),
+            connection_from_measure(arcsine),
+        ):
+            assert conn._affine is None, conn
 
 
 class TestReprFnEvalConsistency:
