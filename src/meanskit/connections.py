@@ -29,9 +29,11 @@ from .linalg import (
     SingularMatrixError,
     SymMatrix,
     Tolerances,
+    _check_spectra,
     _eigh,
     _eigvalsh,
     _fn_calculus_raw,
+    _per_eigenvalue,
     _psd_scale,
     _regularize_raw,
     _spectral_scale,
@@ -127,30 +129,55 @@ def _log_mean_value(x: float) -> float:
     return u / math.log(x)
 
 
-def _builtin_repr_function(kind: str, weight: float | None) -> ReprFunction:
+def _log_mean_array(x: np.ndarray) -> np.ndarray:
+    # _log_mean_value on an array, and 0 at x = 0.  Spectra seldom hold 0
+    # or points near 1, so the common case is one division.
+    u = x - 1.0
+    series = np.abs(u) < 1e-4
+    if not series.any() and x.min() > 0.0:
+        return u / np.log(x)
+    direct = ~series & (x > 0.0)
+    value = np.zeros_like(x)
+    us = u[series]
+    value[series] = 1.0 / (1.0 + us * (-0.5 + us * (1.0 / 3.0 - 0.25 * us)))
+    value[direct] = u[direct] / np.log(x[direct])
+    return value
+
+
+def _builtin_repr_function(
+    kind: str, weight: float | None
+) -> tuple[ReprFunction, Callable[[np.ndarray], np.ndarray]]:
+    """A builtin's representing function and the array form of f, which
+    evaluates a whole spectrum in one numpy expression."""
     if kind == "left_trivial":
-        return ReprFunction(lambda x: 1.0, 1.0, 1.0)
+        return ReprFunction(lambda x: 1.0, 1.0, 1.0), np.ones_like
     if kind == "right_trivial":
-        return ReprFunction(lambda x: x, 0.0, 1.0)
+        f = lambda x: x
+        return ReprFunction(f, 0.0, 1.0), f
     if kind == "arithmetic":
         a = weight
-        return ReprFunction(lambda x: (1.0 - a) + a * x, 1.0 - a, 1.0)
+        f = lambda x: (1.0 - a) + a * x
+        return ReprFunction(f, 1.0 - a, 1.0), f
     if kind == "geometric":
         a = weight
-        return ReprFunction(lambda x: x**a, 1.0 if a == 0.0 else 0.0, 1.0)
+        f = lambda x: x**a
+        return ReprFunction(f, 1.0 if a == 0.0 else 0.0, 1.0), f
     if kind == "harmonic":
         a = weight
         if a == 0.0:
-            return ReprFunction(lambda x: 1.0, 1.0, 1.0)
-        return ReprFunction(lambda x: x / ((1.0 - a) * x + a), 0.0, 1.0)
+            return ReprFunction(lambda x: 1.0, 1.0, 1.0), np.ones_like
+        f = lambda x: x / ((1.0 - a) * x + a)
+        return ReprFunction(f, 0.0, 1.0), f
     if kind == "logarithmic":
-        return ReprFunction(_log_mean_value, 0.0, 1.0)
+        return ReprFunction(_log_mean_value, 0.0, 1.0), _log_mean_array
     if kind == "parallel_sum":
-        return ReprFunction(lambda x: x / (1.0 + x), 0.0, 0.5)
+        f = lambda x: x / (1.0 + x)
+        return ReprFunction(f, 0.0, 0.5), f
     if kind == "sum":
-        return ReprFunction(lambda x: 1.0 + x, 1.0, 2.0)
+        f = lambda x: 1.0 + x
+        return ReprFunction(f, 1.0, 2.0), f
     if kind == "zero":
-        return ReprFunction(lambda x: 0.0, 0.0, 0.0)
+        return ReprFunction(lambda x: 0.0, 0.0, 0.0), np.zeros_like
     raise ValueError(f"unknown builtin kind {kind!r}; expected one of {BUILTIN_KINDS}")
 
 
@@ -167,6 +194,14 @@ class Connection(ABC):
         self, a: np.ndarray, b: np.ndarray, tol: Tolerances
     ) -> np.ndarray:
         """Apply on raw arrays; used internally by the verification suites."""
+
+    def _apply_stack(
+        self, a: np.ndarray, b: np.ndarray, tol: Tolerances
+    ) -> np.ndarray:
+        """Apply to each pair of two (k, n, n) stacks; the suites evaluate a
+        trial's operands of one dimension in one such call.  This default
+        calls ``_apply_raw`` once per pair."""
+        return np.stack([self._apply_raw(x, y, tol) for x, y in zip(a, b)])
 
     def apply(
         self, A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL
@@ -185,22 +220,27 @@ def _congruence_apply(
     w: np.ndarray,
     q: np.ndarray,
     b: np.ndarray,
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     tol: Tolerances,
 ) -> np.ndarray:
-    sw = np.sqrt(w)
-    s = (q * sw) @ q.T
-    r = (q * (1.0 / sw)) @ q.T
+    """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} from the eigendecomposition
+    (w, q) of positive-definite A, for operands of shape (..., n, n); ``fn``
+    is the array form of f."""
+    sw = np.sqrt(w)[..., None, :]
+    qt = q.swapaxes(-1, -2)
+    s = (q * sw) @ qt
+    r = (q * (1.0 / sw)) @ qt
     m = r @ b @ r
-    m = (m + m.T) * 0.5
+    m = (m + m.swapaxes(-1, -2)) * 0.5
     f_of_m = _fn_calculus_raw(fn, m, tol, label="transformed right operand")
     x = s @ f_of_m @ s
-    return (x + x.T) * 0.5
+    return (x + x.swapaxes(-1, -2)) * 0.5
 
 
 class _FunctionBackedConnection(Connection):
     """Shared apply machinery for connections given by a representing
-    function ``repr_function``.
+    function ``repr_function`` and its array form ``_fn_array``, which
+    maps a spectrum array to the values of f.
 
     ``_affine`` holds (alpha, beta) when f is exactly alpha + beta x; such a
     connection is alpha A + beta B for every PSD pair, singular or not, and
@@ -212,15 +252,18 @@ class _FunctionBackedConnection(Connection):
     def fn(self, x: float) -> float:
         return self.repr_function(x)
 
+    def _apply_affine(self, a, b, tol):
+        _check_spectra(_eigvalsh(a, "left operand"), tol, "left operand")
+        _check_spectra(_eigvalsh(b, "right operand"), tol, "right operand")
+        alpha, beta = self._affine
+        return alpha * a + beta * b
+
     def _apply_raw(self, a, b, tol):
         if self._affine is not None:
-            for m, label in ((a, "left operand"), (b, "right operand")):
-                _psd_scale(_eigvalsh(m, label), tol, label)
-            alpha, beta = self._affine
-            return alpha * a + beta * b
+            return self._apply_affine(a, b, tol)
         w, q = _eigh(a, "left operand")
         scale = _psd_scale(w, tol, "left operand")
-        fn = self.fn
+        fn = self._fn_array
         try:
             if w[0] > tol.psd_slack * scale:
                 return _congruence_apply(w, q, b, fn, tol)
@@ -233,7 +276,31 @@ class _FunctionBackedConnection(Connection):
             )
         except NotPSDError:
             # Blame the right operand when it is the one out of the cone.
-            _psd_scale(_eigvalsh(b, "right operand"), tol, "right operand")
+            _check_spectra(_eigvalsh(b, "right operand"), tol, "right operand")
+            raise
+
+    def _apply_stack(self, a, b, tol):
+        """Apply to each pair of two (k, n, n) stacks.  Each item is checked
+        and routed as ``_apply_raw`` would; the positive-definite items go
+        through one stacked congruence, and an item with a singular left
+        operand takes ``_apply_raw`` on its own."""
+        if self._affine is not None:
+            return self._apply_affine(a, b, tol)
+        w, q = _eigh(a, "left operand")
+        pd = np.array(
+            [wi[0] > tol.psd_slack * _psd_scale(wi, tol, "left operand") for wi in w]
+        )
+        try:
+            if pd.all():
+                return _congruence_apply(w, q, b, self._fn_array, tol)
+            out = np.empty(b.shape)
+            if pd.any():
+                out[pd] = _congruence_apply(w[pd], q[pd], b[pd], self._fn_array, tol)
+            for i in np.flatnonzero(~pd):
+                out[i] = self._apply_raw(a[i], b[i], tol)
+            return out
+        except NotPSDError:
+            _check_spectra(_eigvalsh(b, "right operand"), tol, "right operand")
             raise
 
 
@@ -248,7 +315,7 @@ class BuiltinConnection(_FunctionBackedConnection):
     of letting conditioning-amplified roundoff decide their sign.
     """
 
-    __slots__ = ("kind", "weight", "repr_function", "_affine")
+    __slots__ = ("kind", "weight", "repr_function", "_fn_array", "_affine")
 
     def __init__(self, kind: str, weight: float | None = None):
         if kind not in BUILTIN_KINDS:
@@ -265,7 +332,7 @@ class BuiltinConnection(_FunctionBackedConnection):
             weight = None
         self.kind = kind
         self.weight = weight
-        self.repr_function = _builtin_repr_function(kind, weight)
+        self.repr_function, self._fn_array = _builtin_repr_function(kind, weight)
         if kind == "arithmetic" or weight in (0.0, 1.0):
             self._affine = (1.0 - weight, weight)
         else:
@@ -284,13 +351,14 @@ class FunctionConnection(_FunctionBackedConnection):
     audited on the sample grid by ``repr_fn_audit``.
     """
 
-    __slots__ = ("repr_function",)
+    __slots__ = ("repr_function", "_fn_array")
 
     def __init__(self, f):
         if isinstance(f, ReprFunction):
             self.repr_function = f
         else:
             self.repr_function = ReprFunction.from_callable(f)
+        self._fn_array = _per_eigenvalue(self.repr_function)
 
     def __repr__(self) -> str:
         return f"FunctionConnection({self.repr_function!r})"
@@ -314,6 +382,9 @@ class TransposeConnection(Connection):
 
     def _apply_raw(self, a, b, tol):
         return self.inner._apply_raw(b, a, tol)
+
+    def _apply_stack(self, a, b, tol):
+        return self.inner._apply_stack(b, a, tol)
 
     def __repr__(self) -> str:
         return f"TransposeConnection({self.inner!r})"

@@ -213,24 +213,44 @@ def _as_array(A) -> np.ndarray:
     return np.asarray(A, dtype=float)
 
 
+def _locate_failure(
+    call, a: np.ndarray, core: int, errors
+) -> tuple[str, np.ndarray]:
+    """For a stack of items with ``core`` trailing dimensions, the text
+    ", item i of (k,)" and the first item on which ``call`` raises one of
+    ``errors``; for a single item, or when no item fails alone, "" and a."""
+    lead = a.shape[: a.ndim - core]
+    if lead:
+        for index in np.ndindex(lead):
+            try:
+                call(a[index])
+            except errors:
+                return f", item {', '.join(map(str, index))} of {lead}", a[index]
+    return "", a
+
+
+def _eigen_error(
+    a: np.ndarray, label: str, exc: np.linalg.LinAlgError, solver
+) -> EigenSolverError:
+    where, item = _locate_failure(solver, a, 2, np.linalg.LinAlgError)
+    return EigenSolverError(
+        f"eigendecomposition failed for {label} "
+        f"(dim {a.shape[-1]}{where}, entries {item.tolist()}): {exc}"
+    )
+
+
 def _eigh(a: np.ndarray, label: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"eigendecomposition failed for {label} "
-            f"(dim {a.shape[0]}, entries {a.tolist()}): {exc}"
-        ) from exc
+        raise _eigen_error(a, label, exc, np.linalg.eigh) from exc
 
 
 def _eigvalsh(a: np.ndarray, label: str = "matrix") -> np.ndarray:
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"eigendecomposition failed for {label} "
-            f"(dim {a.shape[0]}, entries {a.tolist()}): {exc}"
-        ) from exc
+        raise _eigen_error(a, label, exc, np.linalg.eigvalsh) from exc
 
 
 def _spectral_scale(w: np.ndarray) -> float:
@@ -249,6 +269,12 @@ def _psd_scale(w: np.ndarray, tol: Tolerances, label: str) -> float:
             min_eigenvalue=float(w[0]),
         )
     return scale
+
+
+def _check_spectra(w: np.ndarray, tol: Tolerances, label: str) -> None:
+    """``_psd_scale`` on each ascending spectrum in w, of shape (..., n)."""
+    for item in (w,) if w.ndim == 1 else w.reshape(-1, w.shape[-1]):
+        _psd_scale(item, tol, label)
 
 
 def frobenius(A) -> float:
@@ -284,25 +310,37 @@ def loewner_leq(A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> bo
     return bool(w[0] >= -tol.psd_slack * _spectral_scale(w))
 
 
+def _per_eigenvalue(
+    fn: Callable[[float], float]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Array form of a scalar function that calls it once per eigenvalue,
+    with a Python float."""
+    return lambda w: np.array([float(fn(float(x))) for x in w.flat]).reshape(w.shape)
+
+
 def _fn_calculus_raw(
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     m: np.ndarray,
     tol: Tolerances,
     label: str = "matrix",
 ) -> np.ndarray:
+    """f(m) for symmetric m of shape (..., n, n).  ``fn`` is the array form
+    of f: it maps the clipped spectra, shape (..., n), to their values."""
     w, q = _eigh(m, label)
-    _psd_scale(w, tol, label)
+    _check_spectra(w, tol, label)
     w = np.maximum(w, 0.0)
     try:
-        fw = np.array([float(fn(float(x))) for x in w])
+        fw = fn(w)
     except NotPSDError:
         raise
     except Exception as exc:
+        where, item = _locate_failure(fn, w, 1, Exception)
         raise ValueError(
-            f"scalar function evaluation failed on the spectrum {w.tolist()}: {exc}"
+            f"scalar function evaluation failed on the spectrum "
+            f"{item.tolist()}{where}: {exc}"
         ) from exc
-    out = (q * fw) @ q.T
-    return (out + out.T) * 0.5
+    out = (q * fw[..., None, :]) @ q.swapaxes(-1, -2)
+    return (out + out.swapaxes(-1, -2)) * 0.5
 
 
 def fn_calculus(
@@ -333,7 +371,7 @@ def fn_calculus(
     ValueError
         If f fails on some eigenvalue.
     """
-    return SymMatrix(_fn_calculus_raw(f, _as_array(A), tol))
+    return SymMatrix(_fn_calculus_raw(_per_eigenvalue(f), _as_array(A), tol))
 
 
 def sqrt_psd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:

@@ -209,7 +209,7 @@ class MeasureConnection(_FunctionBackedConnection):
     w0 A + w1 B.
     """
 
-    __slots__ = ("measure", "repr_function", "_affine")
+    __slots__ = ("measure", "repr_function", "_fn_array", "_affine")
 
     def __init__(self, measure: BorelMeasure):
         self.measure = measure
@@ -230,7 +230,12 @@ class MeasureConnection(_FunctionBackedConnection):
         def f(x: float) -> float:
             return w0 + w1 * x + float(ws @ (x / ((1.0 - ts) * x + ts)))
 
+        def f_array(x: np.ndarray) -> np.ndarray:
+            xs = x[..., None]
+            return w0 + w1 * x + (xs / ((1.0 - ts) * xs + ts)) @ ws
+
         self.repr_function = ReprFunction(f, w0, f(1.0))
+        self._fn_array = f_array
         self._affine = None if ts.size else (w0, w1)
 
     def __repr__(self) -> str:

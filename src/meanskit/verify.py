@@ -70,6 +70,7 @@ _AXIOMS_SHIFT = 0.5
 # Checkpoints for the decreasing sequences A + 2^-n P; monotonicity along a
 # subsampled grid implies it along the full one by transitivity.
 _CONTINUITY_STEPS = tuple(range(0, 13)) + tuple(range(14, 25, 2)) + (28, 32, 36, 40)
+_CONTINUITY_SCALES = np.array([2.0**-n for n in _CONTINUITY_STEPS])[:, None, None]
 
 _MAX_WITNESSES = 5
 
@@ -155,16 +156,22 @@ def _congr(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _sym(c @ x @ c)
 
 
-def _loewner_margin(p: np.ndarray, q: np.ndarray, tol: Tolerances) -> float:
-    """Margin for p <= q; nonnegative means the order holds within slack."""
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+def _loewner_margin(p: np.ndarray, q: np.ndarray, tol: Tolerances):
+    """Margin for p <= q; nonnegative means the order holds within slack.
+    Stacks of shape (..., n, n) give one margin per item."""
     w = _eigvalsh(q - p)
-    scale = max(1.0, float(np.linalg.norm(p)), float(np.linalg.norm(q)))
-    return float(w[0]) + tol.psd_slack * scale
+    scale = np.maximum(1.0, np.maximum(_frobenius(p), _frobenius(q)))
+    return w[..., 0] + tol.psd_slack * scale
 
 
-def _equality_margin(p: np.ndarray, q: np.ndarray, tol: Tolerances) -> float:
-    scale = max(1.0, float(np.linalg.norm(q)))
-    return tol.eq_tol * scale - float(np.linalg.norm(p - q))
+def _equality_margin(p: np.ndarray, q: np.ndarray, tol: Tolerances):
+    """Margin for p = q within eq_tol, one per item of a stack."""
+    scale = np.maximum(1.0, _frobenius(q))
+    return tol.eq_tol * scale - _frobenius(p - q)
 
 
 def _strict_margin(w_min: float) -> float:
@@ -246,7 +253,10 @@ def _matrix_payload(**named) -> dict:
 
 def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
     """Monotonicity, the transformer inequality, congruence invariance for
-    positive-definite transforms, and dim-1 scalar consistency."""
+    positive-definite transforms, and dim-1 scalar consistency.
+
+    A trial's four n x n evaluations, (A, B), (C, D) and the two congruence
+    transforms of (A, B), are stacked into one call."""
     rec = _SuiteRecorder("axioms", cfg.seed)
     tol = cfg.tol
     start = time.perf_counter()
@@ -267,15 +277,17 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
             return _matrix_payload(A=a, B=b, C=c, D=d, C_ineq=c_ineq, C_pd=c_pd)
 
         try:
-            x_ab = conn._apply_raw(a, b, tol)
-            x_cd = conn._apply_raw(c, d, tol)
-            checks = [("monotonicity", _loewner_margin(x_ab, x_cd, tol))]
-            lhs = _congr(c_ineq, x_ab)
-            rhs = conn._apply_raw(_congr(c_ineq, a), _congr(c_ineq, b), tol)
-            checks.append(("transformer_inequality", _loewner_margin(lhs, rhs, tol)))
-            lhs_pd = _congr(c_pd, x_ab)
-            rhs_pd = conn._apply_raw(_congr(c_pd, a), _congr(c_pd, b), tol)
-            checks.append(("congruence_equality", _equality_margin(lhs_pd, rhs_pd, tol)))
+            x_ab, x_cd, rhs, rhs_pd = conn._apply_stack(
+                np.stack([a, c, _congr(c_ineq, a), _congr(c_pd, a)]),
+                np.stack([b, d, _congr(c_ineq, b), _congr(c_pd, b)]),
+                tol,
+            )
+            lhs, lhs_pd = _congr(c_ineq, x_ab), _congr(c_pd, x_ab)
+            checks = [
+                ("monotonicity", _loewner_margin(x_ab, x_cd, tol)),
+                ("transformer_inequality", _loewner_margin(lhs, rhs, tol)),
+                ("congruence_equality", _equality_margin(lhs_pd, rhs_pd, tol)),
+            ]
             got = conn._apply_raw(np.array([[s]]), np.array([[u]]), tol)[0, 0]
             expected = s * conn.fn(u / s)
             checks.append(
@@ -296,7 +308,11 @@ def check_continuity_from_above(
 ) -> Report:
     """Decreasing sequences A + 2^-n P, B + 2^-n Q: the connection values
     must decrease in the Loewner order and converge to the value at the
-    base pair by n = 40."""
+    base pair by n = 40.
+
+    A trial evaluates the base pair and every checkpoint of the sequence in
+    one stacked call, and takes the Loewner margins from one stacked
+    eigenvalue solve."""
     rec = _SuiteRecorder("continuity", cfg.seed)
     tol = cfg.tol
     start = time.perf_counter()
@@ -313,18 +329,17 @@ def check_continuity_from_above(
             return _matrix_payload(A=a, B=b, P=p, Q=q)
 
         try:
-            target = conn._apply_raw(a, b, tol)
-            checks = []
-            prev = None
-            for n in _CONTINUITY_STEPS:
-                scale_n = 2.0**-n
-                x_n = conn._apply_raw(a + scale_n * p, b + scale_n * q, tol)
-                if prev is not None:
-                    checks.append(
-                        ("loewner_nonincreasing", _loewner_margin(x_n, prev, tol))
-                    )
-                prev = x_n
-            checks.append(("limit_reached", _equality_margin(prev, target, tol)))
+            x = conn._apply_stack(
+                np.concatenate([a[None], a + _CONTINUITY_SCALES * p]),
+                np.concatenate([b[None], b + _CONTINUITY_SCALES * q]),
+                tol,
+            )
+            target, steps = x[0], x[1:]
+            checks = [
+                ("loewner_nonincreasing", margin)
+                for margin in _loewner_margin(steps[1:], steps[:-1], tol)
+            ]
+            checks.append(("limit_reached", _equality_margin(steps[-1], target, tol)))
         except Exception as exc:
             rec.add_error(index, dim, exc, inputs)
             continue

@@ -1,6 +1,7 @@
 """Tests for connections, representing functions, and classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from meanskit.connections import (
     AUDIT_GRID,
     BUILTIN_KINDS,
     WEIGHTED_KINDS,
+    Connection,
     ReprFunction,
     ZeroConnectionError,
     apply,
@@ -283,6 +285,107 @@ class TestAffineKinds:
             connection_from_measure(arcsine),
         ):
             assert conn._affine is None, conn
+
+
+class _RawOnly(Connection):
+    """Defines only ``_apply_raw``, so stacks take the base per-pair loop."""
+
+    def fn(self, x):
+        return (1.0 + x) / 2.0
+
+    def _apply_raw(self, a, b, tol):
+        return (a + b) / 2.0
+
+
+_THREE_ATOMS = BorelMeasure(atoms=((0.0, 0.25), (0.5, 0.5), (1.0, 0.25)))
+
+
+def _stack_cases():
+    cases = list(standard_battery())
+    cases += [
+        ("arcsine", connection_from_measure(measure_of_builtin("geometric", 0.5))),
+        ("three_atoms", connection_from_measure(_THREE_ATOMS)),
+        ("transpose_geometric(0.25)", transpose(make_builtin("geometric", 0.25))),
+        ("function_sqrt", connection_from_function(math.sqrt)),
+        ("raw_only", _RawOnly()),
+    ]
+    return cases
+
+
+def _pd_stack(k, dim, seed):
+    rng = np.random.default_rng(seed)
+    a = np.stack([random_pd(dim, rng).data for _ in range(k)])
+    b = np.stack([random_pd(dim, rng).data for _ in range(k)])
+    return a, b
+
+
+def _assert_items_match_pairs(conn, a, b, out):
+    assert out.shape == a.shape
+    for i in range(len(a)):
+        want = conn._apply_raw(a[i], b[i], DEFAULT_TOL)
+        assert np.linalg.norm(out[i] - want) <= 1e-14 * np.linalg.norm(want), i
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    @pytest.mark.parametrize(
+        "conn", [c for _, c in _stack_cases()], ids=[n for n, _ in _stack_cases()]
+    )
+    def test_matches_per_pair_apply(self, conn, dim):
+        a, b = _pd_stack(30, dim, [320, dim])
+        _assert_items_match_pairs(conn, a, b, conn._apply_stack(a, b, DEFAULT_TOL))
+
+    def test_singular_left_item_takes_its_own_limit(self):
+        conn = make_builtin("harmonic", 0.5)
+        a, b = _pd_stack(6, 2, 321)
+        a[2] = [[1.0, 0.0], [0.0, 0.0]]
+        out = conn._apply_stack(a, b, DEFAULT_TOL)
+        assert np.array_equal(out[2], conn._apply_raw(a[2], b[2], DEFAULT_TOL))
+        _assert_items_match_pairs(conn, a, b, out)
+
+    @pytest.mark.parametrize("kind", ["geometric", "arithmetic"])
+    def test_non_psd_right_item_rejected(self, kind):
+        a, b = _pd_stack(6, 2, 322)
+        b[4] = np.diag([1.0, -1.0])
+        with pytest.raises(NotPSDError, match="right operand"):
+            make_builtin(kind, 0.5)._apply_stack(a, b, DEFAULT_TOL)
+
+
+    def test_failing_callable_names_the_item(self):
+        def f(x):
+            if x > 3.0:
+                raise ArithmeticError("out of domain")
+            return math.sqrt(x)
+
+        a = np.stack([np.eye(2)] * 4)
+        b = a.copy()
+        b[2] = np.diag([1.0, 5.0])
+        with pytest.raises(ValueError) as info:
+            connection_from_function(f)._apply_stack(a, b, DEFAULT_TOL)
+        assert str(info.value) == (
+            "scalar function evaluation failed on the spectrum [1.0, 5.0], "
+            "item 2 of (4,): out of domain"
+        )
+
+
+class TestArrayForm:
+    POINTS = sorted(AUDIT_GRID) + [0.0, 1.0 - 1e-5, 1.0 + 1e-5, 1e-300]
+
+    CONNECTIONS = {
+        f"{kind}({weight})": make_builtin(kind, weight)
+        for kind in BUILTIN_KINDS
+        for weight in ((0.25, 0.5, 0.75) if kind in WEIGHTED_KINDS else (None,))
+    }
+    CONNECTIONS["arcsine"] = connection_from_measure(measure_of_builtin("geometric", 0.5))
+    CONNECTIONS["three_atoms"] = connection_from_measure(_THREE_ATOMS)
+
+    @pytest.mark.parametrize("conn", CONNECTIONS.values(), ids=CONNECTIONS.keys())
+    def test_matches_scalar_fn(self, conn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = conn._fn_array(np.array(self.POINTS))
+        want = np.array([conn.fn(x) for x in self.POINTS])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 class TestReprFnEvalConsistency:

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from meanskit.linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    EigenSolverError,
     NonConvergenceError,
     NotPSDError,
     SingularMatrixError,
@@ -31,6 +32,7 @@ from meanskit.linalg import (
     spectrum,
     sqrt_psd,
 )
+from meanskit.linalg import _eigh
 
 # sqrt of [[2,1],[1,2]] by hand: eigenvalues 1, 3 with eigenvectors
 # (1,-1)/sqrt2, (1,1)/sqrt2, so the entries are (sqrt3 +- 1)/2.
@@ -112,6 +114,39 @@ class TestSpectrum:
                 (q * w) @ q.T, a.data, atol=1e-12 * max(1.0, frobenius(a))
             )
             np.testing.assert_allclose(spectrum(a), np.sort(w))
+
+
+class TestEigenSolverErrors:
+    @staticmethod
+    def _reject_negative_corner(monkeypatch):
+        # A solver that fails on any item whose (0, 0) entry is negative.
+        real = np.linalg.eigh
+
+        def eigh(a):
+            if np.any(np.asarray(a)[..., 0, 0] < 0):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    def test_single_matrix_reports_its_dim_and_entries(self, monkeypatch):
+        self._reject_negative_corner(monkeypatch)
+        a = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(EigenSolverError) as info:
+            _eigh(a, "left operand")
+        msg = str(info.value)
+        assert "for left operand (dim 3, entries [[-1.0, 0.0, 0.0]," in msg
+        assert "item" not in msg
+
+    def test_stack_reports_the_failing_item(self, monkeypatch):
+        self._reject_negative_corner(monkeypatch)
+        stack = np.stack([np.eye(2) * (k + 1.0) for k in range(5)])
+        stack[3, 0, 0] = -4.0
+        with pytest.raises(EigenSolverError) as info:
+            _eigh(stack, "left operand")
+        msg = str(info.value)
+        assert "(dim 2, item 3 of (5,), entries [[-4.0, 0.0], [0.0, 4.0]])" in msg
+        assert "1.0" not in msg  # no other item is dumped
 
 
 class TestLoewnerOrder:

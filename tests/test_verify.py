@@ -5,7 +5,7 @@ counterexample corpus."""
 import numpy as np
 import pytest
 
-from meanskit.connections import Connection, make_builtin
+from meanskit.connections import Connection, _FunctionBackedConnection, make_builtin
 from meanskit.linalg import DEFAULT_TOL, SymMatrix, frobenius, loewner_leq, spectrum
 from meanskit.verify import (
     REMARK_A,
@@ -48,6 +48,25 @@ class LeftPretender(Connection):
 
     def _apply_raw(self, a, b, tol):
         return a.copy()
+
+
+def test_stacks_never_reach_apply_raw(monkeypatch):
+    # Callers that wrap _apply_raw per call may rely on 2-D operands; the
+    # suites' stacked evaluations must bypass it.
+    original = _FunctionBackedConnection._apply_raw
+    seen = []
+
+    def guarded(self, a, b, tol):
+        seen.append((a.ndim, b.ndim))
+        assert a.ndim == 2 and b.ndim == 2, (a.shape, b.shape)
+        return original(self, a, b, tol)
+
+    monkeypatch.setattr(_FunctionBackedConnection, "_apply_raw", guarded)
+    for kind in ("geometric", "arithmetic"):
+        for suite in (check_axioms, check_continuity_from_above):
+            report = suite(make_builtin(kind, 0.5), SMALL)
+            assert report.violations == 0, report.witnesses
+    assert seen and set(seen) == {(2, 2)}
 
 
 class TestGenerators:
