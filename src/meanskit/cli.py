@@ -66,6 +66,11 @@ def canonical_json(obj, sig: int = JSON_SIG) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {float}:
+            # All plain floats: one printf-style call gives the bytes of the
+            # float branch; "+ 0.0" normalizes -0.0 as that branch does.
+            fmt = ", ".join([f"%.{sig}g"] * len(obj))
+            return "[" + fmt % tuple([v + 0.0 for v in obj]) + "]"
         return "[" + ", ".join(canonical_json(v, sig) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
@@ -89,12 +94,11 @@ def _render_matrix(X: SymMatrix, fmt: str) -> str:
     if fmt == "json":
         return canonical_json(matrix_to_dict(X))
     if fmt == "csv":
-        return "\n".join(
-            ",".join(format(v, f".{JSON_SIG}g") for v in row) for row in X.tolist()
-        )
+        row_fmt = ",".join([f"%.{JSON_SIG}g"] * X.dim)
+        return "\n".join(row_fmt % tuple(row) for row in X.tolist())
+    row_fmt = "  ".join([f"%12.{PRETTY_SIG}g"] * X.dim)
     lines = [f"dim = {X.dim}"]
-    for row in X.tolist():
-        lines.append("  ".join(f"{v:>12.{PRETTY_SIG}g}" for v in row))
+    lines.extend(row_fmt % tuple(row) for row in X.tolist())
     return "\n".join(lines)
 
 

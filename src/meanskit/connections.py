@@ -287,9 +287,7 @@ class _FunctionBackedConnection(Connection):
         if self._affine is not None:
             return self._apply_affine(a, b, tol)
         w, q = _eigh(a, "left operand")
-        pd = np.array(
-            [wi[0] > tol.psd_slack * _psd_scale(wi, tol, "left operand") for wi in w]
-        )
+        pd = w[:, 0] > tol.psd_slack * _check_spectra(w, tol, "left operand")
         try:
             if pd.all():
                 return _congruence_apply(w, q, b, self._fn_array, tol)

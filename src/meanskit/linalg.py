@@ -271,10 +271,20 @@ def _psd_scale(w: np.ndarray, tol: Tolerances, label: str) -> float:
     return scale
 
 
-def _check_spectra(w: np.ndarray, tol: Tolerances, label: str) -> None:
-    """``_psd_scale`` on each ascending spectrum in w, of shape (..., n)."""
-    for item in (w,) if w.ndim == 1 else w.reshape(-1, w.shape[-1]):
-        _psd_scale(item, tol, label)
+def _check_spectra(w: np.ndarray, tol: Tolerances, label: str):
+    """``_psd_scale`` on each ascending spectrum in w, of shape (..., n):
+    returns the scales, of shape (...).  A stack is checked in one numpy
+    pass with the same float operations, and its first failing item raises
+    through ``_psd_scale``, so the error is the one a per-item loop gives."""
+    if w.ndim == 1:
+        return _psd_scale(w, tol, label)
+    items = w.reshape(-1, w.shape[-1])
+    # fmax skips NaN, as Python's max in _spectral_scale does.
+    scales = np.fmax(np.fmax(1.0, np.abs(items[:, 0])), np.abs(items[:, -1]))
+    bad = items[:, 0] < -tol.psd_slack * scales
+    if bad.any():
+        _psd_scale(items[np.argmax(bad)], tol, label)
+    return scales.reshape(w.shape[:-1])
 
 
 def frobenius(A) -> float:
@@ -452,7 +462,7 @@ def regularize_limit(
 
 def matrix_to_dict(A: SymMatrix) -> dict:
     """Matrix file payload: {"dim": n, "data": [n * n reals, row-major]}."""
-    return {"dim": A.dim, "data": [float(v) for v in A.data.reshape(-1)]}
+    return {"dim": A.dim, "data": A.data.reshape(-1).tolist()}
 
 
 def matrix_from_dict(obj: dict) -> SymMatrix:

@@ -6,8 +6,17 @@ import json
 import numpy as np
 import pytest
 
-from meanskit.cli import canonical_json, main
-from meanskit.linalg import SymMatrix, matrix_from_dict, save_matrix
+from meanskit.cli import _render_matrix, canonical_json, main
+from meanskit.connections import make_builtin
+from meanskit.linalg import (
+    SymMatrix,
+    Tolerances,
+    load_matrix,
+    matrix_from_dict,
+    save_matrix,
+)
+from meanskit.measures import BorelMeasure, connection_from_measure, parse_atoms
+from meanskit.verify import random_pd
 
 
 @pytest.fixture
@@ -31,6 +40,103 @@ def run_json(capsys, argv):
     code = main(argv + ["--format", "json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def _reference_json(obj, sig=17):
+    """Canonical JSON rendered one value at a time, the way the general
+    recursive path of ``canonical_json`` does."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, float):
+        return format(0.0 if obj == 0.0 else obj, f".{sig}g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_reference_json(v, sig) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        return (
+            "{"
+            + ", ".join(f"{json.dumps(str(k))}: {_reference_json(v, sig)}" for k, v in items)
+            + "}"
+        )
+    raise TypeError(type(obj).__name__)
+
+
+def _reference_matrix(X, fmt):
+    """Matrix output formatted one entry at a time."""
+    if fmt == "json":
+        data = [float(v) for v in X.data.reshape(-1)]
+        return _reference_json({"dim": X.dim, "data": data})
+    if fmt == "csv":
+        return "\n".join(",".join(format(v, ".17g") for v in row) for row in X.tolist())
+    rows = ["  ".join(f"{v:>12.6g}" for v in row) for row in X.tolist()]
+    return "\n".join([f"dim = {X.dim}"] + rows)
+
+
+def _assert_same_text(got, want):
+    """Equality of long renderings, reporting only the first difference."""
+    if got != want:
+        same = enumerate(zip(got, want))
+        i = next((k for k, (g, w) in same if g != w), min(len(got), len(want)))
+        lo = max(0, i - 40)
+        pytest.fail(f"first difference at {i}: {got[lo:i + 40]!r} != {want[lo:i + 40]!r}")
+
+
+def _spread_matrix(dim, seed):
+    """Seeded symmetric matrix with entries of both signs across 17 decades."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-8, 9, (dim, dim))
+    return SymMatrix(rng.standard_normal((dim, dim)) * scale)
+
+
+# Symmetric, so construction keeps every entry bit for bit.
+SPECIAL_VALUES = SymMatrix(
+    [[-0.0, 5e-324, 1e-5], [5e-324, 1e16, 1e17], [1e-5, 1e17, 123456.5]]
+)
+
+_RENDER_CASES = [(f"dim{d}", _spread_matrix(d, 400 + d)) for d in (1, 2, 8, 32, 128)]
+_RENDER_CASES.append(("special_values", SPECIAL_VALUES))
+
+
+class TestRenderMatrix:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize(
+        "X", [x for _, x in _RENDER_CASES], ids=[name for name, _ in _RENDER_CASES]
+    )
+    def test_bytes_match_per_value_formatting(self, X, fmt):
+        _assert_same_text(_render_matrix(X, fmt), _reference_matrix(X, fmt))
+
+    def test_special_values_survive_construction(self):
+        flat = SPECIAL_VALUES.data.reshape(-1)
+        assert np.signbit(flat[0]) and flat[1] == 5e-324
+        assert _render_matrix(SPECIAL_VALUES, "csv").splitlines()[0] == (
+            "-0,4.9406564584124654e-324,1.0000000000000001e-05"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_eval_and_measure_eval_stdout(self, capsys, tmp_path, fmt):
+        rng = np.random.default_rng(410)
+        paths = []
+        for name in ("a", "b"):
+            paths.append(str(tmp_path / f"{name}.json"))
+            save_matrix(random_pd(16, rng), paths[-1])
+        operands = ["--A", paths[0], "--B", paths[1], "--format", fmt]
+        atoms = "0.25:0.5,1:0.5"
+        for argv, conn in (
+            (["eval", "--mean", "geometric", "--weight", "0.5"], make_builtin("geometric", 0.5)),
+            (
+                ["measure-eval", "--atoms", atoms],
+                connection_from_measure(BorelMeasure(atoms=parse_atoms(atoms))),
+            ),
+        ):
+            assert main(argv + operands) == 0
+            want = conn.apply(load_matrix(paths[0]), load_matrix(paths[1]), Tolerances())
+            _assert_same_text(capsys.readouterr().out, _reference_matrix(want, fmt) + "\n")
 
 
 class TestEval:
@@ -91,28 +197,34 @@ class TestEval:
             atol=1e-12,
         )
 
-    def test_json_roundtrip_identical(self, capsys, matrix_files):
-        code = main(
-            [
-                "eval",
-                "--mean",
-                "geometric",
-                "--weight",
-                "0.5",
-                "--A",
-                matrix_files["pd"],
-                "--B",
-                matrix_files["pd"],
-                "--format",
-                "json",
-            ]
-        )
-        assert code == 0
-        first = capsys.readouterr().out
-        reparsed = matrix_from_dict(json.loads(first))
-        assert canonical_json(
-            {"dim": reparsed.dim, "data": [float(v) for v in reparsed.data.reshape(-1)]}
-        ) == first.strip()
+    def test_json_roundtrip_identical(self, capsys, matrix_files, tmp_path):
+        rng = np.random.default_rng(64)
+        pair64 = []
+        for name in ("a64", "b64"):
+            pair64.append(str(tmp_path / f"{name}.json"))
+            save_matrix(random_pd(64, rng), pair64[-1])
+        for a_path, b_path in ((matrix_files["pd"], matrix_files["pd"]), pair64):
+            code = main(
+                [
+                    "eval",
+                    "--mean",
+                    "geometric",
+                    "--weight",
+                    "0.5",
+                    "--A",
+                    a_path,
+                    "--B",
+                    b_path,
+                    "--format",
+                    "json",
+                ]
+            )
+            assert code == 0
+            first = capsys.readouterr().out
+            reparsed = matrix_from_dict(json.loads(first))
+            assert canonical_json(
+                {"dim": reparsed.dim, "data": [float(v) for v in reparsed.data.reshape(-1)]}
+            ) == first.strip()
 
     def test_missing_file_exits_2(self, capsys, matrix_files):
         code = main(
@@ -469,3 +581,30 @@ class TestCanonicalJson:
     def test_negative_zero_normalized(self):
         once = canonical_json({"v": -0.0})
         assert once == canonical_json(json.loads(once))
+        assert canonical_json(-0.0) == "0"
+        assert canonical_json([-0.0, 1.0]) == "[0, 1]"
+        # CSV output has always written the sign of zero.
+        assert _render_matrix(SymMatrix([[-0.0]]), "csv") == "-0"
+
+    def test_mixed_lists_match_general_path(self):
+        cases = [
+            [1.5, 2, -0.0],
+            [0.25, True, False, None],
+            [np.float64(-0.0), 1.0, np.float64(1 / 3)],
+            [[1.0, -0.0], (2.5,), [], [3, [4.0, None]]],
+            (1.0, "text", {"b": 2.0, "a": [0.5, -0.0]}),
+        ]
+        for obj in cases:
+            assert canonical_json(obj) == _reference_json(obj)
+        assert canonical_json([1.5, 2, True, None]) == "[1.5, 2, true, null]"
+
+    @pytest.mark.parametrize("sig", [6, 17])
+    def test_float_lists_over_every_exponent(self, sig):
+        rng = np.random.default_rng(sig)
+        # Random bit patterns cover every exponent, subnormals and NaNs.
+        bits = rng.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64).tolist()
+        values += [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e17, float("inf"), -float("inf")]
+        want = _reference_json(values, sig)
+        _assert_same_text(canonical_json(values, sig), want)
+        _assert_same_text(canonical_json(tuple(values), sig), want)

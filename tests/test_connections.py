@@ -36,6 +36,7 @@ from meanskit.linalg import (
     regularize_limit,
     spectrum,
 )
+from meanskit.linalg import _psd_scale
 from meanskit.measures import BorelMeasure, connection_from_measure, measure_of_builtin
 from meanskit.verify import REMARK_A, REMARK_B, random_pd, standard_battery, standard_means
 
@@ -342,6 +343,19 @@ class TestStackedEvaluation:
         out = conn._apply_stack(a, b, DEFAULT_TOL)
         assert np.array_equal(out[2], conn._apply_raw(a[2], b[2], DEFAULT_TOL))
         _assert_items_match_pairs(conn, a, b, out)
+
+    @pytest.mark.parametrize("kind", ["geometric", "arithmetic"])
+    def test_non_psd_left_item_raises_as_per_item_loop(self, kind):
+        a, b = _pd_stack(6, 3, 323)
+        a[3] = np.diag([2.0, -1e-3, 1.0])
+        a[5] = np.diag([1.0, -0.5, 1.0])
+        with pytest.raises(NotPSDError) as per_item:
+            for w in np.linalg.eigvalsh(a):
+                _psd_scale(w, DEFAULT_TOL, "left operand")
+        with pytest.raises(NotPSDError) as stacked:
+            make_builtin(kind, 0.5)._apply_stack(a, b, DEFAULT_TOL)
+        assert str(stacked.value) == str(per_item.value)
+        assert stacked.value.min_eigenvalue == per_item.value.min_eigenvalue == -1e-3
 
     @pytest.mark.parametrize("kind", ["geometric", "arithmetic"])
     def test_non_psd_right_item_rejected(self, kind):

@@ -32,7 +32,7 @@ from meanskit.linalg import (
     spectrum,
     sqrt_psd,
 )
-from meanskit.linalg import _eigh
+from meanskit.linalg import _check_spectra, _eigh, _psd_scale
 
 # sqrt of [[2,1],[1,2]] by hand: eigenvalues 1, 3 with eigenvectors
 # (1,-1)/sqrt2, (1,1)/sqrt2, so the entries are (sqrt3 +- 1)/2.
@@ -147,6 +147,26 @@ class TestEigenSolverErrors:
         msg = str(info.value)
         assert "(dim 2, item 3 of (5,), entries [[-4.0, 0.0], [0.0, 4.0]])" in msg
         assert "1.0" not in msg  # no other item is dumped
+
+
+class TestCheckSpectra:
+    def test_stack_scales_equal_per_item_scales(self):
+        rng = np.random.default_rng(5)
+        w = np.sort(rng.uniform(0.0, 1.0, (2, 3, 4)) * 10.0 ** rng.integers(-3, 4, (2, 3, 1)))
+        w[0, 1, 0] = -1e-14
+        scales = _check_spectra(w, DEFAULT_TOL, "left operand")
+        want = [_psd_scale(item, DEFAULT_TOL, "left operand") for item in w.reshape(-1, 4)]
+        assert scales.shape == (2, 3)
+        assert scales.reshape(-1).tolist() == want
+        # A loose slack admits an item whose scale comes from its smallest
+        # eigenvalue.
+        loose = Tolerances(psd_slack=1.0)
+        w = np.array([[-3.0, 2.0], [0.5, 4.0], [0.0, 0.25]])
+        assert _check_spectra(w, loose, "m").tolist() == [3.0, 4.0, 1.0]
+
+    def test_single_spectrum_returns_a_float(self):
+        w = np.array([0.5, 3.0])
+        assert _check_spectra(w, DEFAULT_TOL, "m") == _psd_scale(w, DEFAULT_TOL, "m") == 3.0
 
 
 class TestLoewnerOrder:
@@ -357,6 +377,7 @@ class TestMatrixIO:
     def test_dict_shape(self):
         d = matrix_to_dict(SymMatrix.diagonal([1, 2]))
         assert d == {"dim": 2, "data": [1.0, 0.0, 0.0, 2.0]}
+        assert all(type(v) is float for v in d["data"])
 
     def test_asymmetry_warns(self):
         with pytest.warns(UserWarning, match="asymmetric"):
