@@ -36,7 +36,7 @@ def main() -> int:
         tol=Tolerances(),
     )
 
-    suite_names = ("axioms", "continuity", "positivity", "betweenness", "strictness")
+    suite_names = tuple(SUITES)
     header = f"{'connection':<18}" + "".join(f"{s:>14}" for s in suite_names)
     print(header)
     print("-" * len(header))

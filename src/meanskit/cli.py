@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .connections import classify, make_builtin, repr_fn_eval
+from .connections import BUILTIN_KINDS, WEIGHTED_KINDS, classify, make_builtin, repr_fn_eval
 from .linalg import SymMatrix, Tolerances, load_matrix, matrix_to_dict
 from .measures import (
     BorelMeasure,
@@ -35,18 +36,7 @@ from .verify import SUITES, Report, TrialConfig, run_counterexamples
 JSON_SIG = 17
 PRETTY_SIG = 6
 
-_KIND_CHOICES = (
-    "left-trivial",
-    "right-trivial",
-    "arithmetic",
-    "geometric",
-    "harmonic",
-    "logarithmic",
-    "parallel-sum",
-    "sum",
-    "zero",
-)
-_WEIGHTED = {"arithmetic", "geometric", "harmonic"}
+_KIND_CHOICES = tuple(kind.replace("_", "-") for kind in BUILTIN_KINDS)
 
 
 def canonical_json(obj, sig: int = JSON_SIG) -> str:
@@ -169,9 +159,9 @@ def _tolerances(args) -> Tolerances:
 
 def _connection(args):
     kind = args.mean.replace("-", "_")
-    if kind in _WEIGHTED and args.weight is None:
+    if kind in WEIGHTED_KINDS and args.weight is None:
         raise ValueError(f"--mean {args.mean} requires --weight in [0, 1]")
-    if kind not in _WEIGHTED and args.weight is not None:
+    if kind not in WEIGHTED_KINDS and args.weight is not None:
         raise ValueError(f"--mean {args.mean} does not take --weight")
     return make_builtin(kind, args.weight)
 
@@ -200,6 +190,8 @@ def _parse_grid(spec: str):
         raise ValueError(
             f"bad grid {spec!r}; expected 'start:stop:count'"
         ) from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid start and stop must be finite, got {spec!r}")
     if start < 0:
         raise ValueError(f"grid start must be >= 0, got {start}")
     if count < 1:
@@ -270,7 +262,7 @@ def cmd_verify(args) -> int:
     dims = tuple(int(d) for d in args.dims.split(","))
     cfg = TrialConfig(dims=dims, trials=args.trials, seed=_resolve_seed(args), tol=tol)
     if args.suite == "all":
-        names = ("axioms", "continuity", "positivity", "betweenness", "strictness")
+        names = tuple(SUITES)
     else:
         names = (args.suite,)
     reports = []
@@ -359,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mean_flags(p)
     p.add_argument(
         "--suite",
-        choices=("axioms", "continuity", "positivity", "betweenness", "strictness", "all"),
+        choices=(*SUITES, "all"),
         default="all",
     )
     p.add_argument("--trials", type=int, default=500)

@@ -119,19 +119,12 @@ class ReprFunction:
         return cls(fn=fn, f_at_0=float(fn(_ZERO_PROBE)), f_at_1=float(fn(1.0)))
 
 
-def _log_mean_value(x: float) -> float:
-    # (x - 1)/log x; the 0/0 at x = 1 is bridged with the series for
-    # u/log(1+u), since direct division loses digits for |x - 1| < 1e-4.
-    u = x - 1.0
-    if abs(u) < 1e-4:
-        q = 1.0 + u * (-0.5 + u * (1.0 / 3.0 - 0.25 * u))
-        return 1.0 / q
-    return u / math.log(x)
-
-
-def _log_mean_array(x: np.ndarray) -> np.ndarray:
-    # _log_mean_value on an array, and 0 at x = 0.  Spectra seldom hold 0
-    # or points near 1, so the common case is one division.
+def _log_mean(x):
+    # (x - 1)/log x on a float or an array, and 0 at x = 0.  The 0/0 at
+    # x = 1 is bridged with the series for u/log(1+u), since direct division
+    # loses digits for |x - 1| < 1e-4.  Spectra seldom hold 0 or points near
+    # 1, so the common case is one division.
+    x = np.asarray(x)
     u = x - 1.0
     series = np.abs(u) < 1e-4
     if not series.any() and x.min() > 0.0:
@@ -144,40 +137,29 @@ def _log_mean_array(x: np.ndarray) -> np.ndarray:
     return value
 
 
-def _builtin_repr_function(
-    kind: str, weight: float | None
-) -> tuple[ReprFunction, Callable[[np.ndarray], np.ndarray]]:
-    """A builtin's representing function and the array form of f, which
-    evaluates a whole spectrum in one numpy expression."""
-    if kind == "left_trivial":
-        return ReprFunction(lambda x: 1.0, 1.0, 1.0), np.ones_like
+def _builtin_repr_function(kind: str, weight: float | None) -> ReprFunction:
+    """A builtin's representing function.  Its ``fn`` is a numpy expression
+    that takes a Python float or a whole spectrum array, so it is also the
+    connection's array form of f."""
+    a = weight
+    if kind == "left_trivial" or (kind == "harmonic" and a == 0.0):
+        return ReprFunction(np.ones_like, 1.0, 1.0)
     if kind == "right_trivial":
-        f = lambda x: x
-        return ReprFunction(f, 0.0, 1.0), f
+        return ReprFunction(lambda x: x, 0.0, 1.0)
     if kind == "arithmetic":
-        a = weight
-        f = lambda x: (1.0 - a) + a * x
-        return ReprFunction(f, 1.0 - a, 1.0), f
+        return ReprFunction(lambda x: (1.0 - a) + a * x, 1.0 - a, 1.0)
     if kind == "geometric":
-        a = weight
-        f = lambda x: x**a
-        return ReprFunction(f, 1.0 if a == 0.0 else 0.0, 1.0), f
+        return ReprFunction(lambda x: x**a, 1.0 if a == 0.0 else 0.0, 1.0)
     if kind == "harmonic":
-        a = weight
-        if a == 0.0:
-            return ReprFunction(lambda x: 1.0, 1.0, 1.0), np.ones_like
-        f = lambda x: x / ((1.0 - a) * x + a)
-        return ReprFunction(f, 0.0, 1.0), f
+        return ReprFunction(lambda x: x / ((1.0 - a) * x + a), 0.0, 1.0)
     if kind == "logarithmic":
-        return ReprFunction(_log_mean_value, 0.0, 1.0), _log_mean_array
+        return ReprFunction(_log_mean, 0.0, 1.0)
     if kind == "parallel_sum":
-        f = lambda x: x / (1.0 + x)
-        return ReprFunction(f, 0.0, 0.5), f
+        return ReprFunction(lambda x: x / (1.0 + x), 0.0, 0.5)
     if kind == "sum":
-        f = lambda x: 1.0 + x
-        return ReprFunction(f, 1.0, 2.0), f
+        return ReprFunction(lambda x: 1.0 + x, 1.0, 2.0)
     if kind == "zero":
-        return ReprFunction(lambda x: 0.0, 0.0, 0.0), np.zeros_like
+        return ReprFunction(np.zeros_like, 0.0, 0.0)
     raise ValueError(f"unknown builtin kind {kind!r}; expected one of {BUILTIN_KINDS}")
 
 
@@ -240,7 +222,8 @@ def _congruence_apply(
 class _FunctionBackedConnection(Connection):
     """Shared apply machinery for connections given by a representing
     function ``repr_function`` and its array form ``_fn_array``, which
-    maps a spectrum array to the values of f.
+    maps a spectrum array to the values of f.  For builtins and measures
+    the array form is ``repr_function.fn`` itself.
 
     ``_affine`` holds (alpha, beta) when f is exactly alpha + beta x; such a
     connection is alpha A + beta B for every PSD pair, singular or not, and
@@ -330,7 +313,8 @@ class BuiltinConnection(_FunctionBackedConnection):
             weight = None
         self.kind = kind
         self.weight = weight
-        self.repr_function, self._fn_array = _builtin_repr_function(kind, weight)
+        self.repr_function = _builtin_repr_function(kind, weight)
+        self._fn_array = self.repr_function.fn
         if kind == "arithmetic" or weight in (0.0, 1.0):
             self._affine = (1.0 - weight, weight)
         else:
@@ -426,7 +410,7 @@ def repr_fn_eval(conn: Connection, x: float, tol: Tolerances = DEFAULT_TOL) -> f
     [1] sigma [x].
     """
     x = float(x)
-    if x < 0:
+    if not 0.0 <= x < math.inf:
         raise ValueError(f"representing functions are defined on [0, inf), got {x}")
     return float(conn.fn(x))
 

@@ -120,8 +120,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("psd_slack", "eq_tol", "eps0", "eps_min"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if not self.eps_min < self.eps0:
             raise ValueError("eps_min must be smaller than eps0")
 

@@ -187,7 +187,7 @@ def _kernel_vec(x: float, ts: np.ndarray) -> np.ndarray:
 def repr_fn_from_measure(mu: BorelMeasure, x: float) -> float:
     """f(x) = integral of (1 !_t x) d mu(t): atoms plus quadrature."""
     x = float(x)
-    if x < 0:
+    if not 0.0 <= x < math.inf:
         raise ValueError(f"representing functions are defined on [0, inf), got {x}")
     value = sum(w * weighted_harmonic_kernel(x, t) for t, w in mu.atoms)
     ts, ws = mu.density_nodes()
@@ -227,15 +227,14 @@ class MeasureConnection(_FunctionBackedConnection):
         ts = np.concatenate([np.array([t for t, _ in interior]), ts])
         ws = np.concatenate([np.array([w for _, w in interior]), ws])
 
-        def f(x: float) -> float:
-            return w0 + w1 * x + float(ws @ (x / ((1.0 - ts) * x + ts)))
-
-        def f_array(x: np.ndarray) -> np.ndarray:
+        def f(x):
+            # A Python float or a spectrum array.
+            x = np.asarray(x)
             xs = x[..., None]
             return w0 + w1 * x + (xs / ((1.0 - ts) * xs + ts)) @ ws
 
-        self.repr_function = ReprFunction(f, w0, f(1.0))
-        self._fn_array = f_array
+        self.repr_function = ReprFunction(f, w0, float(f(1.0)))
+        self._fn_array = f
         self._affine = None if ts.size else (w0, w1)
 
     def __repr__(self) -> str:

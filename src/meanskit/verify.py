@@ -124,6 +124,15 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+def _draws(cfg: TrialConfig, count: int | None = None, offset: int = 0):
+    """Yield (index, rng, dim) for draw k = 0 .. count - 1 (count defaults
+    to cfg.trials): index offset + k, the generator of (seed, index), and
+    dims[k % len(dims)]."""
+    for k in range(cfg.trials if count is None else count):
+        index = offset + k
+        yield index, _trial_rng(cfg.seed, index), cfg.dims[k % len(cfg.dims)]
+
+
 def random_psd(dim: int, rng: np.random.Generator) -> SymMatrix:
     """G G^T for G with independent standard-normal entries."""
     g = rng.standard_normal((dim, dim))
@@ -190,7 +199,7 @@ class _SuiteRecorder:
         self.worst = math.inf
         self.witnesses = []
 
-    def add_trial(self, index, dim, checks, inputs_factory=None):
+    def add_trial(self, index, dim, checks, inputs=None):
         self.trials += 1
         failing = []
         for name, margin in checks:
@@ -202,32 +211,38 @@ class _SuiteRecorder:
                 failing.append((name, margin))
         if failing:
             self.violations += 1
-            if len(self.witnesses) < _MAX_WITNESSES:
-                witness = {
-                    "trial": index,
-                    "dim": dim,
-                    "failed": [
-                        {"property": name, "margin": margin}
-                        for name, margin in failing
-                    ],
-                }
-                if inputs_factory is not None:
-                    witness["inputs"] = inputs_factory()
-                self.witnesses.append(witness)
+            failed = [
+                {"property": name, "margin": margin} for name, margin in failing
+            ]
+            self._add_witness(index, dim, {"failed": failed}, inputs)
 
-    def add_error(self, index, dim, exc, inputs_factory=None):
+    def add_error(self, index, dim, exc, inputs=None):
         self.trials += 1
         self.violations += 1
         self.worst = min(self.worst, -math.inf)
+        self._add_witness(index, dim, {"error": f"{type(exc).__name__}: {exc}"}, inputs)
+
+    def _add_witness(self, index, dim, outcome, inputs):
+        # Keys in order: trial, dim, failed or error, then the named input
+        # matrices as nested lists.
         if len(self.witnesses) < _MAX_WITNESSES:
-            witness = {
-                "trial": index,
-                "dim": dim,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            if inputs_factory is not None:
-                witness["inputs"] = inputs_factory()
+            witness = {"trial": index, "dim": dim, **outcome}
+            if inputs is not None:
+                witness["inputs"] = {name: m.tolist() for name, m in inputs.items()}
             self.witnesses.append(witness)
+
+    def run_trial(self, index, dim, evaluate, **inputs):
+        """Record the (name, margin) checks that ``evaluate()`` returns, or
+        an error witness if it raises.  An empty list of checks records
+        nothing.  ``inputs`` are the trial's named matrices, for its
+        witness."""
+        try:
+            checks = evaluate()
+        except Exception as exc:
+            self.add_error(index, dim, exc, inputs)
+            return
+        if checks:
+            self.add_trial(index, dim, checks, inputs)
 
     def report(self, elapsed: float) -> Report:
         if self.worst == math.inf:
@@ -247,10 +262,6 @@ class _SuiteRecorder:
         )
 
 
-def _matrix_payload(**named) -> dict:
-    return {name: value.tolist() for name, value in named.items()}
-
-
 def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
     """Monotonicity, the transformer inequality, congruence invariance for
     positive-definite transforms, and dim-1 scalar consistency.
@@ -260,9 +271,7 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
     rec = _SuiteRecorder("axioms", cfg.seed)
     tol = cfg.tol
     start = time.perf_counter()
-    for index in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, index)
-        dim = cfg.dims[index % len(cfg.dims)]
+    for index, rng, dim in _draws(cfg):
         shift = _AXIOMS_SHIFT * np.eye(dim)
         a = random_psd(dim, rng).data + shift
         c = a + random_psd(dim, rng).data
@@ -273,10 +282,7 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
         s = float(rng.uniform(0.05, 3.0))
         u = float(rng.uniform(0.05, 3.0))
 
-        def inputs():
-            return _matrix_payload(A=a, B=b, C=c, D=d, C_ineq=c_ineq, C_pd=c_pd)
-
-        try:
+        def evaluate():
             x_ab, x_cd, rhs, rhs_pd = conn._apply_stack(
                 np.stack([a, c, _congr(c_ineq, a), _congr(c_pd, a)]),
                 np.stack([b, d, _congr(c_ineq, b), _congr(c_pd, b)]),
@@ -296,10 +302,9 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
                     tol.eq_tol * max(1.0, abs(expected)) - abs(got - expected),
                 )
             )
-        except Exception as exc:
-            rec.add_error(index, dim, exc, inputs)
-            continue
-        rec.add_trial(index, dim, checks, inputs)
+            return checks
+
+        rec.run_trial(index, dim, evaluate, A=a, B=b, C=c, D=d, C_ineq=c_ineq, C_pd=c_pd)
     return rec.report(time.perf_counter() - start)
 
 
@@ -316,19 +321,14 @@ def check_continuity_from_above(
     rec = _SuiteRecorder("continuity", cfg.seed)
     tol = cfg.tol
     start = time.perf_counter()
-    for index in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, index)
-        dim = cfg.dims[index % len(cfg.dims)]
+    for index, rng, dim in _draws(cfg):
         shift = _CONTINUITY_SHIFT * np.eye(dim)
         a = random_psd(dim, rng).data + shift
         b = random_psd(dim, rng).data + shift
         p = random_psd(dim, rng).data
         q = random_psd(dim, rng).data
 
-        def inputs():
-            return _matrix_payload(A=a, B=b, P=p, Q=q)
-
-        try:
+        def evaluate():
             x = conn._apply_stack(
                 np.concatenate([a[None], a + _CONTINUITY_SCALES * p]),
                 np.concatenate([b[None], b + _CONTINUITY_SCALES * q]),
@@ -340,10 +340,9 @@ def check_continuity_from_above(
                 for margin in _loewner_margin(steps[1:], steps[:-1], tol)
             ]
             checks.append(("limit_reached", _equality_margin(steps[-1], target, tol)))
-        except Exception as exc:
-            rec.add_error(index, dim, exc, inputs)
-            continue
-        rec.add_trial(index, dim, checks, inputs)
+            return checks
+
+        rec.run_trial(index, dim, evaluate, A=a, B=b, P=p, Q=q)
     return rec.report(time.perf_counter() - start)
 
 
@@ -356,42 +355,35 @@ def check_positivity(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Repo
     tol = cfg.tol
     zero_conn = conn.fn(1.0) <= tol.eq_tol
     start = time.perf_counter()
-    for index in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, index)
-        dim = cfg.dims[index % len(cfg.dims)]
+    for index, rng, dim in _draws(cfg):
         a = random_pd(dim, rng, tol).data
         b = random_pd(dim, rng, tol).data
         eye = np.eye(dim)
 
-        def inputs():
-            return _matrix_payload(A=a, B=b)
-
-        try:
+        def evaluate():
             x = conn._apply_raw(a, b, tol)
             if zero_conn:
                 norm = float(np.linalg.norm(x))
-                checks = [("zero_everywhere", 0.0 if norm == 0.0 else -norm)]
-            else:
-                checks = [("strict_positivity", _strict_margin(float(_eigvalsh(x)[0])))]
-                spec_a = _eigvalsh(a)
-                f_bound = min(conn.fn(float(v)) for v in np.maximum(spec_a, 0.0))
-                g_bound = min(
-                    float(v) * conn.fn(1.0 / float(v)) for v in spec_a if v > 0
-                )
-                x_ia = conn._apply_raw(eye, a, tol)
-                x_ai = conn._apply_raw(a, eye, tol)
-                slack = tol.eq_tol * max(1.0, f_bound)
-                checks.append(
-                    ("identity_left_bound", float(_eigvalsh(x_ia)[0]) - f_bound + slack)
-                )
-                slack_g = tol.eq_tol * max(1.0, g_bound)
-                checks.append(
-                    ("identity_right_bound", float(_eigvalsh(x_ai)[0]) - g_bound + slack_g)
-                )
-        except Exception as exc:
-            rec.add_error(index, dim, exc, inputs)
-            continue
-        rec.add_trial(index, dim, checks, inputs)
+                return [("zero_everywhere", 0.0 if norm == 0.0 else -norm)]
+            checks = [("strict_positivity", _strict_margin(float(_eigvalsh(x)[0])))]
+            spec_a = _eigvalsh(a)
+            f_bound = min(conn.fn(float(v)) for v in np.maximum(spec_a, 0.0))
+            g_bound = min(
+                float(v) * conn.fn(1.0 / float(v)) for v in spec_a if v > 0
+            )
+            x_ia = conn._apply_raw(eye, a, tol)
+            x_ai = conn._apply_raw(a, eye, tol)
+            slack = tol.eq_tol * max(1.0, f_bound)
+            checks.append(
+                ("identity_left_bound", float(_eigvalsh(x_ia)[0]) - f_bound + slack)
+            )
+            slack_g = tol.eq_tol * max(1.0, g_bound)
+            checks.append(
+                ("identity_right_bound", float(_eigvalsh(x_ai)[0]) - g_bound + slack_g)
+            )
+            return checks
+
+        rec.run_trial(index, dim, evaluate, A=a, B=b)
     return rec.report(time.perf_counter() - start)
 
 
@@ -413,16 +405,11 @@ def check_betweenness(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Rep
             grid_checks.append((f"grid_lower_x={t:g}", ft - t + slack))
             grid_checks.append((f"grid_upper_x={t:g}", 1.0 - ft + slack))
     start = time.perf_counter()
-    for index in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, index)
-        dim = cfg.dims[index % len(cfg.dims)]
+    for index, rng, dim in _draws(cfg):
         A, B = random_ordered_pair(dim, rng, tol)
         a, b = A.data, B.data
 
-        def inputs():
-            return _matrix_payload(A=a, B=b)
-
-        try:
+        def evaluate():
             x = conn._apply_raw(a, b, tol)
             wa, wb, wx = _eigvalsh(a), _eigvalsh(b), _eigvalsh(x)
             norm_a = max(abs(float(wa[0])), abs(float(wa[-1])))
@@ -437,10 +424,9 @@ def check_betweenness(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Rep
             ]
             if index == 0:
                 checks.extend(grid_checks)
-        except Exception as exc:
-            rec.add_error(index, dim, exc, inputs)
-            continue
-        rec.add_trial(index, dim, checks, inputs)
+            return checks
+
+        rec.run_trial(index, dim, evaluate, A=a, B=b)
     return rec.report(time.perf_counter() - start)
 
 
@@ -481,9 +467,7 @@ def check_strictness_and_order(
     tol = cfg.tol
     start = time.perf_counter()
 
-    for index in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, index)
-        dim = cfg.dims[index % len(cfg.dims)]
+    for index, rng, dim in _draws(cfg):
         a = random_pd(dim, rng, tol).data
         b = random_pd(dim, rng, tol).data
         guard = 0
@@ -491,10 +475,7 @@ def check_strictness_and_order(
             b = random_pd(dim, rng, tol).data
             guard += 1
 
-        def inputs():
-            return _matrix_payload(A=a, B=b)
-
-        try:
+        def evaluate():
             x = conn._apply_raw(a, b, tol)
             dist_a = float(np.linalg.norm(x - a))
             dist_b = float(np.linalg.norm(x - b))
@@ -509,50 +490,37 @@ def check_strictness_and_order(
                 checks.append(("right_trivial_returns_B", tol.eq_tol * norm_b - dist_b))
             else:
                 checks.append(("strict_right", dist_b - tol.eq_tol * norm_b))
-        except Exception as exc:
-            rec.add_error(index, dim, exc, inputs)
-            continue
-        rec.add_trial(index, dim, checks, inputs)
+            return checks
+
+        rec.run_trial(index, dim, evaluate, A=a, B=b)
 
     if record.strict:
         # Forward direction of the order equivalences on constructed A <= B,
         # including the swapped forms B sigma A.
-        for k in range(cfg.trials):
-            index = cfg.trials + k
-            rng = _trial_rng(cfg.seed, index)
-            dim = cfg.dims[k % len(cfg.dims)]
+        for index, rng, dim in _draws(cfg, offset=cfg.trials):
             A, B = random_ordered_pair(dim, rng, tol)
             a, b = A.data, B.data
 
-            def inputs():
-                return _matrix_payload(A=a, B=b)
-
-            try:
+            def evaluate():
                 x = conn._apply_raw(a, b, tol)
                 y = conn._apply_raw(b, a, tol)
-                checks = [
+                return [
                     ("order_forward_left", _loewner_margin(a, x, tol)),
                     ("order_forward_right", _loewner_margin(x, b, tol)),
                     ("order_forward_swapped_left", _loewner_margin(a, y, tol)),
                     ("order_forward_swapped_right", _loewner_margin(y, b, tol)),
                 ]
-            except Exception as exc:
-                rec.add_error(index, dim, exc, inputs)
-                continue
-            rec.add_trial(index, dim, checks, inputs)
+
+            rec.run_trial(index, dim, evaluate, A=a, B=b)
 
         # Converse direction by rejection over a pool mixing ordered and
         # deliberately non-comparable pairs.
         accepted_left = 0
         accepted_right = 0
         draws = 0
-        max_draws = 50 * cfg.trials
-        while (
-            accepted_left < cfg.trials or accepted_right < cfg.trials
-        ) and draws < max_draws:
-            index = 2 * cfg.trials + draws
-            rng = _trial_rng(cfg.seed, index)
-            dim = cfg.dims[draws % len(cfg.dims)]
+        for index, rng, dim in _draws(cfg, 50 * cfg.trials, 2 * cfg.trials):
+            if accepted_left >= cfg.trials and accepted_right >= cfg.trials:
+                break
             if draws % 2 == 0 or dim < 2:
                 A, B = random_ordered_pair(dim, rng, tol)
                 a, b = A.data, B.data
@@ -560,10 +528,8 @@ def check_strictness_and_order(
                 a, b = _non_comparable_pair(dim, rng)
             draws += 1
 
-            def inputs():
-                return _matrix_payload(A=a, B=b)
-
-            try:
+            def evaluate():
+                nonlocal accepted_left, accepted_right
                 x = conn._apply_raw(a, b, tol)
                 accept_scale = max(
                     1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b))
@@ -582,11 +548,9 @@ def check_strictness_and_order(
                         checks.append(
                             ("order_converse_right", _loewner_margin(a, b, tol))
                         )
-            except Exception as exc:
-                rec.add_error(index, dim, exc, inputs)
-                continue
-            if checks:
-                rec.add_trial(index, dim, checks, inputs)
+                return checks
+
+            rec.run_trial(index, dim, evaluate, A=a, B=b)
         if accepted_left < cfg.trials or accepted_right < cfg.trials:
             rec.add_error(
                 -1,
@@ -629,7 +593,7 @@ def run_counterexamples(tol: Tolerances = DEFAULT_TOL) -> Report:
             ("vanishes_on_projection_pair", COUNTEREXAMPLE_TOL - float(np.linalg.norm(x))),
             ("left_operand_nonzero", float(np.linalg.norm(a)) - 0.5),
         ],
-        lambda: _matrix_payload(A=a, B=b, A_geo_B=x),
+        dict(A=a, B=b, A_geo_B=x),
     )
 
     z = geo._apply_raw(zero, b, tol)
@@ -640,7 +604,7 @@ def run_counterexamples(tol: Tolerances = DEFAULT_TOL) -> Report:
             ("zero_fixed_without_invertibility", COUNTEREXAMPLE_TOL - float(np.linalg.norm(z - zero))),
             ("operands_differ", float(np.linalg.norm(zero - b)) - 0.5),
         ],
-        lambda: _matrix_payload(A=zero, B=b, A_geo_B=z),
+        dict(A=zero, B=b, A_geo_B=z),
     )
 
     upper = float(_eigvalsh(b - x)[0])
@@ -652,7 +616,7 @@ def run_counterexamples(tol: Tolerances = DEFAULT_TOL) -> Report:
             ("upper_order_holds", upper + COUNTEREXAMPLE_TOL),
             ("full_order_fails", -order - 10.0 * tol.psd_slack),
         ],
-        lambda: _matrix_payload(A=a, B=b, A_geo_B=x),
+        dict(A=a, B=b, A_geo_B=x),
     )
     return rec.report(time.perf_counter() - start)
 

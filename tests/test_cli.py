@@ -259,6 +259,30 @@ class TestEval:
         err = capsys.readouterr().err
         assert "eigenvalue" in err and "-1" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, capsys, matrix_files, value):
+        # A NaN slack would route every left operand to the epsilon-limit.
+        for matrix in ("pd", "indef"):
+            code = main(
+                [
+                    "eval",
+                    "--mean",
+                    "geometric",
+                    "--weight",
+                    "0.5",
+                    "--A",
+                    matrix_files[matrix],
+                    "--B",
+                    matrix_files["pd"],
+                    "--psd-slack",
+                    value,
+                ]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "psd_slack must be finite" in captured.err
+
     def test_missing_weight_exits_2(self, capsys, matrix_files):
         code = main(
             [
@@ -349,6 +373,9 @@ class TestFunction:
         assert main(["function", "--mean", "sum", "--grid", "5:1:10"]) == 2
         assert main(["function", "--mean", "sum", "--grid", "oops"]) == 2
         assert main(["function", "--mean", "sum", "--grid=-1:2:3"]) == 2
+        assert main(["function", "--mean", "sum", "--grid", "0:inf:3"]) == 2
+        assert main(["function", "--mean", "sum", "--grid", "1:nan:1"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestClassify:
@@ -422,6 +449,13 @@ class TestMeasureEval:
 
     def test_requires_a_measure(self, capsys):
         assert main(["measure-eval", "--x", "2"]) == 2
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_x_exits_2(self, capsys, x):
+        assert main(["measure-eval", "--atoms", "0.5:1", "--x", x]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "defined on [0, inf)" in captured.err
 
     def test_rejects_file_plus_inline(self, capsys, tmp_path):
         path = tmp_path / "mu.json"

@@ -112,6 +112,9 @@ class TestBuiltinRepresentingFunctions:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             repr_fn_eval(make_builtin("sum"), -1.0)
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"defined on \[0, inf\)"):
+                repr_fn_eval(make_builtin("sum"), x)
 
 
 class TestApply:
@@ -400,6 +403,9 @@ class TestArrayForm:
             got = conn._fn_array(np.array(self.POINTS))
         want = np.array([conn.fn(x) for x in self.POINTS])
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        for x in self.POINTS:
+            assert type(conn.fn(x)) is float, x
+            assert type(repr_fn_eval(conn, x)) is float, x
 
 
 class TestReprFnEvalConsistency:

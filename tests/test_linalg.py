@@ -364,6 +364,10 @@ class TestTolerances:
     def test_nonnegative_enforced(self):
         with pytest.raises(ValueError):
             Tolerances(psd_slack=-1.0)
+        for name in ("psd_slack", "eq_tol", "eps0", "eps_min"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    Tolerances(**{name: value})
 
 
 class TestMatrixIO:

@@ -2,6 +2,8 @@
 clean and deliberately broken connections, determinism, and the
 counterexample corpus."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,24 @@ class LeftPretender(Connection):
 
     def _apply_raw(self, a, b, tol):
         return a.copy()
+
+
+class Unevaluable(Connection):
+    """Claims the geometric mean's representing function, so every suite
+    runs, but every evaluation raises."""
+
+    def fn(self, x):
+        return math.sqrt(x)
+
+    def _apply_raw(self, a, b, tol):
+        raise ArithmeticError(f"no value at dim {a.shape[0]}")
+
+
+class Mismatched(Unevaluable):
+    """The geometric mean's function with A - B as its values."""
+
+    def _apply_raw(self, a, b, tol):
+        return a - b
 
 
 def test_stacks_never_reach_apply_raw(monkeypatch):
@@ -219,6 +239,80 @@ class TestReportContract:
             "seed",
             "elapsed",
         }
+
+
+class TestWitnessFormat:
+    """Witness layout, input names and error text, per suite."""
+
+    INPUTS = {
+        check_axioms: ["A", "B", "C", "D", "C_ineq", "C_pd"],
+        check_continuity_from_above: ["A", "B", "P", "Q"],
+        check_positivity: ["A", "B"],
+        check_betweenness: ["A", "B"],
+        check_strictness_and_order: ["A", "B"],
+    }
+    CHECKS = {
+        check_axioms: {
+            "monotonicity",
+            "transformer_inequality",
+            "congruence_equality",
+            "scalar_consistency",
+        },
+        check_continuity_from_above: {"loewner_nonincreasing", "limit_reached"},
+        check_positivity: {
+            "strict_positivity",
+            "identity_left_bound",
+            "identity_right_bound",
+        },
+        check_betweenness: {
+            "left_betweenness",
+            "right_betweenness",
+            "norm_chain_lower",
+            "norm_chain_upper",
+        },
+        check_strictness_and_order: {
+            "strict_left",
+            "strict_right",
+            "order_forward_left",
+            "order_forward_right",
+            "order_forward_swapped_left",
+            "order_forward_swapped_right",
+            "order_converse_left",
+            "order_converse_right",
+        },
+    }
+
+    @staticmethod
+    def _assert_inputs(witness, names):
+        assert list(witness["inputs"]) == names
+        for matrix in witness["inputs"].values():
+            assert np.shape(matrix) == (witness["dim"], witness["dim"])
+
+    @pytest.mark.parametrize("suite", list(INPUTS), ids=lambda s: s.__name__)
+    def test_error_witnesses(self, suite):
+        report = suite(Unevaluable(), SMALL)
+        assert report.violations == report.trials
+        assert report.worst_margin == -1e308
+        assert len(report.witnesses) == 5
+        for k, witness in enumerate(report.witnesses):
+            assert list(witness) == ["trial", "dim", "error", "inputs"]
+            assert witness["trial"] == k
+            assert witness["dim"] == SMALL.dims[k % len(SMALL.dims)]
+            assert witness["error"] == f"ArithmeticError: no value at dim {witness['dim']}"
+            self._assert_inputs(witness, self.INPUTS[suite])
+
+    @pytest.mark.parametrize("suite", list(INPUTS), ids=lambda s: s.__name__)
+    def test_failed_witnesses(self, suite):
+        report = suite(Mismatched(), SMALL)
+        assert report.violations > 0 and report.witnesses
+        for witness in report.witnesses:
+            assert list(witness) == ["trial", "dim", "failed", "inputs"]
+            assert witness["failed"]
+            for failure in witness["failed"]:
+                assert list(failure) == ["property", "margin"]
+                assert failure["property"] in self.CHECKS[suite]
+                assert failure["margin"] < 0.0
+            self._assert_inputs(witness, self.INPUTS[suite])
 
 
 class TestCounterexamples:
