@@ -19,17 +19,21 @@ import sys
 
 import numpy as np
 
-from .connections import BUILTIN_KINDS, WEIGHTED_KINDS, classify, make_builtin, repr_fn_eval
+from .connections import (
+    BUILTIN_KINDS,
+    WEIGHTED_KINDS,
+    classify,
+    is_mean,
+    make_builtin,
+    repr_fn_eval,
+)
 from .linalg import SymMatrix, Tolerances, load_matrix, matrix_to_dict
 from .measures import (
     BorelMeasure,
-    Density,
-    QuadraturePlan,
-    arcsine_density,
     connection_from_measure,
     load_measure,
+    measure_from_dict,
     parse_atoms,
-    repr_fn_from_measure,
 )
 from .verify import SUITES, Report, TrialConfig, run_counterexamples
 
@@ -173,13 +177,12 @@ def _measure(args) -> BorelMeasure:
         raise ValueError("a measure is required: --measure FILE or --atoms/--density")
     if args.measure:
         return load_measure(args.measure)
-    atoms = parse_atoms(args.atoms) if args.atoms else ()
-    density = None
-    if args.density:
-        if args.density != "arcsine":
-            raise ValueError(f"unsupported density {args.density!r}")
-        density = Density(arcsine_density, QuadraturePlan.transformed_arcsine(args.n))
-    return BorelMeasure(atoms=atoms, density=density)
+    return measure_from_dict(
+        {
+            "atoms": parse_atoms(args.atoms) if args.atoms else (),
+            "density": {"scheme": "arcsine", "n": args.n} if args.density else None,
+        }
+    )
 
 
 def _parse_grid(spec: str):
@@ -239,8 +242,9 @@ def cmd_classify(args) -> int:
 def cmd_measure_eval(args) -> int:
     mu = _measure(args)
     tol = _tolerances(args)
+    conn = connection_from_measure(mu)
     if args.x is not None:
-        value = repr_fn_from_measure(mu, args.x)
+        value = repr_fn_eval(conn, args.x, tol)
         if args.format == "json":
             _emit(canonical_json({"x": float(args.x), "value": value}))
         elif args.format == "csv":
@@ -250,7 +254,6 @@ def cmd_measure_eval(args) -> int:
         return 0
     if not args.A or not args.B:
         raise ValueError("matrix mode needs --A and --B (or use scalar --x)")
-    conn = connection_from_measure(mu)
     X = conn.apply(load_matrix(args.A), load_matrix(args.B), tol)
     _emit(_render_matrix(X, args.format))
     return 0
@@ -268,11 +271,7 @@ def cmd_verify(args) -> int:
     reports = []
     for name in names:
         suite = SUITES[name]
-        if (
-            name == "strictness"
-            and args.suite == "all"
-            and abs(conn.fn(1.0) - 1.0) > tol.eq_tol
-        ):
+        if name == "strictness" and args.suite == "all" and not is_mean(conn, tol):
             print(
                 f"note: skipping strictness (not a mean: f(1) = {conn.fn(1.0):.6g})",
                 file=sys.stderr,

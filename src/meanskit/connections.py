@@ -64,8 +64,8 @@ __all__ = [
 # Grid used to audit representing functions for monotonicity and concavity.
 AUDIT_GRID = tuple(2.0**k for k in range(-10, 11))
 
-# Probe used for the value of a representing function "at 0 by continuity"
-# and for the x -> 0 limit of transposed functions.
+# Probe at which ``ReprFunction.from_callable`` takes the value "at 0 by
+# continuity" of a function given only as a callable, transposes included.
 _ZERO_PROBE = 1e-12
 
 BUILTIN_KINDS = (
@@ -100,7 +100,8 @@ class ReprFunction:
 
     ``f_at_0`` is the value at 0 by continuity; for kernels like the
     logarithmic mean the raw formula is 0/0 there.  ``f_at_1`` decides
-    whether the connection is a mean.
+    whether the connection is a mean.  Calling it is the one place that
+    checks x against the domain.
     """
 
     fn: Callable[[float], float]
@@ -108,7 +109,7 @@ class ReprFunction:
     f_at_1: float
 
     def __call__(self, x: float) -> float:
-        if x < 0:
+        if not 0.0 <= x < math.inf:
             raise ValueError(f"representing functions are defined on [0, inf), got {x}")
         if x == 0:
             return self.f_at_0
@@ -167,9 +168,9 @@ class Connection(ABC):
     """A binary operation on PSD matrices encoded by its representing
     function."""
 
-    @abstractmethod
     def fn(self, x: float) -> float:
         """Value of the representing function at x >= 0."""
+        return self.repr_function(x)
 
     @abstractmethod
     def _apply_raw(
@@ -231,9 +232,6 @@ class _FunctionBackedConnection(Connection):
     """
 
     _affine = None
-
-    def fn(self, x: float) -> float:
-        return self.repr_function(x)
 
     def _apply_affine(self, a, b, tol):
         _check_spectra(_eigvalsh(a, "left operand"), tol, "left operand")
@@ -350,17 +348,20 @@ class TransposeConnection(Connection):
     """The transpose (A, B) -> B sigma A of an inner connection; its
     representing function is g(x) = x * f(1/x)."""
 
-    __slots__ = ("inner",)
+    __slots__ = ("inner", "repr_function")
 
     def __init__(self, inner: Connection):
         self.inner = inner
 
-    def fn(self, x: float) -> float:
-        if x < 0:
-            raise ValueError(f"representing functions are defined on [0, inf), got {x}")
-        if x == 0:
-            x = _ZERO_PROBE
-        return x * self.inner.fn(1.0 / x)
+        def g(x):
+            y = 1.0 / x
+            if y == math.inf:
+                raise ValueError(
+                    f"transposed representing function: 1/x overflows at x = {x!r}"
+                )
+            return x * inner.fn(y)
+
+        self.repr_function = ReprFunction.from_callable(g)
 
     def _apply_raw(self, a, b, tol):
         return self.inner._apply_raw(b, a, tol)
@@ -409,10 +410,7 @@ def repr_fn_eval(conn: Connection, x: float, tol: Tolerances = DEFAULT_TOL) -> f
     Consistent with ``apply`` on 1x1 matrices: f(x) = the single entry of
     [1] sigma [x].
     """
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"representing functions are defined on [0, inf), got {x}")
-    return float(conn.fn(x))
+    return float(conn.fn(float(x)))
 
 
 def is_mean(conn: Connection, tol: Tolerances = DEFAULT_TOL) -> bool:

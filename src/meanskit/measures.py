@@ -8,9 +8,12 @@ harmonic interpolants,
 with scalar kernel 1 !_t x = x / ((1-t) x + t).  The connection is
 evaluated through its representing function f(x) = integral of
 (1 !_t x) d mu(t), which atoms contribute exactly and a density through a
-precomputed quadrature plan; f then goes through the same function-backed
-evaluator as every other connection, so a matrix result is as accurate as
-the scalar quadrature.  Measures are stored unnormalized: normalization
+precomputed quadrature plan.  ``MeasureConnection`` states f once; the
+scalar ``repr_fn_from_measure`` and matrix evaluation both use it, through
+the same function-backed evaluator as every other connection, so a matrix
+result is as accurate as the scalar quadrature.
+``weighted_harmonic_kernel`` is the kernel on its own, for reference; no
+evaluation path calls it.  Measures are stored unnormalized: normalization
 (total mass 1) is exactly the property of being a mean, and connections
 such as the sum need mass 2.  Measures and plans are immutable after
 construction.
@@ -177,25 +180,6 @@ def weighted_harmonic_kernel(x: float, t: float) -> float:
     return x / ((1.0 - t) * x + t)
 
 
-def _kernel_vec(x: float, ts: np.ndarray) -> np.ndarray:
-    # ts from quadrature plans is strictly interior, so only x = 0 needs care.
-    if x == 0.0:
-        return np.where(ts == 0.0, 1.0, 0.0)
-    return x / ((1.0 - ts) * x + ts)
-
-
-def repr_fn_from_measure(mu: BorelMeasure, x: float) -> float:
-    """f(x) = integral of (1 !_t x) d mu(t): atoms plus quadrature."""
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"representing functions are defined on [0, inf), got {x}")
-    value = sum(w * weighted_harmonic_kernel(x, t) for t, w in mu.atoms)
-    ts, ws = mu.density_nodes()
-    if ts.size:
-        value += float(_kernel_vec(x, ts) @ ws)
-    return float(value)
-
-
 class MeasureConnection(_FunctionBackedConnection):
     """Connection with associated measure mu, applied through its
     representing function
@@ -244,6 +228,12 @@ class MeasureConnection(_FunctionBackedConnection):
 def connection_from_measure(mu: BorelMeasure) -> MeasureConnection:
     """The connection with associated measure mu."""
     return MeasureConnection(mu)
+
+
+def repr_fn_from_measure(mu: BorelMeasure, x: float) -> float:
+    """f(x) = integral of (1 !_t x) d mu(t), atoms plus quadrature: the
+    representing function of ``connection_from_measure(mu)``, bit for bit."""
+    return connection_from_measure(mu).fn(float(x))
 
 
 def measure_of_builtin(

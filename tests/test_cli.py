@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from meanskit.cli import _render_matrix, canonical_json, main
-from meanskit.connections import make_builtin
+from meanskit.connections import make_builtin, repr_fn_eval
 from meanskit.linalg import (
     SymMatrix,
     Tolerances,
@@ -446,6 +446,17 @@ class TestMeasureEval:
         )
         assert code == 0
         assert obj["value"] == pytest.approx(4.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "x", ["5.264290204069142", "0.5669756697613918", "60.08292362247329"]
+    )
+    def test_scalar_mode_uses_the_connections_f(self, capsys, x):
+        # Points where a second quadrature of f would differ in the last ulp.
+        atoms = "0:0.25,0.5:0.5,1:0.25"
+        code, obj = run_json(capsys, ["measure-eval", "--atoms", atoms, "--x", x])
+        assert code == 0
+        conn = connection_from_measure(BorelMeasure(atoms=parse_atoms(atoms)))
+        assert obj["value"] == repr_fn_eval(conn, float(x))
 
     def test_requires_a_measure(self, capsys):
         assert main(["measure-eval", "--x", "2"]) == 2

@@ -110,11 +110,22 @@ class TestBuiltinRepresentingFunctions:
             assert conn.fn(x) == pytest.approx((x - 1.0) / math.log(x), rel=1e-10)
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            repr_fn_eval(make_builtin("sum"), -1.0)
-        for x in (math.nan, math.inf):
+        # The domain check lives in ReprFunction, so it holds for every
+        # connection's fn, transposes included, not only for repr_fn_eval.
+        sum_ = make_builtin("sum")
+        conns = (
+            sum_,
+            connection_from_function(lambda x: 1.0 + x),
+            connection_from_measure(BorelMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))),
+            transpose(sum_),
+            transpose(transpose(sum_)),
+        )
+        for x in (math.nan, math.inf, -math.inf, -1.0):
             with pytest.raises(ValueError, match=r"defined on \[0, inf\)"):
-                repr_fn_eval(make_builtin("sum"), x)
+                repr_fn_eval(sum_, x)
+            for conn in conns:
+                with pytest.raises(ValueError, match=r"defined on \[0, inf\)"):
+                    conn.fn(x)
 
 
 class TestApply:
@@ -447,6 +458,14 @@ class TestTranspose:
             tt = transpose(transpose(conn))
             for x in AUDIT_GRID:
                 assert tt.fn(x) == pytest.approx(conn.fn(x), rel=1e-12, abs=1e-15), name
+
+    def test_subnormal_argument_never_gives_inf(self):
+        # g(x) = x * f(1/x) needs 1/x, which overflows below about 5.6e-309;
+        # g must then name x rather than return inf.  Just above, it is exact.
+        t = transpose(make_builtin("geometric", 0.25))
+        with pytest.raises(ValueError, match="1e-310"):
+            t.fn(1e-310)
+        assert t.fn(1e-300) == pytest.approx(1e-300**0.75, rel=1e-12)
 
     def test_zero_limit(self):
         t = transpose(make_builtin("parallel_sum"))

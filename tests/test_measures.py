@@ -147,6 +147,16 @@ class TestReprFnFromMeasure:
                     mid = repr_fn_from_measure(mu, (xs[i] + xs[j]) / 2.0)
                     assert mid >= (vals[i] + vals[j]) / 2.0 - 1e-10
 
+    def test_same_f_as_the_connection(self):
+        # One statement of f: the scalar route is the connection's fn, bit
+        # for bit, at log-uniform points over 17 decades.
+        mu = BorelMeasure(atoms=((0.0, 0.25), (0.5, 0.5), (1.0, 0.25)))
+        conn = connection_from_measure(mu)
+        rng = np.random.default_rng(0)
+        xs = np.exp(rng.uniform(math.log(2e-9), math.log(5e8), 1000))
+        for x in xs.tolist():
+            assert repr_fn_from_measure(mu, x) == conn.fn(x), x
+
 
 class TestQuadraturePlans:
     def test_lebesgue_density_closed_form(self):
