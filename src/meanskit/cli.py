@@ -319,7 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tolerance_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("function", help="tabulate the representing function")
+    p = sub.add_parser(
+        "function",
+        help="tabulate the representing function",
+        description="Tabulate the representing function f on a grid. The "
+        "tolerance flags are validated but do not change the tabulated "
+        "values.",
+    )
     _add_mean_flags(p)
     p.add_argument("--grid", required=True, help="grid spec 'start:stop:count'")
     _add_format_flag(p)
@@ -368,9 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is built on the first call and reused: parse_args keeps no
+    # state between calls, and building it costs more than a small request.
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

@@ -408,7 +408,9 @@ def repr_fn_eval(conn: Connection, x: float, tol: Tolerances = DEFAULT_TOL) -> f
     """Representing-function value f(x) for x >= 0.
 
     Consistent with ``apply`` on 1x1 matrices: f(x) = the single entry of
-    [1] sigma [x].
+    [1] sigma [x].  ``tol`` is not read: f is evaluated directly, so no
+    tolerance changes its value.  The tolerance flags of the CLI's
+    ``function`` subcommand are validated but do not change its table.
     """
     return float(conn.fn(float(x)))
 

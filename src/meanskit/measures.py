@@ -16,11 +16,14 @@ result is as accurate as the scalar quadrature.
 evaluation path calls it.  Measures are stored unnormalized: normalization
 (total mass 1) is exactly the property of being a mean, and connections
 such as the sum need mass 2.  Measures and plans are immutable after
-construction.
+construction.  The Gauss-Legendre rule behind the density plans is computed
+once per node count and shared read-only, so building a plan costs only
+its O(n) transform and validation.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -56,13 +59,24 @@ class UnsupportedMeasureError(ValueError):
     """No closed-form associated measure is available for this builtin."""
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=16)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-point Gauss-Legendre rule on [-1, 1], read-only.  Building
+    it solves a dense n x n eigenvalue problem, so it is shared."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+@dataclass(frozen=True, eq=False)
 class QuadraturePlan:
     """Quadrature nodes and weights on the open interval (0, 1).
 
     ``absorbs_density`` marks plans whose weights already include the
     density they were transformed for, so the density function must not be
-    evaluated again at the nodes.
+    evaluated again at the nodes.  Two plans are equal when their scheme,
+    ``absorbs_density`` and arrays are.
     """
 
     scheme: str
@@ -84,6 +98,16 @@ class QuadraturePlan:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
+    def __eq__(self, other):
+        if not isinstance(other, QuadraturePlan):
+            return NotImplemented
+        return (
+            self.scheme == other.scheme
+            and self.absorbs_density == other.absorbs_density
+            and np.array_equal(self.nodes, other.nodes)
+            and np.array_equal(self.weights, other.weights)
+        )
+
     @property
     def n(self) -> int:
         return int(self.nodes.size)
@@ -91,7 +115,7 @@ class QuadraturePlan:
     @classmethod
     def gauss_legendre(cls, n: int) -> "QuadraturePlan":
         """n-point Gauss-Legendre rule mapped to (0, 1)."""
-        x, w = np.polynomial.legendre.leggauss(int(n))
+        x, w = _leggauss(int(n))
         return cls("gauss_legendre", (x + 1.0) / 2.0, w / 2.0)
 
     @classmethod
@@ -102,7 +126,7 @@ class QuadraturePlan:
         (2/pi) * integral over [0, pi/2], removing the endpoint
         singularities exactly; Gauss-Legendre is then applied in theta.
         """
-        x, w = np.polynomial.legendre.leggauss(int(n))
+        x, w = _leggauss(int(n))
         theta = (x + 1.0) * (math.pi / 4.0)
         nodes = np.sin(theta) ** 2
         weights = w * (math.pi / 4.0) * (2.0 / math.pi)

