@@ -25,6 +25,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    EigenSolverError,
     NotPSDError,
     SingularMatrixError,
     SymMatrix,
@@ -234,8 +235,17 @@ class _FunctionBackedConnection(Connection):
     _affine = None
 
     def _apply_affine(self, a, b, tol):
-        _check_spectra(_eigvalsh(a, "left operand"), tol, "left operand")
-        _check_spectra(_eigvalsh(b, "right operand"), tol, "right operand")
+        # One eigenvalue solve checks both operands; the left one is blamed
+        # first, as two separate checks would.  On a solver failure, the
+        # separate solves name the operand it fails on.
+        try:
+            w = _eigvalsh(np.stack([a, b]))
+        except EigenSolverError:
+            _eigvalsh(a, "left operand")
+            _eigvalsh(b, "right operand")
+            raise
+        _check_spectra(w[0], tol, "left operand")
+        _check_spectra(w[1], tol, "right operand")
         alpha, beta = self._affine
         return alpha * a + beta * b
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,10 +54,28 @@ __all__ = [
 ]
 
 DEFAULT_QUADRATURE_NODES = 256
+# Largest density node count accepted.  numpy builds the n-point rule from
+# a dense n x n eigenvalue problem: 1024 nodes take about 0.16 s, 2048
+# about 1 s, and the cost grows as n^3.
+MAX_QUADRATURE_NODES = 1024
 
 
 class UnsupportedMeasureError(ValueError):
     """No closed-form associated measure is available for this builtin."""
+
+
+def _node_count(n) -> int:
+    """n as an int, after checking that it is a whole number in
+    [1, MAX_QUADRATURE_NODES]; bools are not counts."""
+    whole = isinstance(n, numbers.Integral) or (
+        isinstance(n, float) and n.is_integer()
+    )
+    if isinstance(n, bool) or not whole or not 1 <= n <= MAX_QUADRATURE_NODES:
+        raise ValueError(
+            "quadrature node count n must be a whole number in "
+            f"[1, {MAX_QUADRATURE_NODES}], got {n!r}"
+        )
+    return int(n)
 
 
 @functools.lru_cache(maxsize=16)
@@ -115,7 +134,7 @@ class QuadraturePlan:
     @classmethod
     def gauss_legendre(cls, n: int) -> "QuadraturePlan":
         """n-point Gauss-Legendre rule mapped to (0, 1)."""
-        x, w = _leggauss(int(n))
+        x, w = _leggauss(_node_count(n))
         return cls("gauss_legendre", (x + 1.0) / 2.0, w / 2.0)
 
     @classmethod
@@ -126,7 +145,7 @@ class QuadraturePlan:
         (2/pi) * integral over [0, pi/2], removing the endpoint
         singularities exactly; Gauss-Legendre is then applied in theta.
         """
-        x, w = _leggauss(int(n))
+        x, w = _leggauss(_node_count(n))
         theta = (x + 1.0) * (math.pi / 4.0)
         nodes = np.sin(theta) ** 2
         weights = w * (math.pi / 4.0) * (2.0 / math.pi)
@@ -329,7 +348,7 @@ def measure_from_dict(obj: dict) -> BorelMeasure:
         scheme = density_obj.get("scheme")
         if scheme != "arcsine":
             raise ValueError(f"unsupported density scheme {scheme!r}")
-        n = int(density_obj.get("n", DEFAULT_QUADRATURE_NODES))
+        n = density_obj.get("n", DEFAULT_QUADRATURE_NODES)
         density = Density(arcsine_density, QuadraturePlan.transformed_arcsine(n))
     return BorelMeasure(atoms=atoms, density=density)
 

@@ -133,10 +133,28 @@ def _draws(cfg: TrialConfig, count: int | None = None, offset: int = 0):
         yield index, _trial_rng(cfg.seed, index), cfg.dims[k % len(cfg.dims)]
 
 
+def _gram(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The raw draw behind every suite: G G^T for G with independent
+    standard-normal entries.  numpy computes g @ g.T from one triangle, so
+    the result is exactly symmetric and SymMatrix stores it unchanged."""
+    g = rng.standard_normal((dim, dim))
+    return g @ g.T
+
+
+def _gram_pd(dim: int, rng: np.random.Generator, tol: Tolerances) -> np.ndarray:
+    return _gram(dim, rng) + 10.0 * tol.psd_slack * np.eye(dim)
+
+
+def _ordered_pair(
+    dim: int, rng: np.random.Generator, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    a = _gram_pd(dim, rng, tol)
+    return a, a + _gram(dim, rng)
+
+
 def random_psd(dim: int, rng: np.random.Generator) -> SymMatrix:
     """G G^T for G with independent standard-normal entries."""
-    g = rng.standard_normal((dim, dim))
-    return SymMatrix(g @ g.T)
+    return SymMatrix(_gram(dim, rng))
 
 
 def random_pd(
@@ -144,17 +162,15 @@ def random_pd(
 ) -> SymMatrix:
     """random_psd plus a 10 * psd_slack identity shift, so the result is
     numerically positive definite."""
-    g = rng.standard_normal((dim, dim))
-    return SymMatrix(g @ g.T + 10.0 * tol.psd_slack * np.eye(dim))
+    return SymMatrix(_gram_pd(dim, rng, tol))
 
 
 def random_ordered_pair(
     dim: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[SymMatrix, SymMatrix]:
     """(A, A + G G^T): the Loewner order A <= B holds by construction."""
-    a = random_pd(dim, rng, tol)
-    gap = random_psd(dim, rng)
-    return a, SymMatrix(a.data + gap.data)
+    a, b = _ordered_pair(dim, rng, tol)
+    return SymMatrix(a), SymMatrix(b)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -166,7 +182,9 @@ def _congr(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x, axis=(-2, -1))
+    # np.linalg.norm's own Frobenius formula for real input, without the
+    # wrapper's dispatch.
+    return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
 
 
 def _loewner_margin(p: np.ndarray, q: np.ndarray, tol: Tolerances):
@@ -267,18 +285,19 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
     positive-definite transforms, and dim-1 scalar consistency.
 
     A trial's four n x n evaluations, (A, B), (C, D) and the two congruence
-    transforms of (A, B), are stacked into one call."""
+    transforms of (A, B), are stacked into one call, and its two Loewner
+    margins come from one eigenvalue solve."""
     rec = _SuiteRecorder("axioms", cfg.seed)
     tol = cfg.tol
     start = time.perf_counter()
     for index, rng, dim in _draws(cfg):
         shift = _AXIOMS_SHIFT * np.eye(dim)
-        a = random_psd(dim, rng).data + shift
-        c = a + random_psd(dim, rng).data
-        b = random_psd(dim, rng).data + shift
-        d = b + random_psd(dim, rng).data
-        c_ineq = random_psd(dim, rng).data + shift
-        c_pd = random_psd(dim, rng).data + shift
+        a = _gram(dim, rng) + shift
+        c = a + _gram(dim, rng)
+        b = _gram(dim, rng) + shift
+        d = b + _gram(dim, rng)
+        c_ineq = _gram(dim, rng) + shift
+        c_pd = _gram(dim, rng) + shift
         s = float(rng.uniform(0.05, 3.0))
         u = float(rng.uniform(0.05, 3.0))
 
@@ -289,9 +308,12 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
                 tol,
             )
             lhs, lhs_pd = _congr(c_ineq, x_ab), _congr(c_pd, x_ab)
+            mono, transformer = _loewner_margin(
+                np.stack([x_ab, lhs]), np.stack([x_cd, rhs]), tol
+            )
             checks = [
-                ("monotonicity", _loewner_margin(x_ab, x_cd, tol)),
-                ("transformer_inequality", _loewner_margin(lhs, rhs, tol)),
+                ("monotonicity", mono),
+                ("transformer_inequality", transformer),
                 ("congruence_equality", _equality_margin(lhs_pd, rhs_pd, tol)),
             ]
             got = conn._apply_raw(np.array([[s]]), np.array([[u]]), tol)[0, 0]
@@ -323,10 +345,10 @@ def check_continuity_from_above(
     start = time.perf_counter()
     for index, rng, dim in _draws(cfg):
         shift = _CONTINUITY_SHIFT * np.eye(dim)
-        a = random_psd(dim, rng).data + shift
-        b = random_psd(dim, rng).data + shift
-        p = random_psd(dim, rng).data
-        q = random_psd(dim, rng).data
+        a = _gram(dim, rng) + shift
+        b = _gram(dim, rng) + shift
+        p = _gram(dim, rng)
+        q = _gram(dim, rng)
 
         def evaluate():
             x = conn._apply_stack(
@@ -356,8 +378,8 @@ def check_positivity(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Repo
     zero_conn = conn.fn(1.0) <= tol.eq_tol
     start = time.perf_counter()
     for index, rng, dim in _draws(cfg):
-        a = random_pd(dim, rng, tol).data
-        b = random_pd(dim, rng, tol).data
+        a = _gram_pd(dim, rng, tol)
+        b = _gram_pd(dim, rng, tol)
         eye = np.eye(dim)
 
         def evaluate():
@@ -406,8 +428,7 @@ def check_betweenness(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Rep
             grid_checks.append((f"grid_upper_x={t:g}", 1.0 - ft + slack))
     start = time.perf_counter()
     for index, rng, dim in _draws(cfg):
-        A, B = random_ordered_pair(dim, rng, tol)
-        a, b = A.data, B.data
+        a, b = _ordered_pair(dim, rng, tol)
 
         def evaluate():
             x = conn._apply_raw(a, b, tol)
@@ -435,7 +456,7 @@ def _non_comparable_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """PD pair whose difference is indefinite with eigenvalues of size at
     least 0.5 on both sides (needs dim >= 2)."""
-    a = _sym(random_psd(dim, rng).data + 2.0 * np.eye(dim))
+    a = _sym(_gram(dim, rng) + 2.0 * np.eye(dim))
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     mags = rng.uniform(0.5, 1.5, size=dim)
     signs = np.ones(dim)
@@ -468,11 +489,11 @@ def check_strictness_and_order(
     start = time.perf_counter()
 
     for index, rng, dim in _draws(cfg):
-        a = random_pd(dim, rng, tol).data
-        b = random_pd(dim, rng, tol).data
+        a = _gram_pd(dim, rng, tol)
+        b = _gram_pd(dim, rng, tol)
         guard = 0
         while float(np.linalg.norm(a - b)) < 0.1 and guard < 64:
-            b = random_pd(dim, rng, tol).data
+            b = _gram_pd(dim, rng, tol)
             guard += 1
 
         def evaluate():
@@ -498,8 +519,7 @@ def check_strictness_and_order(
         # Forward direction of the order equivalences on constructed A <= B,
         # including the swapped forms B sigma A.
         for index, rng, dim in _draws(cfg, offset=cfg.trials):
-            A, B = random_ordered_pair(dim, rng, tol)
-            a, b = A.data, B.data
+            a, b = _ordered_pair(dim, rng, tol)
 
             def evaluate():
                 x = conn._apply_raw(a, b, tol)
@@ -522,8 +542,7 @@ def check_strictness_and_order(
             if accepted_left >= cfg.trials and accepted_right >= cfg.trials:
                 break
             if draws % 2 == 0 or dim < 2:
-                A, B = random_ordered_pair(dim, rng, tol)
-                a, b = A.data, B.data
+                a, b = _ordered_pair(dim, rng, tol)
             else:
                 a, b = _non_comparable_pair(dim, rng)
             draws += 1

@@ -509,6 +509,30 @@ class TestMeasureEval:
     def test_requires_a_measure(self, capsys):
         assert main(["measure-eval", "--x", "2"]) == 2
 
+    @staticmethod
+    def _assert_node_count_rejected(capsys, argv, shown):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: quadrature node count n must be a whole number in "
+            f"[1, {measures.MAX_QUADRATURE_NODES}], got {shown}\n"
+        )
+
+    @pytest.mark.parametrize("n", ["0", "-3", str(measures.MAX_QUADRATURE_NODES + 1)])
+    def test_node_count_out_of_range_exits_2(self, capsys, monkeypatch, n):
+        # Rejected before numpy is asked for a rule.
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        argv = ["measure-eval", "--density", "arcsine", "--n", n, "--x", "4"]
+        self._assert_node_count_rejected(capsys, argv, n)
+
+    @pytest.mark.parametrize("n,shown", [("3.9", "3.9"), ("true", "True")])
+    def test_measure_file_node_count_must_be_whole(self, capsys, tmp_path, n, shown):
+        path = tmp_path / "mu.json"
+        path.write_text(f'{{"atoms": [], "density": {{"scheme": "arcsine", "n": {n}}}}}')
+        argv = ["measure-eval", "--measure", str(path), "--x", "4"]
+        self._assert_node_count_rejected(capsys, argv, shown)
+
     @pytest.mark.parametrize("x", ["nan", "inf"])
     def test_non_finite_x_exits_2(self, capsys, x):
         assert main(["measure-eval", "--atoms", "0.5:1", "--x", x]) == 2

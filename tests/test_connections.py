@@ -28,6 +28,7 @@ from meanskit.connections import (
 from meanskit.linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    EigenSolverError,
     NotPSDError,
     SingularMatrixError,
     SymMatrix,
@@ -269,6 +270,41 @@ class TestAffineKinds:
         conn = make_builtin("left_trivial")
         for b, a in _rank_deficient_pairs():
             assert np.array_equal(apply(conn, a, b).data, a.data)
+
+    @pytest.mark.parametrize("kind", ["sum", "arithmetic", "left_trivial"])
+    def test_both_operands_not_psd_blames_left(self, kind):
+        a = np.diag([1.0, -0.5])
+        b = np.diag([-2.0, 1.0])
+        with pytest.raises(NotPSDError) as alone:
+            _psd_scale(np.linalg.eigvalsh(a), DEFAULT_TOL, "left operand")
+        with pytest.raises(NotPSDError) as both:
+            apply(make_builtin(kind, 0.5), SymMatrix(a), SymMatrix(b))
+        assert str(both.value) == str(alone.value)
+        assert both.value.min_eigenvalue == -0.5
+
+    @pytest.mark.parametrize("failing", ["left", "right"])
+    def test_eigensolver_failure_names_the_operand(self, monkeypatch, failing):
+        eigvalsh = np.linalg.eigvalsh
+        marker = 7.25
+
+        def flaky(x):
+            if np.any(x == marker):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(x)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        operands = {"left": np.eye(2), "right": np.eye(2)}
+        operands[failing][1, 1] = marker
+        with pytest.raises(EigenSolverError) as info:
+            apply(
+                make_builtin("sum"),
+                SymMatrix(operands["left"]),
+                SymMatrix(operands["right"]),
+            )
+        assert str(info.value) == (
+            f"eigendecomposition failed for {failing} operand (dim 2, entries "
+            f"{operands[failing].tolist()}): Eigenvalues did not converge"
+        )
 
     def test_coefficients_match_representing_function(self):
         curved = {("logarithmic", None), ("parallel_sum", None)}

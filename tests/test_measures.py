@@ -26,6 +26,7 @@ from meanskit.measures import (
     total_mass,
     weighted_harmonic_kernel,
 )
+from meanskit import measures
 from meanskit.measures import _leggauss
 from meanskit.verify import random_pd
 
@@ -106,6 +107,18 @@ class TestMeasureValidation:
             QuadraturePlan.explicit([0.0], [1.0])  # node on the boundary
         with pytest.raises(ValueError):
             QuadraturePlan.explicit([0.5], [-1.0])
+
+    def test_node_count_is_a_bounded_whole_number(self):
+        cap = measures.MAX_QUADRATURE_NODES
+        for n in (0, -3, cap + 1, 3.9, True, float("nan"), float("inf"), "8"):
+            with pytest.raises(ValueError, match=rf"n must be .* \[1, {cap}\]"):
+                QuadraturePlan.transformed_arcsine(n)
+            with pytest.raises(ValueError, match=rf"n must be .* \[1, {cap}\]"):
+                QuadraturePlan.gauss_legendre(n)
+        for n in (1, 3.0, np.int64(5), cap):
+            assert QuadraturePlan.gauss_legendre(n).n == int(n)
+        mu = measure_from_dict({"atoms": [], "density": {"scheme": "arcsine", "n": 3.0}})
+        assert mu.density.plan == QuadraturePlan.transformed_arcsine(3)
 
 
 class TestReprFnFromMeasure:

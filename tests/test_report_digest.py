@@ -1,0 +1,36 @@
+"""Smoke test of scripts/report_digest.py at a tiny trial count."""
+
+import hashlib
+import runpy
+from pathlib import Path
+
+from meanskit.cli import canonical_json
+from meanskit.connections import is_mean
+from meanskit.verify import SUITES, TrialConfig, check_axioms, standard_battery
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digest.py"
+
+
+def _run(capsys, *argv):
+    main = runpy.run_path(str(SCRIPT), run_name="report_digest")["main"]
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_one_digest_per_report(capsys):
+    lines = _run(capsys, "--trials", "2", "--seed", "3")
+    expected = [
+        f"{name}/{suite}"
+        for name, conn in standard_battery()
+        for suite in SUITES
+        if suite != "strictness" or is_mean(conn)
+    ] + ["counterexamples"]
+    assert [line.split(" ")[0] for line in lines] == expected
+
+    name, conn = standard_battery()[3]
+    report = check_axioms(conn, TrialConfig(trials=2, seed=3))
+    text = canonical_json(report.to_dict(include_elapsed=False))
+    assert f"{name}/axioms {hashlib.sha256(text.encode()).hexdigest()}" in lines
+
+    assert _run(capsys, "--trials", "2", "--seed", "3") == lines
+    assert _run(capsys, "--trials", "2", "--seed", "4") != lines

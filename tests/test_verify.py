@@ -10,6 +10,8 @@ import pytest
 from meanskit.connections import Connection, _FunctionBackedConnection, make_builtin
 from meanskit.linalg import DEFAULT_TOL, SymMatrix, frobenius, loewner_leq, spectrum
 from meanskit.verify import (
+    _AXIOMS_SHIFT,
+    _CONTINUITY_SHIFT,
     REMARK_A,
     REMARK_B,
     Report,
@@ -26,6 +28,7 @@ from meanskit.verify import (
     standard_battery,
     standard_means,
 )
+from meanskit.verify import _frobenius, _gram, _trial_rng
 
 SMALL = TrialConfig(dims=(1, 2, 3), trials=40, seed=7)
 
@@ -114,6 +117,25 @@ class TestGenerators:
         np.testing.assert_array_equal(a.data, b.data)
         c = random_psd(3, np.random.default_rng([42, 1]))
         assert frobenius(a - c) > 1e-6
+
+    def test_public_draw_stores_the_raw_draw_bitwise(self):
+        # The suites draw raw arrays and skip SymMatrix; that is only the
+        # same draw if g @ g.T is exactly symmetric, so that symmetrizing
+        # it changes no bit.
+        for dim in range(1, 9):
+            for i in range(40):
+                g = np.random.default_rng([903, dim, i]).standard_normal((dim, dim))
+                raw = _gram(dim, np.random.default_rng([903, dim, i]))
+                public = random_psd(dim, np.random.default_rng([903, dim, i]))
+                assert raw.tobytes() == (g @ g.T).tobytes()
+                assert public.data.tobytes() == raw.tobytes(), (dim, i)
+
+
+def test_frobenius_is_linalg_norm_bitwise():
+    rng = np.random.default_rng(904)
+    for shape in [(1, 1), (3, 3), (8, 8), (7, 2, 2), (4, 5, 5), (2, 3, 8, 8)]:
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        assert _frobenius(x).tobytes() == np.linalg.norm(x, axis=(-2, -1)).tobytes()
 
 
 class TestSuitesOnCleanConnections:
@@ -313,6 +335,47 @@ class TestWitnessFormat:
                 assert failure["property"] in self.CHECKS[suite]
                 assert failure["margin"] < 0.0
             self._assert_inputs(witness, self.INPUTS[suite])
+
+
+class TestWitnessDraws:
+    """A witness's inputs are its trial's draws: a redraw through the public
+    ``random_psd`` from the trial's generator, in the suite's order and
+    with its shifts, gives them bit for bit."""
+
+    @staticmethod
+    def _assert_redraw(witness, redraw):
+        expected = redraw(witness["dim"], _trial_rng(SMALL.seed, witness["trial"]))
+        assert list(witness["inputs"]) == list(expected)
+        for name, m in expected.items():
+            assert np.array(witness["inputs"][name]).tobytes() == m.tobytes(), name
+
+    def test_axioms(self):
+        def redraw(dim, rng):
+            shift = _AXIOMS_SHIFT * np.eye(dim)
+            a = random_psd(dim, rng).data + shift
+            c = a + random_psd(dim, rng).data
+            b = random_psd(dim, rng).data + shift
+            d = b + random_psd(dim, rng).data
+            c_ineq = random_psd(dim, rng).data + shift
+            c_pd = random_psd(dim, rng).data + shift
+            return dict(A=a, B=b, C=c, D=d, C_ineq=c_ineq, C_pd=c_pd)
+
+        report = check_axioms(BrokenDifference(), SMALL)
+        assert report.witnesses
+        for witness in report.witnesses:
+            self._assert_redraw(witness, redraw)
+
+    def test_continuity(self):
+        def redraw(dim, rng):
+            shift = _CONTINUITY_SHIFT * np.eye(dim)
+            a = random_psd(dim, rng).data + shift
+            b = random_psd(dim, rng).data + shift
+            return dict(A=a, B=b, P=random_psd(dim, rng).data, Q=random_psd(dim, rng).data)
+
+        report = check_continuity_from_above(BrokenDifference(), SMALL)
+        assert report.witnesses
+        for witness in report.witnesses:
+            self._assert_redraw(witness, redraw)
 
 
 class TestCounterexamples:
