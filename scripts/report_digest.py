@@ -5,7 +5,7 @@ counterexample corpus, so that two checkouts can be compared with ``diff``.
 Each digest is taken over the canonical JSON of
 ``report.to_dict(include_elapsed=False)``: every margin, witness and input
 matrix, but not the timing.  The configuration is fixed apart from the
-trial count, dims and seed: all five suites over ``standard_battery()``,
+trial count and seed: all five suites over ``standard_battery()``,
 with the strictness suite run for means only.
 
     python scripts/report_digest.py --trials 40 --seed 1 > digest.txt
@@ -28,14 +28,9 @@ def _digest(report) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--trials", type=int, default=40)
-    parser.add_argument("--dims", default="1,2,3,5,8")
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
-    cfg = TrialConfig(
-        dims=tuple(int(d) for d in args.dims.split(",")),
-        trials=args.trials,
-        seed=args.seed,
-    )
+    cfg = TrialConfig(trials=args.trials, seed=args.seed)
     for name, conn in standard_battery():
         for suite_name, suite in SUITES.items():
             if suite_name == "strictness" and not is_mean(conn, cfg.tol):

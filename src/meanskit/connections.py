@@ -236,16 +236,16 @@ class _FunctionBackedConnection(Connection):
 
     def _apply_affine(self, a, b, tol):
         # One eigenvalue solve checks both operands; the left one is blamed
-        # first, as two separate checks would.  On a solver failure, the
-        # separate solves name the operand it fails on.
+        # first, as two separate checks would.  On a solver failure, the two
+        # separate checks run instead, so the error names the operand.
         try:
             w = _eigvalsh(np.stack([a, b]))
         except EigenSolverError:
-            _eigvalsh(a, "left operand")
-            _eigvalsh(b, "right operand")
-            raise
-        _check_spectra(w[0], tol, "left operand")
-        _check_spectra(w[1], tol, "right operand")
+            _check_spectra(_eigvalsh(a, "left operand"), tol, "left operand")
+            _check_spectra(_eigvalsh(b, "right operand"), tol, "right operand")
+        else:
+            _check_spectra(w[0], tol, "left operand")
+            _check_spectra(w[1], tol, "right operand")
         alpha, beta = self._affine
         return alpha * a + beta * b
 

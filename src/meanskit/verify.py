@@ -24,7 +24,7 @@ from .connections import (
     is_mean,
     make_builtin,
 )
-from .linalg import DEFAULT_TOL, SymMatrix, Tolerances, _eigvalsh
+from .linalg import DEFAULT_TOL, EigenSolverError, SymMatrix, Tolerances, _eigvalsh
 
 __all__ = [
     "COUNTEREXAMPLE_TOL",
@@ -308,9 +308,15 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
                 tol,
             )
             lhs, lhs_pd = _congr(c_ineq, x_ab), _congr(c_pd, x_ab)
-            mono, transformer = _loewner_margin(
-                np.stack([x_ab, lhs]), np.stack([x_cd, rhs]), tol
-            )
+            try:
+                mono, transformer = _loewner_margin(
+                    np.stack([x_ab, lhs]), np.stack([x_cd, rhs]), tol
+                )
+            except EigenSolverError:
+                # The separate solves raise the error that names the matrix
+                # alone, not its place in the stack.
+                mono = _loewner_margin(x_ab, x_cd, tol)
+                transformer = _loewner_margin(lhs, rhs, tol)
             checks = [
                 ("monotonicity", mono),
                 ("transformer_inequality", transformer),

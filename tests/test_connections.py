@@ -306,6 +306,23 @@ class TestAffineKinds:
             f"{operands[failing].tolist()}): Eigenvalues did not converge"
         )
 
+    def test_left_not_psd_blamed_before_right_solver_failure(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        marker = 7.25
+
+        def flaky(x):
+            if np.any(x == marker):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(x)
+
+        a = np.diag([1.0, -0.5])
+        with pytest.raises(NotPSDError) as alone:
+            _psd_scale(eigvalsh(a), DEFAULT_TOL, "left operand")
+        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        with pytest.raises(NotPSDError) as both:
+            apply(make_builtin("sum"), SymMatrix(a), SymMatrix(np.diag([1.0, marker])))
+        assert str(both.value) == str(alone.value)
+
     def test_coefficients_match_representing_function(self):
         curved = {("logarithmic", None), ("parallel_sum", None)}
         curved |= {(kind, w) for kind in ("geometric", "harmonic") for w in (0.25, 0.5)}

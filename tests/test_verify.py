@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from meanskit.connections import Connection, _FunctionBackedConnection, make_builtin
-from meanskit.linalg import DEFAULT_TOL, SymMatrix, frobenius, loewner_leq, spectrum
+from meanskit.linalg import (
+    DEFAULT_TOL,
+    EigenSolverError,
+    SymMatrix,
+    _eigvalsh,
+    frobenius,
+    loewner_leq,
+    spectrum,
+)
 from meanskit.verify import (
     _AXIOMS_SHIFT,
     _CONTINUITY_SHIFT,
@@ -335,6 +343,30 @@ class TestWitnessFormat:
                 assert failure["property"] in self.CHECKS[suite]
                 assert failure["margin"] < 0.0
             self._assert_inputs(witness, self.INPUTS[suite])
+
+
+class NonFinite(Connection):
+    """Claims the geometric mean's representing function but returns an
+    infinite matrix, on which the eigenvalue solver of the Loewner checks
+    fails."""
+
+    def fn(self, x):
+        return math.sqrt(x)
+
+    def _apply_raw(self, a, b, tol):
+        return np.full_like(a, np.inf)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_axioms_solver_failure_names_the_matrix_alone():
+    # At dim 3 the solver fails on the all-NaN monotonicity difference (at
+    # dims 1 and 2 it returns NaN instead).
+    with pytest.raises(EigenSolverError) as alone:
+        _eigvalsh(np.full((3, 3), np.nan))
+    report = check_axioms(NonFinite(), TrialConfig(dims=(3,), trials=4, seed=7))
+    assert report.violations == 4
+    for witness in report.witnesses:
+        assert witness["error"] == f"EigenSolverError: {alone.value}"
 
 
 class TestWitnessDraws:
