@@ -1,28 +1,112 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 digest per (connection, suite) report, and one for the
-counterexample corpus, so that two checkouts can be compared with ``diff``.
+"""Print one SHA-256 digest per (connection, suite) report, one for the
+counterexample corpus, and one per connection for ``apply`` on a fixed
+corpus of operand pairs, so that two checkouts can be compared with
+``diff``.
 
-Each digest is taken over the canonical JSON of
+Each report digest is taken over the canonical JSON of
 ``report.to_dict(include_elapsed=False)``: every margin, witness and input
 matrix, but not the timing.  The configuration is fixed apart from the
 trial count and seed: all five suites over ``standard_battery()``,
 with the strictness suite run for means only.
+
+The suites draw positive-definite operands only, so the ``apply/<name>``
+lines cover the other routes: each is the digest of the canonical JSON of
+the connection's results on the pairs of ``_apply_corpus(seed)``, with
+``"<Type>: <message>"`` standing in for a raise.  The script uses the
+public API only, so it runs against any checkout's ``src``.
 
     python scripts/report_digest.py --trials 40 --seed 1 > digest.txt
 """
 
 import argparse
 import hashlib
+import math
 import sys
 
+import numpy as np
+
+from meanskit import (
+    BorelMeasure,
+    SymMatrix,
+    apply,
+    connection_from_function,
+    connection_from_measure,
+    is_mean,
+    make_builtin,
+    measure_of_builtin,
+    transpose,
+)
 from meanskit.cli import canonical_json
-from meanskit.connections import is_mean
 from meanskit.verify import SUITES, TrialConfig, run_counterexamples, standard_battery
 
+APPLY_DIMS = (1, 2, 3, 5, 8)
 
-def _digest(report) -> str:
-    text = canonical_json(report.to_dict(include_elapsed=False))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+def _digest(payload) -> str:
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def _gram(rng, rows: int, cols: int) -> np.ndarray:
+    g = rng.standard_normal((rows, cols))
+    return g @ g.T
+
+
+def _pair(kind: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Operand pair ``kind`` at ``dim``; the deficient ranks are dim // 2."""
+
+    def pd():
+        return _gram(rng, dim, dim) + 0.1 * np.eye(dim)
+
+    rank = dim // 2
+    if kind == 0:
+        return pd(), pd()
+    if kind == 1:
+        return _gram(rng, dim, rank), pd()
+    if kind == 2:
+        return pd(), _gram(rng, dim, rank)
+    if kind == 3:
+        basis = rng.standard_normal((dim, rank))
+        return tuple(basis @ _gram(rng, rank, rank) @ basis.T for _ in range(2))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    values = rng.uniform(0.5, 2.0, dim)
+    values[0] = -values[0]
+    indefinite = (q * values) @ q.T
+    return (indefinite, pd()) if dim % 2 else (pd(), indefinite)
+
+
+def _apply_corpus(seed: int) -> list[tuple[SymMatrix, SymMatrix]]:
+    """At each dim of APPLY_DIMS, five pairs from the generator of
+    (seed, k): PD/PD, rank-deficient A with PD B, PD A with rank-deficient
+    B, both on one common range, and one non-PSD operand (the left one at
+    odd dims)."""
+    pairs = []
+    for dim in APPLY_DIMS:
+        for kind in range(5):
+            rng = np.random.default_rng([seed, len(pairs)])
+            a, b = _pair(kind, dim, rng)
+            pairs.append((SymMatrix(a), SymMatrix(b)))
+    return pairs
+
+
+def _apply_connections():
+    three_atoms = BorelMeasure(atoms=((0.0, 0.25), (0.5, 0.5), (1.0, 0.25)))
+    return list(standard_battery()) + [
+        ("arcsine", connection_from_measure(measure_of_builtin("geometric", 0.5))),
+        ("three_atoms", connection_from_measure(three_atoms)),
+        ("transpose_geometric(0.25)", transpose(make_builtin("geometric", 0.25))),
+        ("function_sqrt", connection_from_function(math.sqrt)),
+    ]
+
+
+def _apply_results(conn, pairs) -> list:
+    results = []
+    for a, b in pairs:
+        try:
+            results.append(apply(conn, a, b).tolist())
+        except Exception as exc:
+            results.append(f"{type(exc).__name__}: {exc}")
+    return results
 
 
 def main(argv=None) -> int:
@@ -35,8 +119,13 @@ def main(argv=None) -> int:
         for suite_name, suite in SUITES.items():
             if suite_name == "strictness" and not is_mean(conn, cfg.tol):
                 continue
-            print(f"{name}/{suite_name} {_digest(suite(conn, cfg))}")
-    print(f"counterexamples {_digest(run_counterexamples(cfg.tol))}")
+            report = suite(conn, cfg)
+            print(f"{name}/{suite_name} {_digest(report.to_dict(include_elapsed=False))}")
+    report = run_counterexamples(cfg.tol)
+    print(f"counterexamples {_digest(report.to_dict(include_elapsed=False))}")
+    pairs = _apply_corpus(args.seed)
+    for name, conn in _apply_connections():
+        print(f"apply/{name} {_digest(_apply_results(conn, pairs))}")
     return 0
 
 

@@ -41,6 +41,9 @@ JSON_SIG = 17
 PRETTY_SIG = 6
 
 _KIND_CHOICES = tuple(kind.replace("_", "-") for kind in BUILTIN_KINDS)
+# Largest ``function --grid`` count: a JSON table of 100,000 points takes
+# about 2 s and 75 MB, and 10 times as many take 10 times as long.
+_MAX_GRID_COUNT = 100_000
 
 
 def canonical_json(obj, sig: int = JSON_SIG) -> str:
@@ -197,8 +200,8 @@ def _parse_grid(spec: str):
         raise ValueError(f"grid start and stop must be finite, got {spec!r}")
     if start < 0:
         raise ValueError(f"grid start must be >= 0, got {start}")
-    if count < 1:
-        raise ValueError(f"grid count must be >= 1, got {count}")
+    if not 1 <= count <= _MAX_GRID_COUNT:
+        raise ValueError(f"grid count must be in [1, {_MAX_GRID_COUNT}], got {count}")
     if count > 1 and not start < stop:
         raise ValueError(f"grid needs start < stop for count > 1, got {spec!r}")
     if count == 1 and start > stop:

@@ -24,20 +24,20 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    DimensionMismatchError,
     EigenSolverError,
     NotPSDError,
     SingularMatrixError,
     SymMatrix,
     Tolerances,
+    _check_same_dim,
     _check_spectra,
     _eigh,
     _eigvalsh,
     _fn_calculus_raw,
+    _is_pd,
     _per_eigenvalue,
-    _psd_scale,
     _regularize_raw,
-    _spectral_scale,
+    _sym,
 )
 
 __all__ = [
@@ -190,10 +190,7 @@ class Connection(ABC):
     def apply(
         self, A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL
     ) -> SymMatrix:
-        if A.dim != B.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {A.dim} vs {B.dim}"
-            )
+        _check_same_dim(A.data, B.data)
         return SymMatrix(self._apply_raw(A.data, B.data, tol))
 
     def __call__(self, A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL):
@@ -214,11 +211,9 @@ def _congruence_apply(
     qt = q.swapaxes(-1, -2)
     s = (q * sw) @ qt
     r = (q * (1.0 / sw)) @ qt
-    m = r @ b @ r
-    m = (m + m.swapaxes(-1, -2)) * 0.5
+    m = _sym(r @ b @ r)
     f_of_m = _fn_calculus_raw(fn, m, tol, label="transformed right operand")
-    x = s @ f_of_m @ s
-    return (x + x.swapaxes(-1, -2)) * 0.5
+    return _sym(s @ f_of_m @ s)
 
 
 class _FunctionBackedConnection(Connection):
@@ -253,10 +248,10 @@ class _FunctionBackedConnection(Connection):
         if self._affine is not None:
             return self._apply_affine(a, b, tol)
         w, q = _eigh(a, "left operand")
-        scale = _psd_scale(w, tol, "left operand")
+        pd = _is_pd(w, tol, "left operand")
         fn = self._fn_array
         try:
-            if w[0] > tol.psd_slack * scale:
+            if pd:
                 return _congruence_apply(w, q, b, fn, tol)
             # Singular left operand: clip its spectrum to [0, inf) and take
             # the decreasing limit over a joint shift of both operands.
@@ -271,23 +266,17 @@ class _FunctionBackedConnection(Connection):
             raise
 
     def _apply_stack(self, a, b, tol):
-        """Apply to each pair of two (k, n, n) stacks.  Each item is checked
-        and routed as ``_apply_raw`` would; the positive-definite items go
-        through one stacked congruence, and an item with a singular left
-        operand takes ``_apply_raw`` on its own."""
+        """Apply to each pair of two (k, n, n) stacks.  The left operands are
+        checked as ``_apply_raw`` checks them; when all are positive
+        definite, the stack goes through one congruence, and otherwise
+        through ``_apply_raw`` pair by pair."""
         if self._affine is not None:
             return self._apply_affine(a, b, tol)
         w, q = _eigh(a, "left operand")
-        pd = w[:, 0] > tol.psd_slack * _check_spectra(w, tol, "left operand")
+        if not _is_pd(w, tol, "left operand").all():
+            return super()._apply_stack(a, b, tol)
         try:
-            if pd.all():
-                return _congruence_apply(w, q, b, self._fn_array, tol)
-            out = np.empty(b.shape)
-            if pd.any():
-                out[pd] = _congruence_apply(w[pd], q[pd], b[pd], self._fn_array, tol)
-            for i in np.flatnonzero(~pd):
-                out[i] = self._apply_raw(a[i], b[i], tol)
-            return out
+            return _congruence_apply(w, q, b, self._fn_array, tol)
         except NotPSDError:
             _check_spectra(_eigvalsh(b, "right operand"), tol, "right operand")
             raise
@@ -490,7 +479,7 @@ def solve_self_mean_equation(
     mean X = A.
     """
     w = _eigvalsh(A.data, "left operand")
-    if w[0] <= tol.psd_slack * _spectral_scale(w):
+    if not _is_pd(w, tol):
         raise SingularMatrixError(
             f"self-mean equation requires positive-definite A "
             f"(min eigenvalue {float(w[0]):.6e})",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -129,6 +130,16 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def _sym(x: np.ndarray) -> np.ndarray:
+    """(x + x^T) / 2 over the last two axes, for a matrix or a stack."""
+    return (x + x.swapaxes(-1, -2)) * 0.5
+
+
+def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+
+
 class SymMatrix:
     """A real symmetric matrix of dimension >= 1.
 
@@ -146,7 +157,7 @@ class SymMatrix:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
-        arr = (arr + arr.T) * 0.5
+        arr = _sym(arr)
         arr.flags.writeable = False
         self.data = arr
 
@@ -173,22 +184,16 @@ class SymMatrix:
     def tolist(self) -> list[list[float]]:
         return self.data.tolist()
 
-    def _check_same_dim(self, other: "SymMatrix"):
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {self.dim} vs {other.dim}"
-            )
-
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         if not isinstance(other, SymMatrix):
             return NotImplemented
-        self._check_same_dim(other)
+        _check_same_dim(self.data, other.data)
         return SymMatrix(self.data + other.data)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         if not isinstance(other, SymMatrix):
             return NotImplemented
-        self._check_same_dim(other)
+        _check_same_dim(self.data, other.data)
         return SymMatrix(self.data - other.data)
 
     def __mul__(self, scalar) -> "SymMatrix":
@@ -205,6 +210,13 @@ class SymMatrix:
     def __repr__(self) -> str:
         body = np.array2string(self.data, precision=6, separator=", ")
         return f"SymMatrix({body})"
+
+
+def _is_whole(value) -> bool:
+    """Whether value is an integer or an integral float; a bool is not."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _as_array(A) -> np.ndarray:
@@ -287,6 +299,15 @@ def _check_spectra(w: np.ndarray, tol: Tolerances, label: str):
     return scales.reshape(w.shape[:-1])
 
 
+def _is_pd(w: np.ndarray, tol: Tolerances, label: str | None = None):
+    """Whether an ascending spectrum's smallest eigenvalue is above
+    psd_slack * max(1, spectral norm).  With a ``label``, w is first checked
+    by ``_check_spectra``, and a stack of shape (..., n) gives a mask."""
+    scale = _spectral_scale(w) if label is None else _check_spectra(w, tol, label)
+    # w[0] keeps one spectrum's test a comparison of numpy scalars, not arrays.
+    return (w[0] if w.ndim == 1 else w[..., 0]) > tol.psd_slack * scale
+
+
 def frobenius(A) -> float:
     """Frobenius norm of a SymMatrix or array."""
     return float(np.linalg.norm(_as_array(A)))
@@ -312,12 +333,8 @@ def is_psd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
 def loewner_leq(A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Loewner order test A <= B, i.e. B - A positive semidefinite."""
     a, b = _as_array(A), _as_array(B)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-    w = _eigvalsh(b - a)
-    return bool(w[0] >= -tol.psd_slack * _spectral_scale(w))
+    _check_same_dim(a, b)
+    return is_psd(b - a, tol)
 
 
 def _per_eigenvalue(
@@ -349,8 +366,7 @@ def _fn_calculus_raw(
             f"scalar function evaluation failed on the spectrum "
             f"{item.tolist()}{where}: {exc}"
         ) from exc
-    out = (q * fw[..., None, :]) @ q.swapaxes(-1, -2)
-    return (out + out.swapaxes(-1, -2)) * 0.5
+    return _sym((q * fw[..., None, :]) @ q.swapaxes(-1, -2))
 
 
 def fn_calculus(
@@ -399,7 +415,7 @@ def inv_pd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
         the error carries that eigenvalue.
     """
     w, q = _eigh(_as_array(A))
-    if w[0] <= tol.psd_slack * _spectral_scale(w):
+    if not _is_pd(w, tol):
         raise SingularMatrixError(
             f"matrix is numerically singular: min eigenvalue {float(w[0]):.6e}",
             min_eigenvalue=float(w[0]),
@@ -411,10 +427,7 @@ def inv_pd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
 def congruence(C: SymMatrix, X: SymMatrix) -> SymMatrix:
     """Congruence transform C X C."""
     c, x = _as_array(C), _as_array(X)
-    if c.shape != x.shape:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {c.shape[0]} vs {x.shape[0]}"
-        )
+    _check_same_dim(c, x)
     return SymMatrix(c @ x @ c)
 
 
@@ -469,12 +482,13 @@ def matrix_from_dict(obj: dict) -> SymMatrix:
     """Parse the matrix file payload, warning if asymmetry exceeds 1e-12
     relative before symmetrizing."""
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         data = obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix object must have 'dim' and 'data': {exc}") from exc
-    if dim < 1:
-        raise ValueError(f"matrix dim must be >= 1, got {dim}")
+    if not _is_whole(dim) or dim < 1:
+        raise ValueError(f"matrix dim must be a whole number >= 1, got {dim!r}")
+    dim = int(dim)
     arr = np.asarray(data, dtype=float)
     if arr.size != dim * dim:
         raise ValueError(

@@ -26,13 +26,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .connections import ReprFunction, _FunctionBackedConnection
+from .linalg import _is_whole
 
 __all__ = [
     "BorelMeasure",
@@ -67,10 +67,7 @@ class UnsupportedMeasureError(ValueError):
 def _node_count(n) -> int:
     """n as an int, after checking that it is a whole number in
     [1, MAX_QUADRATURE_NODES]; bools are not counts."""
-    whole = isinstance(n, numbers.Integral) or (
-        isinstance(n, float) and n.is_integer()
-    )
-    if isinstance(n, bool) or not whole or not 1 <= n <= MAX_QUADRATURE_NODES:
+    if not _is_whole(n) or not 1 <= n <= MAX_QUADRATURE_NODES:
         raise ValueError(
             "quadrature node count n must be a whole number in "
             f"[1, {MAX_QUADRATURE_NODES}], got {n!r}"

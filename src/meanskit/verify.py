@@ -24,7 +24,8 @@ from .connections import (
     is_mean,
     make_builtin,
 )
-from .linalg import DEFAULT_TOL, EigenSolverError, SymMatrix, Tolerances, _eigvalsh
+from .linalg import DEFAULT_TOL, EigenSolverError, SymMatrix, Tolerances, opnorm
+from .linalg import _eigvalsh, _is_whole, _sym
 
 __all__ = [
     "COUNTEREXAMPLE_TOL",
@@ -85,13 +86,15 @@ class TrialConfig:
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValueError("dims must be nonempty with every entry >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not self.dims or any(not _is_whole(d) or d < 1 for d in self.dims):
+            raise ValueError("dims must be nonempty with every entry a whole number >= 1")
+        if not _is_whole(self.trials) or self.trials < 1:
+            raise ValueError("trials must be a whole number >= 1")
+        if not _is_whole(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative whole number")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass
@@ -171,10 +174,6 @@ def random_ordered_pair(
     """(A, A + G G^T): the Loewner order A <= B holds by construction."""
     a, b = _ordered_pair(dim, rng, tol)
     return SymMatrix(a), SymMatrix(b)
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) * 0.5
 
 
 def _congr(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -438,10 +437,7 @@ def check_betweenness(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Rep
 
         def evaluate():
             x = conn._apply_raw(a, b, tol)
-            wa, wb, wx = _eigvalsh(a), _eigvalsh(b), _eigvalsh(x)
-            norm_a = max(abs(float(wa[0])), abs(float(wa[-1])))
-            norm_b = max(abs(float(wb[0])), abs(float(wb[-1])))
-            norm_x = max(abs(float(wx[0])), abs(float(wx[-1])))
+            norm_a, norm_b, norm_x = opnorm(a), opnorm(b), opnorm(x)
             slack = tol.eq_tol * max(1.0, norm_b)
             checks = [
                 ("left_betweenness", _loewner_margin(a, x, tol)),

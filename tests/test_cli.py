@@ -242,6 +242,24 @@ class TestEval:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["2.5", "true", '"2"'])
+    def test_non_whole_dim_exits_2(self, capsys, matrix_files, tmp_path, dim):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dim": {dim}, "data": [1.0, 0.0, 0.0, 1.0]}}')
+        argv = ["eval", "--mean", "sum", "--A", str(path), "--B", matrix_files["pd"]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix dim must be a whole number")
+
+    def test_whole_float_dim_loads(self, capsys, matrix_files, tmp_path):
+        path = tmp_path / "eye.json"
+        path.write_text('{"dim": 2.0, "data": [1.0, 0.0, 0.0, 1.0]}')
+        argv = ["eval", "--mean", "sum", "--A", str(path), "--B", matrix_files["pd"]]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        assert out == {"dim": 2, "data": [3.0, 0.5, 0.5, 2.0]}
+
     def test_non_psd_exits_2_naming_eigenvalue(self, capsys, matrix_files):
         code = main(
             [
@@ -424,6 +442,17 @@ class TestFunction:
         assert main(["function", "--mean", "sum", "--grid", "0:inf:3"]) == 2
         assert main(["function", "--mean", "sum", "--grid", "1:nan:1"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_grid_count_above_cap_exits_2(self, capsys, monkeypatch):
+        # Rejected before numpy is asked for the grid.
+        monkeypatch.setattr(np, "linspace", None)
+        count = cli._MAX_GRID_COUNT + 1
+        assert main(["function", "--mean", "logarithmic", "--grid", f"0:10:{count}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: grid count must be in [1, {cli._MAX_GRID_COUNT}], got {count}\n"
+        )
 
 
 class TestClassify:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanskit import connections
 from meanskit.connections import (
     AUDIT_GRID,
     BUILTIN_KINDS,
@@ -34,10 +35,12 @@ from meanskit.linalg import (
     SymMatrix,
     fn_calculus,
     frobenius,
+    inv_pd,
+    is_psd,
     regularize_limit,
     spectrum,
 )
-from meanskit.linalg import _psd_scale
+from meanskit.linalg import _check_spectra, _psd_scale
 from meanskit.measures import BorelMeasure, connection_from_measure, measure_of_builtin
 from meanskit.verify import REMARK_A, REMARK_B, random_pd, standard_battery, standard_means
 
@@ -447,6 +450,105 @@ class TestStackedEvaluation:
             "scalar function evaluation failed on the spectrum [1.0, 5.0], "
             "item 2 of (4,): out of domain"
         )
+
+
+SLACK = DEFAULT_TOL.psd_slack
+
+
+def _record_limits(monkeypatch):
+    """Record every epsilon-limit that ``apply`` takes."""
+    calls = []
+    regularize = connections._regularize_raw
+
+    def recording(g, tol):
+        calls.append(tol)
+        return regularize(g, tol)
+
+    monkeypatch.setattr(connections, "_regularize_raw", recording)
+    return calls
+
+
+class TestPositiveDefiniteThreshold:
+    """With scale 1, diag([psd_slack, 1]) sits exactly on the threshold of
+    the positive-definite rule, which it does not clear; the PSD rule admits
+    a smallest eigenvalue down to -psd_slack."""
+
+    ON = SymMatrix.diagonal([SLACK, 1.0])
+    ABOVE = SymMatrix.diagonal([2.0 * SLACK, 1.0])
+    PSD_EDGE = SymMatrix.diagonal([-SLACK, 1.0])
+    BELOW = SymMatrix.diagonal([-2.0 * SLACK, 1.0])
+    B = SymMatrix([[2.0, 0.5], [0.5, 1.0]])
+
+    def test_on_threshold_takes_the_limit(self, monkeypatch):
+        calls = _record_limits(monkeypatch)
+        apply(make_builtin("geometric", 0.5), self.ON, self.B)
+        assert calls == [DEFAULT_TOL]
+
+    def test_above_threshold_takes_the_congruence(self, monkeypatch):
+        calls = _record_limits(monkeypatch)
+        apply(make_builtin("geometric", 0.5), self.ABOVE, self.B)
+        assert calls == []
+
+    def test_on_threshold_is_singular(self):
+        with pytest.raises(SingularMatrixError):
+            inv_pd(self.ON)
+        with pytest.raises(SingularMatrixError):
+            solve_self_mean_equation(make_builtin("geometric", 0.5), self.ON)
+        inv_pd(self.ABOVE)
+        solve_self_mean_equation(make_builtin("geometric", 0.5), self.ABOVE)
+
+    @pytest.mark.parametrize("kind", ["geometric", "harmonic"])
+    def test_stack_holding_it_equals_the_per_item_loop(self, kind):
+        conn = make_builtin(kind, 0.5)
+        a, b = _pd_stack(5, 2, 324)
+        a[1] = self.ON.data
+        out = conn._apply_stack(a, b, DEFAULT_TOL)
+        for i in range(len(a)):
+            assert np.array_equal(out[i], conn._apply_raw(a[i], b[i], DEFAULT_TOL)), i
+
+    @pytest.mark.parametrize("kind", ["geometric", "logarithmic"])
+    def test_mixed_stack_raises_its_first_failing_item(self, kind):
+        # Item 1 takes the limit: geometric(1/2) converges, and the first
+        # failure is item 3's right operand; the logarithmic limit raises
+        # NonConvergenceError first.
+        conn = make_builtin(kind, 0.5 if kind == "geometric" else None)
+        a, b = _pd_stack(5, 2, 324)
+        a[1] = self.ON.data
+        b[3] = np.diag([1.0, -0.5])
+        b[4] = np.diag([1.0, -2.0])
+        with pytest.raises(Exception) as per_item:
+            for x, y in zip(a, b):
+                conn._apply_raw(x, y, DEFAULT_TOL)
+        with pytest.raises(Exception) as stacked:
+            conn._apply_stack(a, b, DEFAULT_TOL)
+        assert type(stacked.value) is type(per_item.value)
+        assert str(stacked.value) == str(per_item.value)
+
+    def test_psd_edge_passes_every_check(self):
+        w = spectrum(self.PSD_EDGE)
+        assert is_psd(self.PSD_EDGE)
+        assert _psd_scale(w, DEFAULT_TOL, "left operand") == 1.0
+        assert _check_spectra(w[None], DEFAULT_TOL, "left operand").tolist() == [1.0]
+        eye = SymMatrix.identity(2)
+        for kind in ("geometric", "arithmetic"):
+            conn = make_builtin(kind, 0.5)
+            apply(conn, self.PSD_EDGE, eye)
+            apply(conn, eye, self.PSD_EDGE)
+
+    def test_below_psd_edge_fails_every_check(self):
+        w = spectrum(self.BELOW)
+        assert not is_psd(self.BELOW)
+        with pytest.raises(NotPSDError):
+            _psd_scale(w, DEFAULT_TOL, "left operand")
+        with pytest.raises(NotPSDError):
+            _check_spectra(w[None], DEFAULT_TOL, "left operand")
+        eye = SymMatrix.identity(2)
+        for kind in ("geometric", "arithmetic"):
+            conn = make_builtin(kind, 0.5)
+            with pytest.raises(NotPSDError, match="left operand"):
+                apply(conn, self.BELOW, eye)
+            with pytest.raises(NotPSDError, match="right operand"):
+                apply(conn, eye, self.BELOW)
 
 
 class TestArrayForm:

@@ -403,6 +403,15 @@ class TestMatrixIO:
         with pytest.raises(ValueError):
             matrix_from_dict({"dim": 0, "data": []})
 
+    @pytest.mark.parametrize("dim", [2.5, True, "2", None])
+    def test_dim_must_be_whole(self, dim):
+        with pytest.raises(ValueError, match="matrix dim must be a whole number"):
+            matrix_from_dict({"dim": dim, "data": [1.0, 0.0, 0.0, 1.0]})
+
+    def test_whole_float_dim_loads(self):
+        m = matrix_from_dict({"dim": 2.0, "data": [1.0, 0.0, 0.0, 1.0]})
+        np.testing.assert_array_equal(m.data, np.eye(2))
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=6))

@@ -25,6 +25,11 @@ def test_one_digest_per_report(capsys):
         for suite in SUITES
         if suite != "strictness" or is_mean(conn)
     ] + ["counterexamples"]
+    expected += [
+        f"apply/{name}"
+        for name in [name for name, _ in standard_battery()]
+        + ["arcsine", "three_atoms", "transpose_geometric(0.25)", "function_sqrt"]
+    ]
     assert [line.split(" ")[0] for line in lines] == expected
 
     name, conn = standard_battery()[3]

@@ -489,6 +489,35 @@ class TestTransformerInequalityWithSingularTransform:
             assert gap >= -1e-7 * scale, (kind, i, gap)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"dims": (2.7,)},
+        {"dims": (2, True)},
+        {"dims": ("2",)},
+        {"dims": (0,)},
+        {"trials": True},
+        {"trials": 2.5},
+        {"trials": 0},
+        {"seed": 1.5},
+        {"seed": False},
+        {"seed": -1},
+    ],
+)
+def test_config_rejects_non_whole_counts(bad):
+    with pytest.raises(ValueError):
+        TrialConfig(**bad)
+
+
+def test_config_accepts_whole_floats():
+    cfg = TrialConfig(dims=(2.0, 3), trials=3.0, seed=7.0)
+    assert (cfg.dims, cfg.trials, cfg.seed) == ((2, 3), 3, 7)
+    assert all(type(v) is int for v in (*cfg.dims, cfg.trials, cfg.seed))
+    want = check_axioms(make_builtin("geometric", 0.5), TrialConfig(dims=(2, 3), trials=3, seed=7))
+    got = check_axioms(make_builtin("geometric", 0.5), cfg)
+    assert got.to_dict(include_elapsed=False) == want.to_dict(include_elapsed=False)
+
+
 def test_standard_battery_roster():
     names = [name for name, _ in standard_battery()]
     assert len(names) == 15
