@@ -27,7 +27,7 @@ from .connections import (
     make_builtin,
     repr_fn_eval,
 )
-from .linalg import SymMatrix, Tolerances, load_matrix, matrix_to_dict
+from .linalg import SymMatrix, Tolerances, _is_whole, load_matrix, matrix_to_dict
 from .measures import (
     BorelMeasure,
     connection_from_measure,
@@ -209,10 +209,25 @@ def _parse_grid(spec: str):
     return np.linspace(start, stop, count)
 
 
+def _parse_whole(text: str, name: str) -> int:
+    """A whole number given as text, such as "2" or "2.0"; the error names
+    the flag or variable it came from."""
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            value = None
+    if not _is_whole(value):
+        raise ValueError(f"{name} must be a whole number, got {text!r}")
+    return int(value)
+
+
 def _resolve_seed(args) -> int:
     env = os.environ.get("MEANSKIT_SEED")
     if env is not None and env != "":
-        return int(env)
+        return _parse_whole(env, "MEANSKIT_SEED")
     return args.seed
 
 
@@ -265,7 +280,7 @@ def cmd_measure_eval(args) -> int:
 def cmd_verify(args) -> int:
     conn = _connection(args)
     tol = _tolerances(args)
-    dims = tuple(int(d) for d in args.dims.split(","))
+    dims = tuple(_parse_whole(d, "--dims entry") for d in args.dims.split(","))
     cfg = TrialConfig(dims=dims, trials=args.trials, seed=_resolve_seed(args), tol=tol)
     if args.suite == "all":
         names = tuple(SUITES)

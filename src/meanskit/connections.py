@@ -204,16 +204,17 @@ def _congruence_apply(
     fn: Callable[[np.ndarray], np.ndarray],
     tol: Tolerances,
 ) -> np.ndarray:
-    """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} from the eigendecomposition
-    (w, q) of positive-definite A, for operands of shape (..., n, n); ``fn``
-    is the array form of f."""
+    """A sigma B from the eigendecomposition A = Q diag(w) Q^T of
+    positive-definite A, for operands of shape (..., n, n); ``fn`` is the
+    array form of f.  It uses the factor X = Q diag(sqrt w) of A = X X^T in
+    place of A^{1/2}: A sigma B = X f(M) X^T with M = X^{-1} B X^{-T} =
+    (Q diag r)^T B (Q diag r), r = 1/sqrt(w).  M is scaled by multiplying,
+    never dividing, so tiny quotients b/a stay representable.  Four n x n
+    products, and no A^{1/2} or A^{-1/2} is formed."""
     sw = np.sqrt(w)[..., None, :]
-    qt = q.swapaxes(-1, -2)
-    s = (q * sw) @ qt
-    r = (q * (1.0 / sw)) @ qt
-    m = _sym(r @ b @ r)
-    f_of_m = _fn_calculus_raw(fn, m, tol, label="transformed right operand")
-    return _sym(s @ f_of_m @ s)
+    qr = q * (1.0 / sw)
+    m = _sym(qr.swapaxes(-1, -2) @ b @ qr)
+    return _fn_calculus_raw(fn, m, tol, label="transformed right operand", outer=q * sw)
 
 
 class _FunctionBackedConnection(Connection):

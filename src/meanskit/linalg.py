@@ -350,9 +350,12 @@ def _fn_calculus_raw(
     m: np.ndarray,
     tol: Tolerances,
     label: str = "matrix",
+    outer: np.ndarray | None = None,
 ) -> np.ndarray:
     """f(m) for symmetric m of shape (..., n, n).  ``fn`` is the array form
-    of f: it maps the clipped spectra, shape (..., n), to their values."""
+    of f: it maps the clipped spectra, shape (..., n), to their values.
+    With ``outer``, of the same shape, the result is outer f(m) outer^T,
+    formed from (outer U) f(lambda) (outer U)^T with m = U diag(lambda) U^T."""
     w, q = _eigh(m, label)
     _check_spectra(w, tol, label)
     w = np.maximum(w, 0.0)
@@ -366,6 +369,8 @@ def _fn_calculus_raw(
             f"scalar function evaluation failed on the spectrum "
             f"{item.tolist()}{where}: {exc}"
         ) from exc
+    if outer is not None:
+        q = outer @ q
     return _sym((q * fw[..., None, :]) @ q.swapaxes(-1, -2))
 
 

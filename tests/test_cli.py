@@ -699,6 +699,32 @@ class TestVerify:
         assert code == 0
         assert report["seed"] == 123
 
+    _AXIOMS = [
+        "verify", "--mean", "geometric", "--weight", "0.5", "--suite", "axioms", "--trials", "3"
+    ]
+
+    def test_integral_float_dims_run_like_ints(self, capsys):
+        reports = []
+        for dims in ("2", "2.0"):
+            code, report = run_json(capsys, [*self._AXIOMS, "--dims", dims])
+            assert code == 0
+            report.pop("elapsed")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_non_numeric_dims_entry_is_named(self, capsys):
+        assert main([*self._AXIOMS, "--dims", "2,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --dims entry must be a whole number, got 'x'\n"
+
+    def test_non_numeric_env_seed_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEANSKIT_SEED", "abc")
+        assert main([*self._AXIOMS, "--dims", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MEANSKIT_SEED must be a whole number, got 'abc'\n"
+
 
 class TestCounterexamples:
     def test_exit_zero_and_report(self, capsys):

@@ -241,6 +241,74 @@ class TestApply:
         assert frobenius(out) <= 1e-5  # 0 # B = 0 at square-root rate
 
 
+def _rotation(n, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q
+
+
+def _well_conditioned_pd(n, rng):
+    h = rng.standard_normal((n, n)) / np.sqrt(n)
+    return h @ h.T + np.eye(n)
+
+
+# Each connection with one whose value on the swapped operands is the same:
+# A #_{1/4} B = B #_{3/4} A, and the other two are symmetric.
+_SWAPPED_PAIRS = [
+    (make_builtin("geometric", 0.25), make_builtin("geometric", 0.75)),
+    (make_builtin("harmonic", 0.5), make_builtin("harmonic", 0.5)),
+    (make_builtin("parallel_sum"), make_builtin("parallel_sum")),
+]
+
+
+class TestConditioning:
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    @pytest.mark.parametrize("cond", [1e0, 1e4, 1e8])
+    def test_ill_conditioned_left_matches_swapped(self, dim, cond):
+        # A sigma B taken around an ill-conditioned A agrees with the same
+        # value taken around a well-conditioned B.
+        rng = np.random.default_rng([320, dim, int(np.log10(cond))])
+        u = _rotation(dim, rng)
+        a = SymMatrix((u * np.logspace(0.0, -np.log10(cond), dim)) @ u.T)
+        b = SymMatrix(_well_conditioned_pd(dim, rng))
+        for conn, swapped in _SWAPPED_PAIRS:
+            got = apply(conn, a, b).data
+            want = apply(swapped, b, a).data
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want), conn
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("half", [False, True])
+    def test_singular_left_pd_right_limit(self, dim, half):
+        # For rank-deficient A and PD B, A sigma B = B^{1/2} g(M) B^{1/2} with
+        # M = B^{-1/2} A B^{-1/2} and g(x) = x f(1/x).  The dim - rank null
+        # directions of M get g(0) = lim f(y)/y, which is 0 for each
+        # connection here.  The logarithmic mean is left out: its limit
+        # converges only like 1/|log eps| (ROADMAP item 1).
+        rank = (dim + 1) // 2 if half else dim - 1
+        rng = np.random.default_rng([321, dim, rank])
+        u = _rotation(dim, rng)
+        w = np.zeros(dim)
+        w[dim - rank :] = rng.uniform(0.5, 2.0, rank)
+        a = (u * w) @ u.T
+        b = _well_conditioned_pd(dim, rng)
+        wb, qb = np.linalg.eigh(b)
+        root = (qb * np.sqrt(wb)) @ qb.T
+        inv_root = (qb / np.sqrt(wb)) @ qb.T
+        lam, v = np.linalg.eigh(inv_root @ a @ inv_root)
+        lam[: dim - rank] = 0.0
+        conns = [
+            make_builtin("geometric", 0.25),
+            make_builtin("geometric", 0.5),
+            make_builtin("harmonic", 0.5),
+            make_builtin("parallel_sum"),
+            connection_from_measure(measure_of_builtin("geometric", 0.5)),
+        ]
+        for conn in conns:
+            g = np.array([x * conn.fn(1.0 / x) if x > 0.0 else 0.0 for x in lam])
+            want = root @ (v * g) @ v.T @ root
+            got = apply(conn, SymMatrix(a), SymMatrix(b)).data
+            assert np.linalg.norm(got - want) <= 1e-5 * max(1.0, np.linalg.norm(want)), conn
+
+
 def _rank_deficient_pairs():
     """30 seeded (A, B) with A of rank r < n at dims 2-8 and B positive
     definite, each also given in the swapped order."""
