@@ -13,16 +13,26 @@ with the strictness suite run for means only.
 The suites draw positive-definite operands only, so the ``apply/<name>``
 lines cover the other routes: each is the digest of the canonical JSON of
 the connection's results on the pairs of ``_apply_corpus(seed)``, with
-``"<Type>: <message>"`` standing in for a raise.  The script uses the
-public API only, so it runs against any checkout's ``src``.
+``"<Type>: <message>"`` standing in for a raise.
+
+Each ``cli/<command>/<format>`` line is the digest of the exit code, stdout
+and stderr of in-process ``meanskit.cli.main`` runs: ``eval`` and
+``measure-eval --atoms`` on seeded positive-definite matrix files at each
+dim of CLI_DIMS, and ``function --grid`` on the grids of CLI_GRIDS.  The
+script uses the public API only, so it runs against any checkout's
+``src``.
 
     python scripts/report_digest.py --trials 40 --seed 1 > digest.txt
 """
 
 import argparse
 import hashlib
+import io
 import math
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 
@@ -35,12 +45,17 @@ from meanskit import (
     is_mean,
     make_builtin,
     measure_of_builtin,
+    save_matrix,
     transpose,
 )
+from meanskit import cli
 from meanskit.cli import canonical_json
 from meanskit.verify import SUITES, TrialConfig, run_counterexamples, standard_battery
 
 APPLY_DIMS = (1, 2, 3, 5, 8)
+CLI_DIMS = (1, 2, 3, 33, 128)
+CLI_FORMATS = ("json", "csv", "pretty")
+CLI_GRIDS = ("0:10:33", "0:1e-300:9", "1:1:1")
 
 
 def _digest(payload) -> str:
@@ -109,6 +124,36 @@ def _apply_results(conn, pairs) -> list:
     return results
 
 
+def _cli_run(argv) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _cli_digests(seed: int, workdir: Path) -> list[tuple[str, str]]:
+    """(``cli/<command>/<format>``, digest) for each command and format."""
+    operands = []
+    for dim in CLI_DIMS:
+        rng = np.random.default_rng([seed, dim])
+        paths = [str(workdir / f"{name}{dim}.json") for name in ("a", "b")]
+        for path in paths:
+            save_matrix(SymMatrix(_gram(rng, dim, dim) + 0.1 * np.eye(dim)), path)
+        operands.append(["--A", paths[0], "--B", paths[1]])
+    commands = {
+        "eval": [["eval", "--mean", "geometric", "--weight", "0.5", *ab] for ab in operands],
+        "measure-eval": [
+            ["measure-eval", "--atoms", "0:0.25,0.5:0.5,1:0.25", *ab] for ab in operands
+        ],
+        "function": [["function", "--mean", "logarithmic", "--grid", g] for g in CLI_GRIDS],
+    }
+    return [
+        (f"cli/{command}/{fmt}", _digest([_cli_run(argv + ["--format", fmt]) for argv in argvs]))
+        for command, argvs in commands.items()
+        for fmt in CLI_FORMATS
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--trials", type=int, default=40)
@@ -126,6 +171,9 @@ def main(argv=None) -> int:
     pairs = _apply_corpus(args.seed)
     for name, conn in _apply_connections():
         print(f"apply/{name} {_digest(_apply_results(conn, pairs))}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, digest in _cli_digests(args.seed, Path(workdir)):
+            print(f"{name} {digest}")
     return 0
 
 

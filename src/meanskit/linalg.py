@@ -155,11 +155,18 @@ class SymMatrix:
             raise DimensionMismatchError(
                 f"expected a square matrix with dim >= 1, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr = _sym(arr)
-        arr.flags.writeable = False
-        self.data = arr
+        # A non-finite entry makes its mean with the mirror non-finite, so
+        # one test of the result covers the input as well.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = _sym(arr)
+        if not np.isfinite(sym).all():
+            if not np.isfinite(arr).all():
+                raise ValueError("matrix entries must be finite")
+            # x + y overflows only when |x| and |y| are both above 2**970,
+            # so halving each first is exact and rounds the mean once.
+            sym = np.where(np.isfinite(sym), sym, arr * 0.5 + arr.T * 0.5)
+        sym.flags.writeable = False
+        self.data = sym
 
     @property
     def dim(self) -> int:
@@ -483,6 +490,18 @@ def matrix_to_dict(A: SymMatrix) -> dict:
     return {"dim": A.dim, "data": A.data.reshape(-1).tolist()}
 
 
+def _relative_asymmetry(arr: np.ndarray) -> float:
+    """||arr - arr^T|| / max(1, ||arr||) in the Frobenius norm, or NaN if
+    arr holds a non-finite entry.  When a norm overflows, the ratio is
+    taken of arr / max |arr_ij| instead, where ||arr|| > 1 makes it the same."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff, size = np.linalg.norm(arr - arr.T), np.linalg.norm(arr)
+        if math.isinf(diff) or math.isinf(size):
+            arr = arr / np.abs(arr).max()
+            return np.linalg.norm(arr - arr.T) / np.linalg.norm(arr)
+    return diff / max(1.0, size)
+
+
 def matrix_from_dict(obj: dict) -> SymMatrix:
     """Parse the matrix file payload, warning if asymmetry exceeds 1e-12
     relative before symmetrizing."""
@@ -500,7 +519,7 @@ def matrix_from_dict(obj: dict) -> SymMatrix:
             f"matrix data has {arr.size} entries, expected dim*dim = {dim * dim}"
         )
     arr = arr.reshape(dim, dim)
-    asym = np.linalg.norm(arr - arr.T) / max(1.0, np.linalg.norm(arr))
+    asym = _relative_asymmetry(arr)
     if asym > ASYMMETRY_WARN_REL:
         warnings.warn(
             f"matrix is asymmetric (relative asymmetry {asym:.3e} > "

@@ -14,6 +14,7 @@ from meanskit.linalg import (
     Tolerances,
     load_matrix,
     matrix_from_dict,
+    matrix_to_dict,
     save_matrix,
 )
 from meanskit.measures import BorelMeasure, connection_from_measure, parse_atoms
@@ -100,8 +101,21 @@ SPECIAL_VALUES = SymMatrix(
     [[-0.0, 5e-324, 1e-5], [5e-324, 1e16, 1e17], [1e-5, 1e17, 123456.5]]
 )
 
-_RENDER_CASES = [(f"dim{d}", _spread_matrix(d, 400 + d)) for d in (1, 2, 8, 32, 128)]
-_RENDER_CASES.append(("special_values", SPECIAL_VALUES))
+# Signed zeros and subnormals in mirrored pairs off the diagonal; again
+# symmetric, so every entry keeps its bits.
+SIGNED_PAIRS = SymMatrix(
+    [
+        [1.0, -0.0, 5e-324, -2.5e-310],
+        [-0.0, -0.0, -5e-324, 0.0],
+        [5e-324, -5e-324, 2.0**-25, 1e16],
+        [-2.5e-310, 0.0, 1e16, -1e17],
+    ]
+)
+
+_RENDER_CASES = [
+    (f"dim{d}", _spread_matrix(d, 400 + d)) for d in (1, 2, 3, 8, 32, 127, 128, 129)
+]
+_RENDER_CASES += [("special_values", SPECIAL_VALUES), ("signed_pairs", SIGNED_PAIRS)]
 
 
 class TestRenderMatrix:
@@ -112,11 +126,25 @@ class TestRenderMatrix:
     def test_bytes_match_per_value_formatting(self, X, fmt):
         _assert_same_text(_render_matrix(X, fmt), _reference_matrix(X, fmt))
 
+    @pytest.mark.parametrize(
+        "X", [x for _, x in _RENDER_CASES], ids=[name for name, _ in _RENDER_CASES]
+    )
+    def test_json_is_canonical_json_of_the_matrix_dict(self, X):
+        _assert_same_text(_render_matrix(X, "json"), canonical_json(matrix_to_dict(X)))
+
     def test_special_values_survive_construction(self):
         flat = SPECIAL_VALUES.data.reshape(-1)
         assert np.signbit(flat[0]) and flat[1] == 5e-324
         assert _render_matrix(SPECIAL_VALUES, "csv").splitlines()[0] == (
             "-0,4.9406564584124654e-324,1.0000000000000001e-05"
+        )
+
+    def test_signed_pairs_survive_construction(self):
+        pairs = SIGNED_PAIRS.data
+        assert np.signbit(pairs[0, 1]) and np.signbit(pairs[1, 0]) and np.signbit(pairs[1, 1])
+        assert pairs[0, 2] == pairs[2, 0] == 5e-324 and pairs[1, 2] == pairs[2, 1] == -5e-324
+        assert _render_matrix(SIGNED_PAIRS, "json").startswith(
+            '{"data": [1, 0, 4.9406564584124654e-324, -2.5000000000000171e-310, 0, 0,'
         )
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
@@ -177,6 +205,14 @@ class TestEval:
         )
         assert code == 0
         assert max(abs(v) for v in obj["data"]) <= 1e-5
+
+    def test_largest_finite_entries_load(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"dim": 1, "data": [1e308]}')
+        argv = ["eval", "--mean", "arithmetic", "--weight", "0.5", "--A", str(path)]
+        assert main(argv + ["--B", str(path), "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ('{"data": [1e+308], "dim": 1}\n', "")
 
     def test_left_trivial_returns_left_file(self, capsys, matrix_files):
         code, obj = run_json(
@@ -434,6 +470,30 @@ class TestFunction:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "x,f"
         assert lines[1].startswith("0,1")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mean", "logarithmic", "--grid", "0:10:257"],
+            ["--mean", "geometric", "--weight", "0.25", "--grid", "0:1e-300:9"],
+            ["--mean", "zero", "--grid", "0:1e300:5"],
+            ["--mean", "harmonic", "--weight", "1", "--grid", "3:3:1"],
+        ],
+    )
+    def test_table_bytes_match_per_point_formatting(self, capsys, argv, fmt):
+        assert main(["function", *argv, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        args = build_parser().parse_args(["function", *argv])
+        conn, tol = cli._connection(args), cli._tolerances(args)
+        xs = [float(x) for x in cli._parse_grid(args.grid)]
+        values = [float(repr_fn_eval(conn, x, tol)) for x in xs]
+        if fmt == "json":
+            want = canonical_json([{"x": x, "f": v} for x, v in zip(xs, values)])
+        else:
+            want = "\n".join(["x,f"] + [f"{format(x, '.17g')},{format(v, '.17g')}"
+                                         for x, v in zip(xs, values)])
+        _assert_same_text(out, want + "\n")
 
     def test_malformed_grid_exits_2(self, capsys):
         assert main(["function", "--mean", "sum", "--grid", "5:1:10"]) == 2
@@ -717,6 +777,22 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --dims entry must be a whole number, got 'x'\n"
+
+    def test_negative_env_seed_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEANSKIT_SEED", "-1")
+        assert main([*self._AXIOMS, "--dims", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: MEANSKIT_SEED must be a nonnegative whole number, got '-1'\n"
+        )
+
+    def test_negative_seed_flag_is_named(self, capsys, monkeypatch):
+        monkeypatch.delenv("MEANSKIT_SEED", raising=False)
+        assert main([*self._AXIOMS, "--dims", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a nonnegative whole number, got '-1'\n"
 
     def test_non_numeric_env_seed_is_named(self, capsys, monkeypatch):
         monkeypatch.setenv("MEANSKIT_SEED", "abc")

@@ -1,6 +1,7 @@
 """Tests for the symmetric-matrix substrate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,21 @@ class TestSymMatrix:
         np.testing.assert_allclose((a * 2).data, 2 * a.data)
         np.testing.assert_allclose((a / 2).data, a.data / 2)
         np.testing.assert_allclose((a - a).data, np.zeros((2, 2)))
+
+    def test_large_finite_entries_stay_finite(self):
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = SymMatrix([[1e308, big], [0.5 * big, -big]])
+        assert m.data.tolist() == [[1e308, 0.75 * big], [0.75 * big, -big]]
+
+    def test_entries_without_overflow_keep_their_bits(self):
+        rng = np.random.default_rng(47)
+        a = rng.standard_normal((9, 9)) * 10.0 ** rng.integers(-320, 300, (9, 9))
+        a[0, 1], a[1, 0] = 1e308, 5e-324
+        np.testing.assert_array_equal(
+            SymMatrix(a).data.view(np.int64), ((a + a.T) * 0.5).view(np.int64)
+        )
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (3, 3), elements=st.floats(-10, 10)))
@@ -394,6 +410,19 @@ class TestMatrixIO:
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
             matrix_from_dict({"dim": 2, "data": [1.0, 1.0, 1.0 + 1e-15, 1.0]})
+
+    def test_overflowing_norms_are_scaled(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = matrix_from_dict({"dim": 1, "data": [1e308]})
+            matrix_from_dict({"dim": 2, "data": [1e160, 2e160, 2e160, 1e160]})
+            matrix_from_dict({"dim": 2, "data": [1.0, 1e308, -1e308, 1.0]})
+            matrix_from_dict({"dim": 2, "data": [1e160, 2e160, 2.0000001e160, 1e160]})
+        assert m.data.tolist() == [[1e308]]
+        assert [str(w.message) for w in caught] == [
+            f"matrix is asymmetric (relative asymmetry {asym} > 1e-12); symmetrizing"
+            for asym in ("2.000e+00", "4.472e-08")
+        ]
 
     def test_bad_payloads(self):
         with pytest.raises(ValueError):

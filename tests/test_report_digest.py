@@ -30,6 +30,11 @@ def test_one_digest_per_report(capsys):
         for name in [name for name, _ in standard_battery()]
         + ["arcsine", "three_atoms", "transpose_geometric(0.25)", "function_sqrt"]
     ]
+    expected += [
+        f"cli/{command}/{fmt}"
+        for command in ("eval", "measure-eval", "function")
+        for fmt in ("json", "csv", "pretty")
+    ]
     assert [line.split(" ")[0] for line in lines] == expected
 
     name, conn = standard_battery()[3]
