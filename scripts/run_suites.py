@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 
+from meanskit.cli import _parse_whole
 from meanskit.connections import is_mean
 from meanskit.linalg import Tolerances
 from meanskit.verify import (
@@ -29,12 +30,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    cfg = TrialConfig(
-        dims=tuple(int(d) for d in args.dims.split(",")),
-        trials=args.trials,
-        seed=args.seed,
-        tol=Tolerances(),
-    )
+    try:
+        cfg = TrialConfig(
+            dims=tuple(_parse_whole(d, "--dims entry") for d in args.dims.split(",")),
+            trials=args.trials,
+            seed=args.seed,
+            tol=Tolerances(),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))  # exits with code 2
 
     suite_names = tuple(SUITES)
     header = f"{'connection':<18}" + "".join(f"{s:>14}" for s in suite_names)

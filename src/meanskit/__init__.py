@@ -1,86 +1,14 @@
 """meanskit: operator connections and Kubo-Ando means on real symmetric
 positive-semidefinite matrices, in three interchangeable representations
 (binary operation, representing function, Borel measure), with randomized
-verification suites and a CLI."""
+verification suites and a CLI.
 
-from .linalg import (
-    DEFAULT_TOL,
-    DimensionMismatchError,
-    EigenSolverError,
-    NonConvergenceError,
-    NotPSDError,
-    SingularMatrixError,
-    SymMatrix,
-    Tolerances,
-    congruence,
-    fn_calculus,
-    frobenius,
-    inv_pd,
-    is_psd,
-    load_matrix,
-    loewner_leq,
-    matrix_from_dict,
-    matrix_to_dict,
-    opnorm,
-    regularize_limit,
-    save_matrix,
-    spectrum,
-    sqrt_psd,
-)
-from .connections import (
-    AUDIT_GRID,
-    BUILTIN_KINDS,
-    BuiltinConnection,
-    ClassificationRecord,
-    Connection,
-    FunctionConnection,
-    ReprFunction,
-    TransposeConnection,
-    ZeroConnectionError,
-    apply,
-    classify,
-    connection_from_function,
-    is_mean,
-    make_builtin,
-    repr_fn_audit,
-    repr_fn_eval,
-    solve_self_mean_equation,
-    transpose,
-)
-from .measures import (
-    BorelMeasure,
-    Density,
-    MeasureConnection,
-    QuadraturePlan,
-    UnsupportedMeasureError,
-    arcsine_density,
-    connection_from_measure,
-    load_measure,
-    measure_from_dict,
-    measure_of_builtin,
-    measure_to_dict,
-    parse_atoms,
-    repr_fn_from_measure,
-    save_measure,
-    total_mass,
-    weighted_harmonic_kernel,
-)
-from .verify import (
-    REMARK_A,
-    REMARK_B,
-    Report,
-    TrialConfig,
-    check_axioms,
-    check_betweenness,
-    check_continuity_from_above,
-    check_positivity,
-    check_strictness_and_order,
-    random_ordered_pair,
-    random_pd,
-    random_psd,
-    run_counterexamples,
-    standard_battery,
-    standard_means,
-)
+The package exports each module's ``__all__``; those lists are the one
+statement of the public names."""
+
+from .linalg import *
+from .connections import *
+from .measures import *
+from .verify import *
 
 __version__ = "0.1.0"

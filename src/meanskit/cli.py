@@ -12,6 +12,7 @@ regardless of how their trials are scheduled.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -63,11 +64,6 @@ def canonical_json(obj, sig: int = JSON_SIG) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {float}:
-            # All plain floats: one printf-style call gives the bytes of the
-            # float branch; "+ 0.0" normalizes -0.0 as that branch does.
-            fmt = ", ".join([f"%.{sig}g"] * len(obj))
-            return "[" + fmt % tuple([v + 0.0 for v in obj]) + "]"
         return "[" + ", ".join(canonical_json(v, sig) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
@@ -167,13 +163,10 @@ def _render_reports(reports: list[Report], fmt: str) -> str:
 
 
 def _tolerances(args) -> Tolerances:
-    base = Tolerances()
-    return Tolerances(
-        psd_slack=base.psd_slack if args.psd_slack is None else args.psd_slack,
-        eq_tol=base.eq_tol if args.eq_tol is None else args.eq_tol,
-        eps0=base.eps0 if args.eps0 is None else args.eps0,
-        eps_min=base.eps_min if args.eps_min is None else args.eps_min,
-    )
+    """The flags given, by field name; a field whose flag is not given keeps
+    the default that ``Tolerances`` states."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(Tolerances)}
+    return Tolerances(**{name: v for name, v in given.items() if v is not None})
 
 
 def _connection(args):
@@ -247,14 +240,15 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def cmd_eval(args) -> int:
-    conn = _connection(args)
-    tol = _tolerances(args)
-    A = load_matrix(args.A)
-    B = load_matrix(args.B)
-    X = conn.apply(A, B, tol)
+def _eval_files(conn, args, tol: Tolerances) -> int:
+    """Apply conn to the matrix files --A and --B and print the result."""
+    X = conn.apply(load_matrix(args.A), load_matrix(args.B), tol)
     _emit(_render_matrix(X, args.format))
     return 0
+
+
+def cmd_eval(args) -> int:
+    return _eval_files(_connection(args), args, _tolerances(args))
 
 
 def cmd_function(args) -> int:
@@ -288,9 +282,7 @@ def cmd_measure_eval(args) -> int:
         return 0
     if not args.A or not args.B:
         raise ValueError("matrix mode needs --A and --B (or use scalar --x)")
-    X = conn.apply(load_matrix(args.A), load_matrix(args.B), tol)
-    _emit(_render_matrix(X, args.format))
-    return 0
+    return _eval_files(conn, args, tol)
 
 
 def cmd_verify(args) -> int:

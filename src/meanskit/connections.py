@@ -49,6 +49,7 @@ __all__ = [
     "Connection",
     "FunctionConnection",
     "ReprFunction",
+    "ResultOverflowError",
     "TransposeConnection",
     "ZeroConnectionError",
     "apply",
@@ -66,8 +67,15 @@ __all__ = [
 AUDIT_GRID = tuple(2.0**k for k in range(-10, 11))
 
 # Probe at which ``ReprFunction.from_callable`` takes the value "at 0 by
-# continuity" of a function given only as a callable, transposes included.
+# continuity" of a callable that raises at 0 or is not finite there, such
+# as a 0/0 kernel or a transpose.
 _ZERO_PROBE = 1e-12
+
+# Operands whose squared entries sum to more than this (or overflow) are
+# scaled by a power of two for evaluation, and the result is scaled back:
+# (cA) sigma (cB) = c (A sigma B) for c > 0.  Below it nothing is scaled,
+# and every entry and Frobenius norm is at most 2**500.
+_SCALE_ABOVE = 2.0**1000
 
 BUILTIN_KINDS = (
     "left_trivial",
@@ -95,6 +103,17 @@ class ZeroConnectionError(ValueError):
     connection."""
 
 
+class ResultOverflowError(OverflowError):
+    """A sigma B has an entry beyond the largest double.  ``scaled`` is the
+    result computed on the operands times 2**-exponent, so the result is
+    ``scaled`` times 2**exponent."""
+
+    def __init__(self, message: str, scaled: np.ndarray, exponent: int):
+        super().__init__(message)
+        self.scaled = scaled
+        self.exponent = exponent
+
+
 @dataclass(frozen=True)
 class ReprFunction:
     """A scalar representing function f: [0, inf) -> [0, inf).
@@ -118,7 +137,16 @@ class ReprFunction:
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float]) -> "ReprFunction":
-        return cls(fn=fn, f_at_0=float(fn(_ZERO_PROBE)), f_at_1=float(fn(1.0)))
+        """``f_at_0`` is fn(0) where that is a finite number, and otherwise
+        fn at ``_ZERO_PROBE``."""
+        try:
+            with np.errstate(all="ignore"):
+                f_at_0 = float(fn(0.0))
+        except Exception:  # a user callable may fail at 0 in any way
+            f_at_0 = math.nan
+        if not math.isfinite(f_at_0):
+            f_at_0 = float(fn(_ZERO_PROBE))
+        return cls(fn=fn, f_at_0=f_at_0, f_at_1=float(fn(1.0)))
 
 
 def _log_mean(x):
@@ -190,8 +218,23 @@ class Connection(ABC):
     def apply(
         self, A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL
     ) -> SymMatrix:
-        _check_same_dim(A.data, B.data)
-        return SymMatrix(self._apply_raw(A.data, B.data, tol))
+        a, b = A.data, B.data
+        _check_same_dim(a, b)
+        if np.vdot(a, a) + np.vdot(b, b) <= _SCALE_ABOVE:
+            return SymMatrix(self._apply_raw(a, b, tol))
+        # Evaluate with the largest entry scaled into [1, 2).
+        exponent = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1] - 1
+        scaled = self._apply_raw(np.ldexp(a, -exponent), np.ldexp(b, -exponent), tol)
+        with np.errstate(over="ignore"):
+            x = np.ldexp(scaled, exponent)
+        if np.isinf(x).any() and np.isfinite(scaled).all():
+            raise ResultOverflowError(
+                f"A sigma B overflows: its largest entry is "
+                f"{np.abs(scaled).max():.6g} * 2**{exponent}",
+                scaled=scaled,
+                exponent=exponent,
+            )
+        return SymMatrix(x)
 
     def __call__(self, A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL):
         return self.apply(A, B, tol)
@@ -294,8 +337,6 @@ class BuiltinConnection(_FunctionBackedConnection):
     of letting conditioning-amplified roundoff decide their sign.
     """
 
-    __slots__ = ("kind", "weight", "repr_function", "_fn_array", "_affine")
-
     def __init__(self, kind: str, weight: float | None = None):
         if kind not in BUILTIN_KINDS:
             raise ValueError(
@@ -331,8 +372,6 @@ class FunctionConnection(_FunctionBackedConnection):
     audited on the sample grid by ``repr_fn_audit``.
     """
 
-    __slots__ = ("repr_function", "_fn_array")
-
     def __init__(self, f):
         if isinstance(f, ReprFunction):
             self.repr_function = f
@@ -347,8 +386,6 @@ class FunctionConnection(_FunctionBackedConnection):
 class TransposeConnection(Connection):
     """The transpose (A, B) -> B sigma A of an inner connection; its
     representing function is g(x) = x * f(1/x)."""
-
-    __slots__ = ("inner", "repr_function")
 
     def __init__(self, inner: Connection):
         self.inner = inner

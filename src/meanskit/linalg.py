@@ -448,7 +448,7 @@ def _regularize_raw(
 ) -> np.ndarray:
     eps = tol.eps0
     prev = np.asarray(g(eps), dtype=float)
-    last_distance = None
+    before = last_distance = None
     while True:
         eps *= 0.5
         if eps < tol.eps_min:
@@ -462,13 +462,14 @@ def _regularize_raw(
                 f"regularized limit did not converge by eps_min={tol.eps_min:g}; "
                 f"last step distance {last_distance}",
                 last=prev,
+                previous=before,
                 distance=last_distance,
             )
         cur = np.asarray(g(eps), dtype=float)
         distance = float(np.linalg.norm(cur - prev))
         if distance <= tol.eq_tol * max(1.0, float(np.linalg.norm(cur))):
             return cur
-        prev, last_distance = cur, distance
+        before, prev, last_distance = prev, cur, distance
 
 
 def regularize_limit(

@@ -155,10 +155,19 @@ class QuadraturePlan:
 
 @dataclass(frozen=True)
 class Density:
-    """A density on (0, 1) together with the plan that integrates it."""
+    """A density on (0, 1) together with the plan that integrates it.  A
+    plan that absorbs its density holds the arcsine density in its weights,
+    so it takes no other rho."""
 
     rho: Callable[[float], float]
     plan: QuadraturePlan
+
+    def __post_init__(self):
+        if self.plan.absorbs_density and self.rho is not arcsine_density:
+            raise ValueError(
+                f"the {self.plan.scheme!r} plan integrates the arcsine density "
+                "only; give another density a plan that does not absorb it"
+            )
 
 
 def arcsine_density(t: float) -> float:
@@ -233,8 +242,6 @@ class MeasureConnection(_FunctionBackedConnection):
     w0 A + w1 B.
     """
 
-    __slots__ = ("measure", "repr_function", "_fn_array", "_affine")
-
     def __init__(self, measure: BorelMeasure):
         self.measure = measure
         w0 = 0.0
@@ -291,11 +298,9 @@ def measure_of_builtin(
         return BorelMeasure(atoms=((0.0, 1.0),))
     if kind == "right_trivial":
         return BorelMeasure(atoms=((1.0, 1.0),))
+    if kind in ("arithmetic", "harmonic") and (weight is None or not 0.0 <= weight <= 1.0):
+        raise UnsupportedMeasureError(f"{kind} needs a weight in [0, 1], got {weight}")
     if kind == "arithmetic":
-        if weight is None or not 0.0 <= weight <= 1.0:
-            raise UnsupportedMeasureError(
-                f"arithmetic needs a weight in [0, 1], got {weight}"
-            )
         atoms = []
         if 1.0 - weight > 0.0:
             atoms.append((0.0, 1.0 - weight))
@@ -303,10 +308,6 @@ def measure_of_builtin(
             atoms.append((1.0, float(weight)))
         return BorelMeasure(atoms=tuple(atoms))
     if kind == "harmonic":
-        if weight is None or not 0.0 <= weight <= 1.0:
-            raise UnsupportedMeasureError(
-                f"harmonic needs a weight in [0, 1], got {weight}"
-            )
         return BorelMeasure(atoms=((float(weight), 1.0),))
     if kind == "geometric":
         if weight is None or abs(weight - 0.5) > 1e-12:

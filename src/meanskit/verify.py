@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,16 +110,9 @@ class Report:
     elapsed: float = 0.0
 
     def to_dict(self, include_elapsed: bool = True) -> dict:
-        out = {
-            "suite": self.suite,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "witnesses": self.witnesses,
-            "seed": self.seed,
-        }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
+        out = asdict(self)
+        if not include_elapsed:
+            del out["elapsed"]
         return out
 
 
@@ -655,21 +648,12 @@ def standard_battery() -> list[tuple[str, Connection]]:
     """The named connections exercised by the acceptance battery: both
     trivial means, the three weighted families at weights 1/4, 1/2, 3/4,
     the logarithmic mean, the parallel sum, the sum, and zero."""
-    entries: list[tuple[str, Connection]] = [
-        ("left_trivial", make_builtin("left_trivial")),
-        ("right_trivial", make_builtin("right_trivial")),
-    ]
+    entries = [(kind, make_builtin(kind)) for kind in ("left_trivial", "right_trivial")]
     for kind in ("arithmetic", "geometric", "harmonic"):
         for weight in (0.25, 0.5, 0.75):
             entries.append((f"{kind}({weight:g})", make_builtin(kind, weight)))
-    entries.extend(
-        [
-            ("logarithmic", make_builtin("logarithmic")),
-            ("parallel_sum", make_builtin("parallel_sum")),
-            ("sum", make_builtin("sum")),
-            ("zero", make_builtin("zero")),
-        ]
-    )
+    for kind in ("logarithmic", "parallel_sum", "sum", "zero"):
+        entries.append((kind, make_builtin(kind)))
     return entries
 
 

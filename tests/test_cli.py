@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface: formats, exit codes,
 round-trips, and the environment seed override."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +392,29 @@ class TestEval:
             == 0
         )
         assert "dim = 2" in capsys.readouterr().out
+
+    def test_largest_doubles(self, capsys, tmp_path):
+        path = str(tmp_path / "big.json")
+        save_matrix(SymMatrix([[1e308]]), path)
+        argv = ["eval", "--mean", "geometric", "--weight", "0.5", "--A", path, "--B", path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr().out == "dim = 1\n      1e+308\n"
+
+
+class TestTolerances:
+    def test_each_field_has_its_flag(self):
+        # A flag reaches its field by name; the other fields keep their defaults.
+        fields = dataclasses.fields(Tolerances)
+        for field in fields:
+            value = field.default / 2.0
+            flag = "--" + field.name.replace("_", "-")
+            argv = ["eval", "--mean", "sum", "--A", "a", "--B", "b", flag, repr(value)]
+            tol = cli._tolerances(build_parser().parse_args(argv))
+            for other in fields:
+                want = value if other is field else other.default
+                assert getattr(tol, other.name) == want, (flag, other.name)
 
 
 class TestPerProcessState:

@@ -15,6 +15,7 @@ from meanskit.connections import (
     WEIGHTED_KINDS,
     Connection,
     ReprFunction,
+    ResultOverflowError,
     ZeroConnectionError,
     apply,
     classify,
@@ -790,6 +791,28 @@ class TestFunctionConnection:
         a, b = random_pd(3, rng), random_pd(3, rng)
         assert frobenius(apply(custom, a, b) - apply(builtin, a, b)) <= 1e-10
 
+    def test_value_at_zero_is_f_of_zero(self):
+        assert connection_from_function(math.sqrt).fn(0.0) == 0.0
+        # x / log(1 + x) is 0/0 at 0, where the division raises; the value
+        # at the probe 1e-12 stands in for the limit 1.
+        f = ReprFunction.from_callable(lambda x: x / math.log1p(x))
+        assert f.f_at_0 == 1e-12 / math.log1p(1e-12)
+
+    def test_user_sqrt_is_the_geometric_mean_on_singular_right_operands(self):
+        # A clipped zero eigenvalue of M takes f_at_0, so a probe value there
+        # would put sqrt(1e-12) where the geometric mean has 0.
+        user, geo = connection_from_function(math.sqrt), make_builtin("geometric", 0.5)
+        rng = np.random.default_rng(612)
+        for n in range(2, 9):
+            for _ in range(6):
+                g = rng.standard_normal((n, n))
+                a = SymMatrix(g @ g.T + 0.1 * np.eye(n))
+                q = _rotation(n, rng)
+                d = rng.uniform(0.1, 2.0, n)
+                d[: n // 2] = 0.0
+                b = SymMatrix((q * d) @ q.T)
+                assert np.array_equal(apply(user, a, b).data, apply(geo, a, b).data)
+
     def test_repr_function_invariants(self):
         f = ReprFunction.from_callable(lambda x: (1.0 + x) / 2.0)
         assert f.f_at_1 == pytest.approx(f(1.0))
@@ -828,3 +851,35 @@ def test_transpose_involution_pointwise(x):
     conn = make_builtin("logarithmic")
     tt = transpose(transpose(conn))
     assert tt.fn(x) == pytest.approx(conn.fn(x), rel=1e-12)
+
+
+class TestHugeOperands:
+    def test_geometric_mean_of_the_largest_doubles(self):
+        a = SymMatrix([[1e308]])
+        conn = make_builtin("geometric", 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = apply(conn, a, a).data[0, 0]
+        assert got == pytest.approx(1e308, rel=4 * np.finfo(float).eps)
+        # The operands were scaled by a power of two, so the result is the
+        # scaled evaluation scaled back, bit for bit.
+        scaled = apply(conn, a * 2.0**-1023, a * 2.0**-1023).data[0, 0]
+        assert got == scaled * 2.0**1023
+
+    def test_unrepresentable_result_raises(self):
+        a = SymMatrix([[1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResultOverflowError) as err:
+                apply(make_builtin("sum"), a, a)
+        assert err.value.exponent == 1023
+        assert err.value.scaled[0, 0] == 2.0 * (1e308 * 2.0**-1023)
+
+    def test_operands_below_the_threshold_keep_their_bits(self):
+        rng = np.random.default_rng(613)
+        a, b = (random_pd(3, rng) for _ in range(2))
+        # Their squared entries sum to about 2**999, half the threshold.
+        a, b = (m * (2.0**499 / frobenius(m)) for m in (a, b))
+        conn = make_builtin("geometric", 0.25)
+        raw = conn._apply_raw(a.data, b.data, DEFAULT_TOL)
+        assert np.array_equal(apply(conn, a, b).data, raw)

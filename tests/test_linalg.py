@@ -363,6 +363,11 @@ class TestRegularizeLimit:
         with pytest.raises(NonConvergenceError) as err:
             regularize_limit(oscillating)
         assert err.value.distance is not None and err.value.distance > 0.1
+        # The error carries the last two iterates and the distance between them.
+        assert err.value.previous is not None
+        assert err.value.distance == float(
+            np.linalg.norm(err.value.last - err.value.previous)
+        )
 
 
 class TestTolerances:

@@ -108,6 +108,12 @@ class TestMeasureValidation:
         with pytest.raises(ValueError):
             QuadraturePlan.explicit([0.5], [-1.0])
 
+    def test_plan_that_absorbs_its_density_takes_only_the_arcsine(self):
+        plan = QuadraturePlan.transformed_arcsine(64)
+        with pytest.raises(ValueError, match="'transformed_arcsine'"):
+            Density(lambda t: 2.0, plan)
+        assert total_mass(BorelMeasure(density=Density(arcsine_density, plan))) == pytest.approx(1.0)
+
     def test_node_count_is_a_bounded_whole_number(self):
         cap = measures.MAX_QUADRATURE_NODES
         for n in (0, -3, cap + 1, 3.9, True, float("nan"), float("inf"), "8"):
