@@ -18,9 +18,12 @@ the connection's results on the pairs of ``_apply_corpus(seed)``, with
 Each ``cli/<command>/<format>`` line is the digest of the exit code, stdout
 and stderr of in-process ``meanskit.cli.main`` runs: ``eval`` and
 ``measure-eval --atoms`` on seeded positive-definite matrix files at each
-dim of CLI_DIMS, and ``function --grid`` on the grids of CLI_GRIDS.  The
-script uses the public API only, so it runs against any checkout's
-``src``.
+dim of CLI_DIMS, and ``function --grid`` on the grids of CLI_GRIDS.
+
+The ``apply/<name>@16,33`` lines come last: the same five pair kinds at
+dims 16 and 33, where the weighted harmonic means, the parallel sum and
+atom measures are evaluated by linear solves.  The script uses the public
+API only, so it runs against any checkout's ``src``.
 
     python scripts/report_digest.py --trials 40 --seed 1 > digest.txt
 """
@@ -53,6 +56,8 @@ from meanskit.cli import canonical_json
 from meanskit.verify import SUITES, TrialConfig, run_counterexamples, standard_battery
 
 APPLY_DIMS = (1, 2, 3, 5, 8)
+# Dims at and above the size limit of the atom route.
+ATOM_ROUTE_DIMS = (16, 33)
 CLI_DIMS = (1, 2, 3, 33, 128)
 CLI_FORMATS = ("json", "csv", "pretty")
 CLI_GRIDS = ("0:10:33", "0:1e-300:9", "1:1:1")
@@ -90,13 +95,12 @@ def _pair(kind: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return (indefinite, pd()) if dim % 2 else (pd(), indefinite)
 
 
-def _apply_corpus(seed: int) -> list[tuple[SymMatrix, SymMatrix]]:
-    """At each dim of APPLY_DIMS, five pairs from the generator of
-    (seed, k): PD/PD, rank-deficient A with PD B, PD A with rank-deficient
-    B, both on one common range, and one non-PSD operand (the left one at
-    odd dims)."""
+def _apply_corpus(seed: int, dims=APPLY_DIMS) -> list[tuple[SymMatrix, SymMatrix]]:
+    """At each of ``dims``, five pairs from the generator of (seed, k):
+    PD/PD, rank-deficient A with PD B, PD A with rank-deficient B, both on
+    one common range, and one non-PSD operand (the left one at odd dims)."""
     pairs = []
-    for dim in APPLY_DIMS:
+    for dim in dims:
         for kind in range(5):
             rng = np.random.default_rng([seed, len(pairs)])
             a, b = _pair(kind, dim, rng)
@@ -111,6 +115,18 @@ def _apply_connections():
         ("three_atoms", connection_from_measure(three_atoms)),
         ("transpose_geometric(0.25)", transpose(make_builtin("geometric", 0.25))),
         ("function_sqrt", connection_from_function(math.sqrt)),
+    ]
+
+
+def _atom_route_connections():
+    two_atoms = BorelMeasure(atoms=((0.0, 0.2), (0.3, 0.5), (0.7, 0.4)))
+    return [
+        (f"harmonic({weight:g})", make_builtin("harmonic", weight))
+        for weight in (0.25, 0.5, 0.75)
+    ] + [
+        ("parallel_sum", make_builtin("parallel_sum")),
+        ("two_atoms", connection_from_measure(two_atoms)),
+        ("transpose_harmonic(0.25)", transpose(make_builtin("harmonic", 0.25))),
     ]
 
 
@@ -174,6 +190,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for name, digest in _cli_digests(args.seed, Path(workdir)):
             print(f"{name} {digest}")
+    pairs = _apply_corpus(args.seed, ATOM_ROUTE_DIMS)
+    suffix = ",".join(map(str, ATOM_ROUTE_DIMS))
+    for name, conn in _atom_route_connections():
+        print(f"apply/{name}@{suffix} {_digest(_apply_results(conn, pairs))}")
     return 0
 
 

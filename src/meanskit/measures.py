@@ -11,7 +11,10 @@ evaluated through its representing function f(x) = integral of
 precomputed quadrature plan.  ``MeasureConnection`` states f once; the
 scalar ``repr_fn_from_measure`` and matrix evaluation both use it, through
 the same function-backed evaluator as every other connection, so a matrix
-result is as accurate as the scalar quadrature.
+result is as accurate as the scalar quadrature.  A measure of at most two
+atoms inside (0, 1) and no density is evaluated as the sum of its atoms'
+weighted harmonic means when A or B is positive definite, by one linear
+solve each.
 ``weighted_harmonic_kernel`` is the kernel on its own, for reference; no
 evaluation path calls it.  Measures are stored unnormalized: normalization
 (total mass 1) is exactly the property of being a mean, and connections
@@ -31,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import ReprFunction, _FunctionBackedConnection
+from .connections import _ATOM_ROUTE_MAX_ATOMS, ReprFunction, _FunctionBackedConnection
 from .linalg import _is_whole
 
 __all__ = [
@@ -239,7 +242,9 @@ class MeasureConnection(_FunctionBackedConnection):
     interior atoms and the density's quadrature nodes.  By congruence
     invariance this equals the integral of (A !_t B) d mu(t) under the
     same quadrature.  A measure with no mass inside (0, 1) is affine,
-    w0 A + w1 B.
+    w0 A + w1 B.  A measure of atoms only, with at most two inside (0, 1),
+    is evaluated as that integral, w0 A + w1 B + sum_i w_i (A !_{t_i} B),
+    by one linear solve per atom (the atom route of ``apply``).
     """
 
     def __init__(self, measure: BorelMeasure):
@@ -267,6 +272,9 @@ class MeasureConnection(_FunctionBackedConnection):
         self.repr_function = ReprFunction(f, w0, float(f(1.0)))
         self._fn_array = f
         self._affine = None if ts.size else (w0, w1)
+        if measure.density is None and len(interior) <= _ATOM_ROUTE_MAX_ATOMS:
+            self._atoms = measure.atoms
+        self._slope_at_infinity = w1
 
     def __repr__(self) -> str:
         return f"MeasureConnection({self.measure!r})"

@@ -521,6 +521,200 @@ class TestStackedEvaluation:
         )
 
 
+_TWO_ATOMS = BorelMeasure(atoms=((0.0, 0.2), (0.3, 0.5), (0.7, 0.4)))
+
+
+def _anderson_duffin(atoms, a, b):
+    """sum of w (A !_t B) over the atoms (t, w), with A !_t B =
+    (A / (1 - t)) : (B / t) inside (0, 1) and X : Y = X (X + Y)^+ Y, the
+    parallel sum of Anderson and Duffin, through a pseudo-inverse."""
+    out = np.zeros_like(a)
+    for t, w in atoms:
+        if t == 0.0:
+            out += w * a
+        elif t == 1.0:
+            out += w * b
+        else:
+            x, y = a / (1.0 - t), b / t
+            out += w * (x @ np.linalg.pinv(x + y) @ y)
+    return (out + out.T) / 2.0
+
+
+# Each connection of the atom route with its atoms.
+_ATOM_ROUTE = {
+    "harmonic(0.25)": (make_builtin("harmonic", 0.25), ((0.25, 1.0),)),
+    "harmonic(0.5)": (make_builtin("harmonic", 0.5), ((0.5, 1.0),)),
+    "harmonic(0.75)": (make_builtin("harmonic", 0.75), ((0.75, 1.0),)),
+    "parallel_sum": (make_builtin("parallel_sum"), ((0.5, 0.5),)),
+    "one_atom": (connection_from_measure(_THREE_ATOMS), _THREE_ATOMS.atoms),
+    "two_atoms": (connection_from_measure(_TWO_ATOMS), _TWO_ATOMS.atoms),
+}
+
+
+def _record_atom_route(monkeypatch):
+    """Record the operand shapes of every atom-route evaluation."""
+    calls = []
+    atom_apply = connections._atom_apply
+
+    def recording(atoms, a, b):
+        calls.append(a.shape)
+        return atom_apply(atoms, a, b)
+
+    monkeypatch.setattr(connections, "_atom_apply", recording)
+    return calls
+
+
+def _congruence(conn, a, b):
+    w, q = np.linalg.eigh(a)
+    return connections._congruence_apply(w, q, b, conn._fn_array, DEFAULT_TOL)
+
+
+def _rank_deficient(n, rank, rng):
+    g = rng.standard_normal((n, rank))
+    return g @ g.T
+
+
+class TestAtomRoute:
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("name", _ATOM_ROUTE)
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    @pytest.mark.parametrize("cond", [1e0, 1e4, 1e8])
+    def test_ill_conditioned_left_matches_anderson_duffin(self, cond, dim, name, transposed):
+        conn, atoms = _ATOM_ROUTE[name]
+        rng = np.random.default_rng([330, dim, int(np.log10(cond))])
+        u = _rotation(dim, rng)
+        a = (u * np.logspace(0.0, -np.log10(cond), dim)) @ u.T
+        b = _well_conditioned_pd(dim, rng)
+        a = (a + a.T) / 2.0
+        if transposed:
+            got = apply(transpose(conn), SymMatrix(a), SymMatrix(b)).data
+            want = _anderson_duffin(atoms, b, a)
+        else:
+            got = apply(conn, SymMatrix(a), SymMatrix(b)).data
+            want = _anderson_duffin(atoms, a, b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("name", _ATOM_ROUTE)
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_rank_deficient_left_is_exact(self, monkeypatch, dim, name, transposed):
+        # No epsilon-limit: the pivot t A + (1 - t) B is positive definite.
+        limits = _record_limits(monkeypatch)
+        conn, atoms = _ATOM_ROUTE[name]
+        for rank in (dim - 1, (dim + 1) // 2):
+            rng = np.random.default_rng([331, dim, rank])
+            a, b = _rank_deficient(dim, rank, rng), _well_conditioned_pd(dim, rng)
+            if transposed:
+                got = apply(transpose(conn), SymMatrix(a), SymMatrix(b)).data
+                want = _anderson_duffin(atoms, b, a)
+            else:
+                got = apply(conn, SymMatrix(a), SymMatrix(b)).data
+                want = _anderson_duffin(atoms, a, b)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), rank
+        assert limits == []
+
+    @pytest.mark.parametrize("name", _ATOM_ROUTE)
+    def test_positive_definite_left_below_the_size_limit_keeps_the_congruence(
+        self, monkeypatch, name
+    ):
+        calls = _record_atom_route(monkeypatch)
+        conn, _ = _ATOM_ROUTE[name]
+        for dim in range(1, connections._ATOM_ROUTE_MIN_DIM):
+            rng = np.random.default_rng([332, dim])
+            a, b = random_pd(dim, rng), random_pd(dim, rng)
+            want = SymMatrix(_congruence(conn, a.data, b.data)).data
+            assert np.array_equal(apply(conn, a, b).data, want), dim
+        assert calls == []
+        a, b = _pd_stack(1, connections._ATOM_ROUTE_MIN_DIM, 332)
+        apply(conn, SymMatrix(a[0]), SymMatrix(b[0]))
+        assert calls == [a[0].shape]
+
+    @pytest.mark.parametrize("name", ["harmonic(0.25)", "parallel_sum", "two_atoms"])
+    @pytest.mark.parametrize("dim", [8, 16, 33])
+    def test_stack_equals_the_per_pair_evaluation(self, dim, name):
+        # Rank-deficient left or right operands take the atom route on both
+        # sides of the size limit; a pair with both operands singular sends
+        # the stack pair by pair.
+        conn, _ = _ATOM_ROUTE[name]
+        a, b = _pd_stack(6, dim, [333, dim])
+        rng = np.random.default_rng([334, dim])
+        a[1] = _rank_deficient(dim, dim - 1, rng)
+        b[3] = _rank_deficient(dim, dim // 2, rng)
+        stacks = [(a, b)]
+        both = a.copy(), b.copy()
+        both[0][4] = both[1][4] = _rank_deficient(dim, dim // 2, rng)
+        stacks.append(both)
+        for x, y in stacks:
+            out = conn._apply_stack(x, y, DEFAULT_TOL)
+            for i in range(len(x)):
+                assert np.array_equal(out[i], conn._apply_raw(x[i], y[i], DEFAULT_TOL)), i
+
+    def test_left_operand_blamed_first(self, monkeypatch):
+        conn = make_builtin("harmonic", 0.5)
+        n = connections._ATOM_ROUTE_MIN_DIM
+        a, b = np.eye(n), np.eye(n)
+        a[3, 3], b[5, 5] = -0.5, -2.0
+        with pytest.raises(NotPSDError) as alone:
+            _psd_scale(np.linalg.eigvalsh(a), DEFAULT_TOL, "left operand")
+        for stack in (False, True):
+            with pytest.raises(NotPSDError) as both:
+                if stack:
+                    conn._apply_stack(a[None], b[None], DEFAULT_TOL)
+                else:
+                    apply(conn, SymMatrix(a), SymMatrix(b))
+            assert str(both.value) == str(alone.value)
+        with pytest.raises(NotPSDError, match="right operand"):
+            apply(conn, SymMatrix(np.eye(n)), SymMatrix(b))
+
+        # On a failure of the stacked eigenvalue solve, the separate checks
+        # still blame the left operand before the right one's solver failure.
+        eigvalsh = np.linalg.eigvalsh
+        marker = 7.25
+
+        def flaky(x):
+            if np.any(x == marker):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(x)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        b = np.eye(n)
+        b[5, 5] = marker
+        with pytest.raises(NotPSDError) as both:
+            apply(conn, SymMatrix(a), SymMatrix(b))
+        assert str(both.value) == str(alone.value)
+        with pytest.raises(EigenSolverError, match="right operand"):
+            apply(conn, SymMatrix(np.eye(n)), SymMatrix(b))
+
+    def test_three_interior_atoms_keep_the_congruence(self, monkeypatch):
+        calls = _record_atom_route(monkeypatch)
+        conn = connection_from_measure(
+            BorelMeasure(atoms=((0.25, 0.25), (0.5, 0.5), (0.75, 0.25)))
+        )
+        assert conn._atoms is None
+        a, b = _pd_stack(1, 32, 335)
+        got = apply(conn, SymMatrix(a[0]), SymMatrix(b[0])).data
+        assert np.array_equal(got, SymMatrix(_congruence(conn, a[0], b[0])).data)
+        assert calls == []
+
+    def test_near_singular_pivot_keeps_the_limit(self, monkeypatch):
+        # A's eigenvalue -1.01e-11 is inside the PSD slack, and B's
+        # smallest, 1e-9 (1 + 1e-7), just clears the positive-definite
+        # threshold; along that direction the pivot 0.99 A + 0.01 B has the
+        # eigenvalue 1e-18.  Solving with it would amplify A's slack
+        # eigenvalue, so the route declines the pair.
+        calls = _record_atom_route(monkeypatch)
+        n = connections._ATOM_ROUTE_MIN_DIM
+        u = _rotation(n, np.random.default_rng(336))
+        wa, wb = np.ones(n), np.ones(n)
+        wa[0], wb[0] = -1.01e-11, 1.0000001e-9
+        a, b = (u * wa) @ u.T, (u * wb) @ u.T
+        got = apply(make_builtin("harmonic", 0.99), SymMatrix(a), SymMatrix(b)).data
+        clipped = np.maximum(wa, 0.0)
+        want = (u * (clipped * wb / (0.99 * clipped + 0.01 * wb))) @ u.T
+        assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+        assert calls == []
+
+
 SLACK = DEFAULT_TOL.psd_slack
 
 
@@ -695,6 +889,38 @@ class TestTranspose:
         t = transpose(make_builtin("parallel_sum"))
         # g(x) = x * (1/x)/(1 + 1/x) = x/(x + 1), so g(0) = 0
         assert t.fn(0.0) == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "kind,weight",
+        [
+            (kind, weight)
+            for kind in BUILTIN_KINDS
+            for weight in ((0.0, 0.25, 0.5, 0.75, 1.0) if kind in WEIGHTED_KINDS else (None,))
+        ],
+    )
+    def test_value_at_zero_of_builtins_is_the_slope_at_infinity(self, kind, weight):
+        # g(0) = lim f(y)/y: beta for affine f = alpha + beta x, 0 for the
+        # curved kinds, whose f grows slower than x.
+        if kind == "arithmetic":
+            slope = weight
+        elif kind in ("right_trivial", "sum") or weight == 1.0:
+            slope = 1.0
+        else:
+            slope = 0.0
+        assert transpose(make_builtin(kind, weight)).fn(0.0) == slope
+
+    def test_value_at_zero_of_measures_is_the_atom_at_one(self):
+        arcsine = connection_from_measure(measure_of_builtin("geometric", 0.5))
+        assert transpose(arcsine).fn(0.0) == 0.0
+        assert transpose(connection_from_measure(_THREE_ATOMS)).fn(0.0) == 0.25
+
+    def test_value_at_zero_of_a_double_transpose_is_the_inner_value(self):
+        three_atoms = ("three_atoms", connection_from_measure(_THREE_ATOMS))
+        for name, conn in standard_battery() + [three_atoms]:
+            assert transpose(transpose(conn)).fn(0.0) == conn.fn(0.0), name
+        # A user callable keeps its own value at 0, read or probed once.
+        user = connection_from_function(lambda x: x / math.log1p(x))
+        assert transpose(transpose(user)).fn(0.0) == user.fn(0.0)
 
 
 class TestClassification:

@@ -35,6 +35,11 @@ def test_one_digest_per_report(capsys):
         for command in ("eval", "measure-eval", "function")
         for fmt in ("json", "csv", "pretty")
     ]
+    expected += [
+        f"apply/{name}@16,33"
+        for name in ["harmonic(0.25)", "harmonic(0.5)", "harmonic(0.75)", "parallel_sum"]
+        + ["two_atoms", "transpose_harmonic(0.25)"]
+    ]
     assert [line.split(" ")[0] for line in lines] == expected
 
     name, conn = standard_battery()[3]
