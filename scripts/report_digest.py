@@ -22,8 +22,12 @@ dim of CLI_DIMS, and ``function --grid`` on the grids of CLI_GRIDS.
 
 The ``apply/<name>@16,33`` lines come last: the same five pair kinds at
 dims 16 and 33, where the weighted harmonic means, the parallel sum and
-atom measures are evaluated by linear solves.  The script uses the public
-API only, so it runs against any checkout's ``src``.
+atom measures are evaluated by linear solves.  Then the
+``apply/<name>@margin`` lines, for an affine connection and one of the atom
+route, on pairs with one operand's smallest eigenvalue put on both sides
+of the margin of the Cholesky positive-definiteness certificate, at dims
+2, 16 and 33.  The script uses the public API only, so it runs against any
+checkout's ``src``.
 
     python scripts/report_digest.py --trials 40 --seed 1 > digest.txt
 """
@@ -40,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from meanskit import (
+    DEFAULT_TOL,
     BorelMeasure,
     SymMatrix,
     apply,
@@ -61,6 +66,11 @@ ATOM_ROUTE_DIMS = (16, 33)
 CLI_DIMS = (1, 2, 3, 33, 128)
 CLI_FORMATS = ("json", "csv", "pretty")
 CLI_GRIDS = ("0:10:33", "0:1e-300:9", "1:1:1")
+MARGIN_DIMS = (2, 16, 33)
+# Multiples of psd_slack * S for one operand's smallest eigenvalue, with S
+# the certificate's scale; it certifies pairs above 2 and leaves the rest
+# to the eigenvalue checks, which refuse -1.
+MARGIN_MULTIPLES = (-1.0, 0.0, 1.0, 1.5, 2.5, 4.0)
 
 
 def _digest(payload) -> str:
@@ -105,6 +115,26 @@ def _apply_corpus(seed: int, dims=APPLY_DIMS) -> list[tuple[SymMatrix, SymMatrix
             rng = np.random.default_rng([seed, len(pairs)])
             a, b = _pair(kind, dim, rng)
             pairs.append((SymMatrix(a), SymMatrix(b)))
+    return pairs
+
+
+def _margin_corpus(seed: int) -> list[tuple[SymMatrix, SymMatrix]]:
+    """At each of MARGIN_DIMS and MARGIN_MULTIPLES c, a rotated pair with
+    eigenvalues in [0.5, 2] in which the smallest eigenvalue of one operand
+    (the left one, then the right one) is moved to c psd_slack S, where
+    S = max(1, n max_i x_ii) over both operands' diagonals."""
+    pairs = []
+    for dim in MARGIN_DIMS:
+        for c in MARGIN_MULTIPLES:
+            for side in (0, 1):
+                rng = np.random.default_rng([seed, len(pairs)])
+                q = [np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2)]
+                values = rng.uniform(0.5, 2.0, (2, dim))
+                values[side, 0] = 0.0
+                ops = [(u * v) @ u.T for u, v in zip(q, values)]
+                scale = max(1.0, dim * max(np.diag(x).max() for x in ops))
+                values[side, 0] = c * DEFAULT_TOL.psd_slack * scale
+                pairs.append(tuple(SymMatrix((u * v) @ u.T) for u, v in zip(q, values)))
     return pairs
 
 
@@ -194,6 +224,12 @@ def main(argv=None) -> int:
     suffix = ",".join(map(str, ATOM_ROUTE_DIMS))
     for name, conn in _atom_route_connections():
         print(f"apply/{name}@{suffix} {_digest(_apply_results(conn, pairs))}")
+    pairs = _margin_corpus(args.seed)
+    for name, conn in [
+        ("arithmetic(0.25)", make_builtin("arithmetic", 0.25)),
+        ("harmonic(0.75)", make_builtin("harmonic", 0.75)),
+    ]:
+        print(f"apply/{name}@margin {_digest(_apply_results(conn, pairs))}")
     return 0
 
 

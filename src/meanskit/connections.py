@@ -15,13 +15,16 @@ most two atoms inside (0, 1)), are evaluated as the sum of weighted
 harmonic means w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B, one
 linear solve per atom, when A or B is positive definite; at dims below 16
 a positive-definite A keeps the congruence.  That route needs no limit for
-a singular operand.  Builtins, measures and user functions all share this
-one evaluator.  Connection values are immutable and freely shareable
-across threads; ``apply`` is reentrant.
+a singular operand.  Both of these routes check their operands with one
+Cholesky factorization where it certifies them positive definite, and
+with their eigenvalues otherwise.  Builtins, measures and user functions
+all share this one evaluator.  Connection values are immutable and freely
+shareable across threads; ``apply`` is reentrant.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
@@ -36,6 +39,7 @@ from .linalg import (
     SingularMatrixError,
     SymMatrix,
     Tolerances,
+    _certified_pd,
     _check_same_dim,
     _check_spectra,
     _eigh,
@@ -80,9 +84,11 @@ _ZERO_PROBE = 1e-12
 
 # The atom route (``_atom_apply``) is taken only where it is faster than the
 # congruence's two eigendecompositions.  At dim 128 on a 2-CPU x86_64
-# machine (numpy 2.4, OpenBLAS, one thread) it costs 0.61x the congruence
-# with one atom inside (0, 1), 0.87x with two, 1.10x with three and 1.36x
-# with four (medians of 60 interleaved pairs of calls).
+# machine (numpy 2.4, OpenBLAS, one thread), with its operands checked by
+# the Cholesky certificate, it costs 0.42x the congruence with one atom
+# inside (0, 1), 0.67x with two, 0.92x with three and 1.18x with four
+# (medians of 60 interleaved pairs of calls, in CPU time).  Three would
+# gain 8% at most, and no benchmark workload has three, so the limit stays.
 _ATOM_ROUTE_MAX_ATOMS = 2
 # Below this dim a positive-definite A keeps the congruence, bit for bit.
 # Timed alone the solve is faster there too, but in the apply_mix benchmark,
@@ -91,6 +97,14 @@ _ATOM_ROUTE_MAX_ATOMS = 2
 # same machine; with this limit p50 read 0.146 and the throughput gain was
 # larger.
 _ATOM_ROUTE_MIN_DIM = 16
+
+# A single pair of operands below this dim is checked by its eigenvalues
+# alone: there one ``eigvalsh`` costs less than the Cholesky certificate
+# with its shift and scale.  On the machine above, the operand check of one
+# pair took 15.4 us with the certificate and 10.9 us without at dim 1, the
+# two met at dim 6, and at dim 8 they read 16.9 and 19.9 us.  A stack's
+# spectra cost more to check, and it is certified at every dim.
+_CERTIFY_MIN_DIM = 6
 
 # Operands whose squared entries sum to more than this (or overflow) are
 # scaled by a power of two for evaluation, and the result is scaled back:
@@ -271,6 +285,7 @@ def _congruence_apply(
     b: np.ndarray,
     fn: Callable[[np.ndarray], np.ndarray],
     tol: Tolerances,
+    on_clip: Callable[[], None] | None = None,
 ) -> np.ndarray:
     """A sigma B from the eigendecomposition A = Q diag(w) Q^T of
     positive-definite A, for operands of shape (..., n, n); ``fn`` is the
@@ -278,29 +293,58 @@ def _congruence_apply(
     place of A^{1/2}: A sigma B = X f(M) X^T with M = X^{-1} B X^{-T} =
     (Q diag r)^T B (Q diag r), r = 1/sqrt(w).  M is scaled by multiplying,
     never dividing, so tiny quotients b/a stay representable.  Four n x n
-    products, and no A^{1/2} or A^{-1/2} is formed."""
+    products, and no A^{1/2} or A^{-1/2} is formed.  ``on_clip`` runs
+    before M's negative eigenvalues within the slack are clipped to 0."""
     sw = np.sqrt(w)[..., None, :]
     qr = q * (1.0 / sw)
     m = _sym(qr.swapaxes(-1, -2) @ b @ qr)
-    return _fn_calculus_raw(fn, m, tol, label="transformed right operand", outer=q * sw)
+    return _fn_calculus_raw(
+        fn, m, tol, label="transformed right operand", outer=q * sw, on_clip=on_clip
+    )
 
 
-def _operand_spectra(a, b, tol):
-    """The ascending spectra of both (..., n, n) operands, after checking
-    that both are PSD.  One eigenvalue solve checks both; the left one is
-    blamed first, as two separate checks would.  On a solver failure, the
-    two separate checks run instead, so the error names the operand."""
+def _check_right(b, tol):
+    """Raise ``NotPSDError`` for the right operand unless b is PSD."""
+    _check_spectra(_eigvalsh(b, "right operand"), tol, "right operand")
+
+
+def _checked_spectra(ab, tol):
+    """The ascending spectra of the operands stacked in ab = [A, B], after
+    checking that both are PSD.  One eigenvalue solve checks both; the left
+    one is blamed first, as two separate checks would.  On a solver
+    failure, the two separate checks run instead, so the error names the
+    operand."""
     try:
-        w = _eigvalsh(np.stack([a, b]))
+        wa, wb = _eigvalsh(ab)
     except EigenSolverError:
-        wa = _eigvalsh(a, "left operand")
+        wa = _eigvalsh(ab[0], "left operand")
         _check_spectra(wa, tol, "left operand")
-        wb = _eigvalsh(b, "right operand")
+        wb = _eigvalsh(ab[1], "right operand")
     else:
-        wa, wb = w[0], w[1]
         _check_spectra(wa, tol, "left operand")
     _check_spectra(wb, tol, "right operand")
     return wa, wb
+
+
+def _operand_spectra(a, b, tol):
+    """None when ``_certified_pd`` shows both (..., n, n) operands positive
+    definite (a single pair only from ``_CERTIFY_MIN_DIM``), and otherwise
+    their ascending spectra, after checking that both are PSD by
+    ``_checked_spectra``.  When a stack fails that check, its pairs are
+    checked one at a time, in order, so that it raises what its first
+    failing pair raises alone."""
+    ab = np.stack([a, b])
+    if (a.ndim > 2 or a.shape[-1] >= _CERTIFY_MIN_DIM) and _certified_pd(ab, tol):
+        return None
+    try:
+        return _checked_spectra(ab, tol)
+    except (EigenSolverError, NotPSDError):
+        if a.ndim == 2:
+            raise
+    n = a.shape[-1]
+    pairs = ab.reshape(2, -1, n, n)
+    spectra = [np.stack(_checked_spectra(pairs[:, i], tol)) for i in range(pairs.shape[1])]
+    return np.stack(spectra, axis=1).reshape(2, *a.shape[:-1])
 
 
 def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -357,8 +401,14 @@ class _FunctionBackedConnection(Connection):
         first entry bounds the pivot's smallest eigenvalue from below and
         its last the largest from above.  That holds when A or B is positive
         definite and the other one's eigenvalues in the PSD slack below 0
-        are small against it; a pivot near singular would amplify them."""
-        wa, wb = _operand_spectra(a, b, tol)
+        are small against it; a pivot near singular would amplify them.
+        Operands that ``_certified_pd`` vouches for pass without spectra:
+        their smallest eigenvalues exceed twice the slack, which the Weyl
+        bounds then clear."""
+        spectra = _operand_spectra(a, b, tol)
+        if spectra is None:
+            return True
+        wa, wb = spectra
         n = a.shape[-1]
         return all(
             _is_pd(t * x + (1.0 - t) * y, tol)
@@ -381,17 +431,20 @@ class _FunctionBackedConnection(Connection):
         fn = self._fn_array
         try:
             if pd:
-                return _congruence_apply(w, q, b, fn, tol)
+                return _congruence_apply(w, q, b, fn, tol, lambda: _check_right(b, tol))
             # Singular left operand: clip its spectrum to [0, inf) and take
             # the decreasing limit over a joint shift of both operands.
             wc = np.maximum(w, 0.0)
             eye = np.eye(a.shape[0])
+            # B is checked once, however many steps clip.
+            check = functools.cache(lambda: _check_right(b, tol))
             return _regularize_raw(
-                lambda eps: _congruence_apply(wc + eps, q, b + eps * eye, fn, tol), tol
+                lambda eps: _congruence_apply(wc + eps, q, b + eps * eye, fn, tol, check),
+                tol,
             )
         except NotPSDError:
             # Blame the right operand when it is the one out of the cone.
-            _check_spectra(_eigvalsh(b, "right operand"), tol, "right operand")
+            _check_right(b, tol)
             raise
 
     def _apply_stack(self, a, b, tol):
@@ -410,9 +463,11 @@ class _FunctionBackedConnection(Connection):
         if not _is_pd(w, tol, "left operand").all():
             return super()._apply_stack(a, b, tol)
         try:
-            return _congruence_apply(w, q, b, self._fn_array, tol)
+            return _congruence_apply(
+                w, q, b, self._fn_array, tol, lambda: _check_right(b, tol)
+            )
         except NotPSDError:
-            _check_spectra(_eigvalsh(b, "right operand"), tol, "right operand")
+            _check_right(b, tol)
             raise
 
 

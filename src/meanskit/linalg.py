@@ -54,6 +54,8 @@ ASYMMETRY_WARN_REL = 1e-12
 # square-root-rate limits (geometric mean at singular arguments) land here.
 _SLOW_CONVERGENCE_FACTOR = 10.0
 
+_EPS = float(np.finfo(float).eps)
+
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
@@ -315,6 +317,39 @@ def _is_pd(w: np.ndarray, tol: Tolerances, label: str | None = None):
     return (w[0] if w.ndim == 1 else w[..., 0]) > tol.psd_slack * scale
 
 
+def _certified_pd(x: np.ndarray, tol: Tolerances) -> bool:
+    """Whether one Cholesky factorization shows every item of the
+    (..., n, n) stack x positive definite with room to spare, so that its
+    spectrum passes ``_check_spectra`` and ``_is_pd``.  False certifies
+    nothing; then the eigenvalues decide.
+
+    It factors x - 2 psd_slack S I, with S = max(1, n max |x_ij|) over the
+    whole stack.  When the factorization succeeds, x is positive definite up
+    to rounding, so its largest entry is on the diagonal, and S bounds each
+    item's trace and with it the largest eigenvalue.  A successful
+    factorization is exact for a matrix within about n (n + 1) u S of the
+    shifted one, u = eps / 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3), so each smallest eigenvalue exceeds 2
+    psd_slack S less that error.  Unless psd_slack exceeds 4 (n + 1)^2 eps,
+    that error could reach the slack, and nothing is certified.  A NaN or
+    infinite entry certifies nothing either: OpenBLAS lets a NaN through the
+    factorization.
+    """
+    n = x.shape[-1]
+    if tol.psd_slack <= 4.0 * (n + 1) ** 2 * _EPS:
+        return False
+    # In Python floats, n * inf is inf and n * nan is nan, with no warning;
+    # max(nan, 1.0) is nan, and neither passes the test below.
+    shift = 2.0 * tol.psd_slack * max(n * float(np.abs(x).max()), 1.0)
+    if not shift < math.inf:
+        return False
+    try:
+        np.linalg.cholesky(x - shift * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def frobenius(A) -> float:
     """Frobenius norm of a SymMatrix or array."""
     return float(np.linalg.norm(_as_array(A)))
@@ -358,13 +393,19 @@ def _fn_calculus_raw(
     tol: Tolerances,
     label: str = "matrix",
     outer: np.ndarray | None = None,
+    on_clip: Callable[[], None] | None = None,
 ) -> np.ndarray:
     """f(m) for symmetric m of shape (..., n, n).  ``fn`` is the array form
     of f: it maps the clipped spectra, shape (..., n), to their values.
     With ``outer``, of the same shape, the result is outer f(m) outer^T,
-    formed from (outer U) f(lambda) (outer U)^T with m = U diag(lambda) U^T."""
+    formed from (outer U) f(lambda) (outer U)^T with m = U diag(lambda) U^T.
+    ``on_clip``, if given, is called when a spectrum has an eigenvalue
+    below 0, before it is clipped; it may raise to refuse the clipping."""
     w, q = _eigh(m, label)
     _check_spectra(w, tol, label)
+    # w[0] keeps one spectrum's test a comparison of numpy scalars.
+    if on_clip is not None and (w[0] if w.ndim == 1 else w[..., 0].min()) < 0.0:
+        on_clip()
     w = np.maximum(w, 0.0)
     try:
         fw = fn(w)

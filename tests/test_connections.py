@@ -31,9 +31,11 @@ from meanskit.linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     EigenSolverError,
+    NonConvergenceError,
     NotPSDError,
     SingularMatrixError,
     SymMatrix,
+    Tolerances,
     fn_calculus,
     frobenius,
     inv_pd,
@@ -41,7 +43,7 @@ from meanskit.linalg import (
     regularize_limit,
     spectrum,
 )
-from meanskit.linalg import _check_spectra, _psd_scale
+from meanskit.linalg import _certified_pd, _check_spectra, _psd_scale
 from meanskit.measures import BorelMeasure, connection_from_measure, measure_of_builtin
 from meanskit.verify import REMARK_A, REMARK_B, random_pd, standard_battery, standard_means
 
@@ -323,6 +325,21 @@ def _rank_deficient_pairs():
         yield b, a
 
 
+def _fail_cholesky_near(monkeypatch, marker):
+    """Make np.linalg.cholesky fail on a matrix with an entry within 1e-6
+    of ``marker``: the positive-definiteness certificate factors the
+    operands shifted by a tiny multiple of I, and has to fail for the
+    eigenvalue checks to run."""
+    cholesky = np.linalg.cholesky
+
+    def flaky(x):
+        if np.any(np.abs(x - marker) < 1e-6):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(x)
+
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+
+
 class TestAffineKinds:
     @pytest.mark.parametrize(
         "conn,scale",
@@ -365,6 +382,7 @@ class TestAffineKinds:
             return eigvalsh(x)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        _fail_cholesky_near(monkeypatch, marker)
         operands = {"left": np.eye(2), "right": np.eye(2)}
         operands[failing][1, 1] = marker
         with pytest.raises(EigenSolverError) as info:
@@ -519,6 +537,27 @@ class TestStackedEvaluation:
             "scalar function evaluation failed on the spectrum [1.0, 5.0], "
             "item 2 of (4,): out of domain"
         )
+
+    @pytest.mark.parametrize(
+        "kind,weight,dim",
+        [("arithmetic", 0.5, 2), ("arithmetic", 0.5, 16), ("harmonic", 0.5, 16)],
+    )
+    def test_first_failing_pair_is_blamed(self, kind, weight, dim):
+        # Pair 0's right operand fails before pair 1's left one, as in a
+        # loop over the pairs; the harmonic mean at dim 16 takes the atom
+        # route.
+        conn = make_builtin(kind, weight)
+        left_bad, right_bad = np.eye(dim), np.eye(dim)
+        left_bad[1, 1], right_bad[1, 1] = -0.5, -1.0
+        a, b = np.stack([np.eye(dim), left_bad]), np.stack([right_bad, np.eye(dim)])
+        with pytest.raises(NotPSDError) as alone:
+            for x, y in zip(a, b):
+                conn._apply_raw(x, y, DEFAULT_TOL)
+        with pytest.raises(NotPSDError) as stacked:
+            conn._apply_stack(a, b, DEFAULT_TOL)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("right operand")
+        assert stacked.value.min_eigenvalue == -1.0
 
 
 _TWO_ATOMS = BorelMeasure(atoms=((0.0, 0.2), (0.3, 0.5), (0.7, 0.4)))
@@ -677,6 +716,7 @@ class TestAtomRoute:
             return eigvalsh(x)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        _fail_cholesky_near(monkeypatch, marker)
         b = np.eye(n)
         b[5, 5] = marker
         with pytest.raises(NotPSDError) as both:
@@ -716,6 +756,163 @@ class TestAtomRoute:
 
 
 SLACK = DEFAULT_TOL.psd_slack
+
+# Multiples of psd_slack * S at which a pair's smallest eigenvalue is put;
+# the certificate passes pairs above 2.
+_MARGIN_MULTIPLES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+def _certificate_scale(a, b):
+    """The scale S of ``_certified_pd`` for the stack [a, b]."""
+    return max(1.0, a.shape[-1] * max(np.abs(a).max(), np.abs(b).max()))
+
+
+def _margin_pairs(n, cond, seed):
+    """(multiple, side, A, B) for each multiple c in _MARGIN_MULTIPLES and
+    each side: the operand on that side (0 left, 1 right) has eigenvalues
+    in [0.5, 2] with the smallest moved to c psd_slack S, and the other has
+    eigenvalues spaced geometrically from 2 / cond to 2."""
+    rng = np.random.default_rng(seed)
+    for c in _MARGIN_MULTIPLES:
+        for side in (0, 1):
+            q = [_rotation(n, rng) for _ in range(2)]
+            values = [rng.uniform(0.5, 2.0, n), np.geomspace(2.0 / cond, 2.0, n)]
+            if side:
+                values.reverse()
+            values[side][0] = 0.0
+            ops = [(u * v) @ u.T for u, v in zip(q, values)]
+            values[side][0] = c * SLACK * _certificate_scale(*ops)
+            a, b = (connections._sym((u * v) @ u.T) for u, v in zip(q, values))
+            yield c, side, a, b
+
+
+def _outcome(call):
+    """The result of call(), or the type and text of what it raised."""
+    try:
+        return call()
+    except (NotPSDError, EigenSolverError, NonConvergenceError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for i, (x, y) in enumerate(zip(got, want)):
+        if isinstance(y, np.ndarray):
+            assert isinstance(x, np.ndarray) and np.array_equal(x, y), i
+        else:
+            assert x == y, i
+
+
+class TestPositiveDefiniteCertificate:
+    """``_certified_pd`` only saves the eigenvalue check: every result,
+    route and error is the one the eigenvalue rule alone gives."""
+
+    CONNS = (
+        make_builtin("arithmetic", 0.25),
+        make_builtin("harmonic", 0.75),
+        connection_from_measure(_TWO_ATOMS),
+    )
+
+    def _outcomes(self, pairs, calls):
+        out = []
+        for conn in self.CONNS:
+            for _, _, a, b in pairs:
+                out.append(_outcome(lambda: conn._apply_raw(a, b, DEFAULT_TOL)))
+                if conn._atoms is not None:
+                    out.append(_outcome(lambda: conn._takes_atom_route(a, b, DEFAULT_TOL)))
+            # Each multiple's two pairs as one stack.
+            for i in range(0, len(pairs), 2):
+                a = np.stack([pairs[i][2], pairs[i + 1][2]])
+                b = np.stack([pairs[i][3], pairs[i + 1][3]])
+                out.append(_outcome(lambda: conn._apply_stack(a, b, DEFAULT_TOL)))
+        out.append(list(calls))
+        calls.clear()
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 16, 33, 64])
+    def test_same_outcomes_as_the_eigenvalue_rule(self, monkeypatch, n):
+        calls = _record_atom_route(monkeypatch)
+        certified = 0
+        for cond in (1.0, 1e4, 1e8, 1e12):
+            pairs = list(_margin_pairs(n, cond, [330, n, int(math.log10(cond))]))
+            for c, _, a, b in pairs:
+                certified += _certified_pd(np.stack([a, b]), DEFAULT_TOL)
+                # At exactly 2 rounding decides.
+                if cond == 1.0 and c != 2.0:
+                    assert _certified_pd(np.stack([a, b]), DEFAULT_TOL) == (c > 2.0)
+            with monkeypatch.context() as m:
+                got = self._outcomes(pairs, calls)
+                m.setattr(connections, "_certified_pd", lambda x, tol: False)
+                want = self._outcomes(pairs, calls)
+            _assert_same_outcomes(got, want)
+        assert certified > 0
+
+    def test_nothing_certified_where_rounding_could_reach_the_slack(self):
+        assert not _certified_pd(np.eye(2)[None], Tolerances(psd_slack=0.0))
+        # 4 (n + 1)^2 eps passes 1e-12 from n = 33, and 1e-9 from n = 1061.
+        tight = Tolerances(psd_slack=1e-12)
+        assert _certified_pd(np.eye(32), tight)
+        assert not _certified_pd(np.eye(33), tight)
+        assert not _certified_pd(np.eye(1061), DEFAULT_TOL)
+
+    @pytest.mark.parametrize("n", [2, 16, 33])
+    @pytest.mark.parametrize("size", [1e200, 1e307])
+    def test_huge_entries_raise_no_warning(self, monkeypatch, n, size):
+        # At 1e307 and dim 33, n times the largest entry overflows, and the
+        # eigenvalue check decides.
+        rng = np.random.default_rng([331, n])
+        a, b = (x / np.abs(x).max() * size for x in (random_pd(n, rng).data for _ in "ab"))
+        conn = make_builtin("arithmetic", 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overflows = n * size > np.finfo(float).max
+            assert _certified_pd(np.stack([a, b]), DEFAULT_TOL) != overflows
+            got = conn._apply_raw(a, b, DEFAULT_TOL)
+            monkeypatch.setattr(connections, "_certified_pd", lambda x, tol: False)
+            assert np.array_equal(got, conn._apply_raw(a, b, DEFAULT_TOL))
+
+
+class TestRightOperandOnTheCongruence:
+    """When the transformed right operand has eigenvalues to clip, B's own
+    spectrum is checked, so a B outside the cone is refused even where the
+    transformed one is inside the slack."""
+
+    A = np.diag([1e6, 1.0])
+    B = np.diag([-1e-3, 1.0])
+
+    def test_clipped_spectrum_checks_b(self):
+        geo = make_builtin("geometric", 0.5)
+        with pytest.raises(NotPSDError) as info:
+            apply(geo, SymMatrix(self.A), SymMatrix(self.B))
+        assert str(info.value).startswith("right operand is not positive semidefinite")
+        assert info.value.min_eigenvalue == -1e-3
+        with pytest.raises(NotPSDError) as stacked:
+            geo._apply_stack(np.stack([self.A, self.A]), np.stack([np.eye(2), self.B]), DEFAULT_TOL)
+        assert str(stacked.value) == str(info.value)
+
+    def test_limit_route_checks_b(self):
+        with pytest.raises(NotPSDError, match="right operand") as info:
+            apply(make_builtin("geometric", 0.5), SymMatrix.diagonal([1e6, 0.0]), SymMatrix(self.B))
+        assert info.value.min_eigenvalue == -1e-3
+
+    def test_psd_b_keeps_its_value(self, monkeypatch):
+        checked = []
+        check_right = connections._check_right
+        monkeypatch.setattr(
+            connections, "_check_right", lambda b, tol: checked.append(b) or check_right(b, tol)
+        )
+        rng = np.random.default_rng(332)
+        geo = make_builtin("geometric", 0.5)
+        for n in (2, 8):
+            a, b = random_pd(n, rng).data, random_pd(n, rng).data
+            assert np.array_equal(apply(geo, SymMatrix(a), SymMatrix(b)).data, _congruence(geo, a, b))
+        # Positive-definite pairs have nothing to clip and skip the check.
+        assert checked == []
+        for n in (2, 8):
+            a = random_pd(n, rng).data
+            g = rng.standard_normal((n, n - 1))
+            b = g @ g.T
+            assert np.array_equal(apply(geo, SymMatrix(a), SymMatrix(b)).data, _congruence(geo, a, b))
 
 
 def _record_limits(monkeypatch):

@@ -33,7 +33,7 @@ from meanskit.linalg import (
     spectrum,
     sqrt_psd,
 )
-from meanskit.linalg import _check_spectra, _eigh, _psd_scale
+from meanskit.linalg import _certified_pd, _check_spectra, _eigh, _psd_scale
 
 # sqrt of [[2,1],[1,2]] by hand: eigenvalues 1, 3 with eigenvectors
 # (1,-1)/sqrt2, (1,1)/sqrt2, so the entries are (sqrt3 +- 1)/2.
@@ -183,6 +183,31 @@ class TestCheckSpectra:
     def test_single_spectrum_returns_a_float(self):
         w = np.array([0.5, 3.0])
         assert _check_spectra(w, DEFAULT_TOL, "m") == _psd_scale(w, DEFAULT_TOL, "m") == 3.0
+
+
+class TestCertifiedPD:
+    def test_margin_is_twice_the_slack(self):
+        # S = max(1, 2 * 1) = 2, so the smallest eigenvalue must exceed
+        # 2 * psd_slack * 2.
+        slack = DEFAULT_TOL.psd_slack
+        assert _certified_pd(np.diag([5.0 * slack, 1.0]), DEFAULT_TOL)
+        assert not _certified_pd(np.diag([3.0 * slack, 1.0]), DEFAULT_TOL)
+        assert not _certified_pd(np.diag([0.0, 1.0]), DEFAULT_TOL)
+
+    def test_one_failing_item_fails_the_stack(self):
+        x = np.stack([np.eye(3)] * 4)
+        assert _certified_pd(x, DEFAULT_TOL)
+        x[2, 1, 1] = -1e-3
+        assert not _certified_pd(x, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 0), (3, 3)])
+    def test_non_finite_entry_certifies_nothing(self, value, where):
+        x = np.eye(4)
+        x[where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _certified_pd(x, DEFAULT_TOL)
 
 
 class TestLoewnerOrder:

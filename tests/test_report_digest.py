@@ -40,6 +40,7 @@ def test_one_digest_per_report(capsys):
         for name in ["harmonic(0.25)", "harmonic(0.5)", "harmonic(0.75)", "parallel_sum"]
         + ["two_atoms", "transpose_harmonic(0.25)"]
     ]
+    expected += ["apply/arithmetic(0.25)@margin", "apply/harmonic(0.75)@margin"]
     assert [line.split(" ")[0] for line in lines] == expected
 
     name, conn = standard_battery()[3]
