@@ -26,8 +26,12 @@ atom measures are evaluated by linear solves.  Then the
 ``apply/<name>@margin`` lines, for an affine connection and one of the atom
 route, on pairs with one operand's smallest eigenvalue put on both sides
 of the margin of the Cholesky positive-definiteness certificate, at dims
-2, 16 and 33.  The script uses the public API only, so it runs against any
-checkout's ``src``.
+2, 16 and 33.  Last come the ``axioms/<name>@16,33`` and
+``continuity/<name>@16,33`` lines, the digests of those two suites at
+dims 16 and 33 and ATOM_ROUTE_TRIALS trials, for the connections of the
+atom route: there the suites' stacked evaluations take linear solves.  The
+script uses the public API only, so it runs against any checkout's
+``src``.
 
     python scripts/report_digest.py --trials 40 --seed 1 > digest.txt
 """
@@ -61,8 +65,10 @@ from meanskit.cli import canonical_json
 from meanskit.verify import SUITES, TrialConfig, run_counterexamples, standard_battery
 
 APPLY_DIMS = (1, 2, 3, 5, 8)
-# Dims at and above the size limit of the atom route.
+# Dims at and above the size limit of the atom route, and the trial count
+# of the suites there.
 ATOM_ROUTE_DIMS = (16, 33)
+ATOM_ROUTE_TRIALS = 3
 CLI_DIMS = (1, 2, 3, 33, 128)
 CLI_FORMATS = ("json", "csv", "pretty")
 CLI_GRIDS = ("0:10:33", "0:1e-300:9", "1:1:1")
@@ -156,7 +162,6 @@ def _atom_route_connections():
     ] + [
         ("parallel_sum", make_builtin("parallel_sum")),
         ("two_atoms", connection_from_measure(two_atoms)),
-        ("transpose_harmonic(0.25)", transpose(make_builtin("harmonic", 0.25))),
     ]
 
 
@@ -222,7 +227,8 @@ def main(argv=None) -> int:
             print(f"{name} {digest}")
     pairs = _apply_corpus(args.seed, ATOM_ROUTE_DIMS)
     suffix = ",".join(map(str, ATOM_ROUTE_DIMS))
-    for name, conn in _atom_route_connections():
+    transposed = ("transpose_harmonic(0.25)", transpose(make_builtin("harmonic", 0.25)))
+    for name, conn in _atom_route_connections() + [transposed]:
         print(f"apply/{name}@{suffix} {_digest(_apply_results(conn, pairs))}")
     pairs = _margin_corpus(args.seed)
     for name, conn in [
@@ -230,6 +236,11 @@ def main(argv=None) -> int:
         ("harmonic(0.75)", make_builtin("harmonic", 0.75)),
     ]:
         print(f"apply/{name}@margin {_digest(_apply_results(conn, pairs))}")
+    cfg = TrialConfig(dims=ATOM_ROUTE_DIMS, trials=ATOM_ROUTE_TRIALS, seed=args.seed)
+    for name, conn in _atom_route_connections():
+        for suite_name in ("axioms", "continuity"):
+            report = SUITES[suite_name](conn, cfg)
+            print(f"{suite_name}/{name}@{suffix} {_digest(report.to_dict(include_elapsed=False))}")
     return 0
 
 

@@ -400,12 +400,12 @@ def _fn_calculus_raw(
     With ``outer``, of the same shape, the result is outer f(m) outer^T,
     formed from (outer U) f(lambda) (outer U)^T with m = U diag(lambda) U^T.
     ``on_clip``, if given, is called when a spectrum has an eigenvalue
-    below 0, before it is clipped; it may raise to refuse the clipping."""
+    below 0, before the spectra are checked and clipped; it may raise."""
     w, q = _eigh(m, label)
-    _check_spectra(w, tol, label)
     # w[0] keeps one spectrum's test a comparison of numpy scalars.
     if on_clip is not None and (w[0] if w.ndim == 1 else w[..., 0].min()) < 0.0:
         on_clip()
+    _check_spectra(w, tol, label)
     w = np.maximum(w, 0.0)
     try:
         fw = fn(w)

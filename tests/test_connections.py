@@ -668,6 +668,23 @@ class TestAtomRoute:
         apply(conn, SymMatrix(a[0]), SymMatrix(b[0]))
         assert calls == [a[0].shape]
 
+    @pytest.mark.parametrize("dim", [6, 8, 15])
+    def test_singular_left_below_the_size_limit_reuses_its_spectrum(self, monkeypatch, dim):
+        # A's spectrum from its eigendecomposition decides the pivots: no
+        # Cholesky certificate, which A must fail, and one eigenvalue solve,
+        # of B alone.
+        conn = make_builtin("harmonic", 0.5)
+        a, b = _rank_deficient(dim, 5, np.random.default_rng([337, dim])), 2.0 * np.eye(dim)
+        calls = []
+        for name in ("cholesky", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda x, _s=solver, _n=name: calls.append(_n) or _s(x)
+            )
+        got = apply(conn, SymMatrix(a), SymMatrix(b)).data
+        assert calls == ["eigvalsh"]
+        assert np.array_equal(got, connections._atom_apply(conn._atoms, a, b))
+
     @pytest.mark.parametrize("name", ["harmonic(0.25)", "parallel_sum", "two_atoms"])
     @pytest.mark.parametrize("dim", [8, 16, 33])
     def test_stack_equals_the_per_pair_evaluation(self, dim, name):
@@ -803,6 +820,66 @@ def _assert_same_outcomes(got, want):
             assert x == y, i
 
 
+class TestRoutingTable:
+    """A stack of three pairs of one kind gives its pairs' results, and
+    takes their routes: from dim 16 one atom-route call for the whole stack
+    when every pair takes that route, and otherwise the pairs' own calls."""
+
+    CONNS = {
+        "arithmetic(0.25)": make_builtin("arithmetic", 0.25),
+        "harmonic(0.75)": make_builtin("harmonic", 0.75),
+        "two_atoms": connection_from_measure(_TWO_ATOMS),
+        "geometric(0.25)": make_builtin("geometric", 0.25),
+    }
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls = []
+        for name in ("_atom_apply", "_regularize_raw"):
+            original = getattr(connections, name)
+
+            def recording(*args, _name=name, _original=original):
+                # _atom_apply(atoms, a, b) and _regularize_raw(g, tol).
+                calls.append((_name, args[1].shape if len(args) == 3 else None))
+                return _original(*args)
+
+            monkeypatch.setattr(connections, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["pd", "singular_left", "singular_right"])
+    @pytest.mark.parametrize("dim", [2, 8, 16, 33])
+    @pytest.mark.parametrize("name", CONNS)
+    def test_stack_takes_its_pairs_routes(self, monkeypatch, name, dim, kind):
+        conn = self.CONNS[name]
+        calls = self._record(monkeypatch)
+        rng = np.random.default_rng([338, dim])
+        a, b = _pd_stack(3, dim, [339, dim])
+        for i in range(3):
+            if kind == "singular_left":
+                a[i] = _rank_deficient(dim, dim // 2, rng)
+            elif kind == "singular_right":
+                b[i] = _rank_deficient(dim, dim // 2, rng)
+        # The pairs in order, up to the first that raises, as a stack that
+        # goes pair by pair evaluates them.
+        want = []
+        for x, y in zip(a, b):
+            want.append(_outcome(lambda: conn._apply_raw(x, y, DEFAULT_TOL)))
+            if isinstance(want[-1], str):
+                break
+        pair_calls = list(calls)
+        calls.clear()
+        got = _outcome(lambda: conn._apply_stack(a, b, DEFAULT_TOL))
+        if isinstance(want[-1], str):
+            assert got == want[-1]
+        else:
+            _assert_same_outcomes(list(got), want)
+        atom_pairs = pair_calls == [("_atom_apply", a.shape[1:])] * 3
+        if atom_pairs and dim >= connections._ATOM_ROUTE_MIN_DIM:
+            assert calls == [("_atom_apply", a.shape)]
+        else:
+            assert calls == pair_calls
+
+
 class TestPositiveDefiniteCertificate:
     """``_certified_pd`` only saves the eigenvalue check: every result,
     route and error is the one the eigenvalue rule alone gives."""
@@ -894,6 +971,23 @@ class TestRightOperandOnTheCongruence:
         with pytest.raises(NotPSDError, match="right operand") as info:
             apply(make_builtin("geometric", 0.5), SymMatrix.diagonal([1e6, 0.0]), SymMatrix(self.B))
         assert info.value.min_eigenvalue == -1e-3
+
+    @pytest.mark.parametrize("case", ["pair", "stack", "limit"])
+    def test_b_beyond_the_slack_is_blamed_by_name(self, case):
+        # Here the transformed right operand fails its own check as well;
+        # B's check still comes first, on every route of the congruence.
+        geo = make_builtin("geometric", 0.5)
+        b = np.diag([-1.0, 1.0])
+        with pytest.raises(NotPSDError) as own:
+            _psd_scale(np.linalg.eigvalsh(b), DEFAULT_TOL, "right operand")
+        a = np.diag([1.0, 0.0]) if case == "limit" else np.array([[2.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(NotPSDError) as info:
+            if case == "stack":
+                geo._apply_stack(np.stack([a, a]), np.stack([np.eye(2), b]), DEFAULT_TOL)
+            else:
+                geo._apply_raw(a, b, DEFAULT_TOL)
+        assert str(info.value) == str(own.value)
+        assert info.value.min_eigenvalue == own.value.min_eigenvalue == -1.0
 
     def test_psd_b_keeps_its_value(self, monkeypatch):
         checked = []

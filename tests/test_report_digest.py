@@ -41,6 +41,12 @@ def test_one_digest_per_report(capsys):
         + ["two_atoms", "transpose_harmonic(0.25)"]
     ]
     expected += ["apply/arithmetic(0.25)@margin", "apply/harmonic(0.75)@margin"]
+    expected += [
+        f"{suite}/{name}@16,33"
+        for name in ["harmonic(0.25)", "harmonic(0.5)", "harmonic(0.75)", "parallel_sum"]
+        + ["two_atoms"]
+        for suite in ("axioms", "continuity")
+    ]
     assert [line.split(" ")[0] for line in lines] == expected
 
     name, conn = standard_battery()[3]
