@@ -21,15 +21,16 @@ and stderr of in-process ``meanskit.cli.main`` runs: ``eval`` and
 dim of CLI_DIMS, and ``function --grid`` on the grids of CLI_GRIDS.
 
 The ``apply/<name>@16,33`` lines come last: the same five pair kinds at
-dims 16 and 33, where the weighted harmonic means, the parallel sum and
-atom measures are evaluated by linear solves.  Then the
+dims 16 and 33, above APPLY_DIMS, for the weighted harmonic means, the
+parallel sum and atom measures, which are evaluated by linear solves at
+every dim.  Then the
 ``apply/<name>@margin`` lines, for an affine connection and one of the atom
 route, on pairs with one operand's smallest eigenvalue put on both sides
 of the margin of the Cholesky positive-definiteness certificate, at dims
 2, 16 and 33.  Last come the ``axioms/<name>@16,33`` and
 ``continuity/<name>@16,33`` lines, the digests of those two suites at
 dims 16 and 33 and ATOM_ROUTE_TRIALS trials, for the connections of the
-atom route: there the suites' stacked evaluations take linear solves.  The
+atom route: the suite lines above them reach dims 1-8 only.  The
 script uses the public API only, so it runs against any checkout's
 ``src``.
 
@@ -65,8 +66,8 @@ from meanskit.cli import canonical_json
 from meanskit.verify import SUITES, TrialConfig, run_counterexamples, standard_battery
 
 APPLY_DIMS = (1, 2, 3, 5, 8)
-# Dims at and above the size limit of the atom route, and the trial count
-# of the suites there.
+# Dims above APPLY_DIMS and the suites' dims 1-8 at which the connections
+# of the atom route are checked, and the trial count of the suites there.
 ATOM_ROUTE_DIMS = (16, 33)
 ATOM_ROUTE_TRIALS = 3
 CLI_DIMS = (1, 2, 3, 33, 128)

@@ -13,13 +13,13 @@ measure is a few atoms, f = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i)
 (the weighted harmonic means, the parallel sum, and atom measures with at
 most two atoms inside (0, 1)), are evaluated as the sum of weighted
 harmonic means w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B, one
-linear solve per atom, when A or B is positive definite; at dims below 16
-a positive-definite A keeps the congruence.  That route needs no limit for
-a singular operand.  Both of these routes check their operands with one
-Cholesky factorization where it certifies them positive definite, and
-with their eigenvalues otherwise.  Builtins, measures and user functions
-all share this one evaluator.  Connection values are immutable and freely
-shareable across threads; ``apply`` is reentrant.
+linear solve per atom, when A or B is positive definite, at every dim.
+That route needs no limit for a singular operand.  Both of these routes
+check their operands with one Cholesky factorization where it certifies
+them positive definite, and with their eigenvalues otherwise.  Builtins,
+measures and user functions all share this one evaluator.  Connection
+values are immutable and freely shareable across threads; ``apply`` is
+reentrant.
 """
 
 from __future__ import annotations
@@ -82,21 +82,15 @@ AUDIT_GRID = tuple(2.0**k for k in range(-10, 11))
 # as a 0/0 kernel or the transpose of a user function.
 _ZERO_PROBE = 1e-12
 
-# The atom route (``_atom_apply``) is taken only where it is faster than the
-# congruence's two eigendecompositions.  At dim 128 on a 2-CPU x86_64
-# machine (numpy 2.4, OpenBLAS, one thread), with its operands checked by
-# the Cholesky certificate, it costs 0.42x the congruence with one atom
-# inside (0, 1), 0.67x with two, 0.92x with three and 1.18x with four
-# (medians of 60 interleaved pairs of calls, in CPU time).  Three would
-# gain 8% at most, and no benchmark workload has three, so the limit stays.
+# The atom route (``_atom_apply``) is taken, at every dim, only for
+# measures with few enough atoms that its solves beat the congruence's two
+# eigendecompositions.  At dim 128 on a 2-CPU x86_64 machine (numpy 2.4,
+# OpenBLAS, one thread), with its operands checked by the Cholesky
+# certificate, it costs 0.42x the congruence with one atom inside (0, 1),
+# 0.67x with two, 0.92x with three and 1.18x with four (medians of 60
+# interleaved pairs of calls, in CPU time).  Three would gain 8% at most,
+# and no benchmark workload has three, so the limit stays.
 _ATOM_ROUTE_MAX_ATOMS = 2
-# Below this dim a positive-definite A keeps the congruence, bit for bit.
-# Timed alone the solve is faster there too, but in the apply_mix benchmark,
-# whose pool interleaves dims 2-128, taking it at every dim raised
-# latency_p50_ref_ms from 0.143 to 0.159 in five rotated 20 s runs on the
-# same machine; with this limit p50 read 0.146 and the throughput gain was
-# larger.
-_ATOM_ROUTE_MIN_DIM = 16
 
 # A single pair of operands below this dim is checked by its eigenvalues
 # alone: there one ``eigvalsh`` costs less than the Cholesky certificate
@@ -335,7 +329,7 @@ def _operand_spectra(a, b, tol):
     ``_checked_spectra``.  When a stack fails that check, its pairs are
     checked one at a time, in order, so that it raises what its first
     failing pair raises alone."""
-    ab = np.stack([a, b])
+    ab = np.array([a, b])
     if (a.ndim > 2 or a.shape[-1] >= _CERTIFY_MIN_DIM) and _certified_pd(ab, tol):
         return None
     try:
@@ -384,30 +378,29 @@ class _FunctionBackedConnection(Connection):
     _affine = None
     _atoms = None
 
-    def _pivots_pd(self, wa, wb, tol) -> bool:
-        """Whether, for the ascending spectra wa and wb, of shape (..., n),
-        of PSD operands A and B, each pivot t A + (1 - t) B of an atom
-        inside (0, 1) is positive definite by ``_is_pd`` on its Weyl
-        bounds: t wa + (1 - t) wb is ascending, its first entry bounds the
-        pivot's smallest eigenvalue from below and its last the largest
-        from above.  That holds when A or B is positive definite and the
-        other one's eigenvalues in the PSD slack below 0 are small against
-        it; a pivot near singular would amplify them."""
-        n = wa.shape[-1]
+    def _takes_atom_route(self, a, b, tol) -> bool:
+        """Whether each pivot t A + (1 - t) B of an atom inside (0, 1) is
+        positive definite, for (..., n, n) operands that
+        ``_operand_spectra`` checks to be PSD.  Operands that
+        ``_certified_pd`` vouches for pass without spectra: their smallest
+        eigenvalues exceed twice the slack.  Otherwise ``_is_pd`` decides
+        on the pivot's Weyl bounds: for the ascending spectra wa and wb,
+        t wa + (1 - t) wb is ascending, its first entry bounds the pivot's
+        smallest eigenvalue from below and its last the largest from above.
+        That holds when A or B is positive definite and the other one's
+        eigenvalues in the PSD slack below 0 are small against it; a pivot
+        near singular would amplify them."""
+        spectra = _operand_spectra(a, b, tol)
+        if spectra is None:
+            return True
+        n = a.shape[-1]
+        wa, wb = (w.reshape(-1, n) for w in spectra)
         return all(
             _is_pd(t * x + (1.0 - t) * y, tol)
-            for x, y in zip(wa.reshape(-1, n), wb.reshape(-1, n))
+            for x, y in zip(wa, wb)
             for t, _ in self._atoms
             if 0.0 < t < 1.0
         )
-
-    def _takes_atom_route(self, a, b, tol) -> bool:
-        """``_pivots_pd`` on the spectra of the (..., n, n) operands, which
-        ``_operand_spectra`` checks to be PSD.  Operands that
-        ``_certified_pd`` vouches for pass without spectra: their smallest
-        eigenvalues exceed twice the slack, so the Weyl bounds clear."""
-        spectra = _operand_spectra(a, b, tol)
-        return spectra is None or self._pivots_pd(*spectra, tol)
 
     def _apply_raw(self, a, b, tol):
         """A sigma B for one pair of (n, n) operands or each pair of two
@@ -415,16 +408,12 @@ class _FunctionBackedConnection(Connection):
 
         1. affine f: alpha A + beta B, once ``_operand_spectra`` has
            checked both operands; exact for every PSD pair;
-        2. from dim ``_ATOM_ROUTE_MIN_DIM``, ``_atom_apply`` when
-           ``_takes_atom_route``;
+        2. ``_atom_apply`` when ``_takes_atom_route``, at every dim;
         3. A's eigendecomposition, and ``_is_pd`` on its spectrum;
-        4. below that dim, a pair whose A is not positive definite takes
-           ``_atom_apply`` when ``_pivots_pd`` on A's spectrum and B's
-           checked one, with no certificate and no second solve of A;
-        5. positive-definite A: the congruence around A;
-        6. any other A: the decreasing epsilon-limit of the congruence.
+        4. positive-definite A: the congruence around A;
+        5. any other A: the decreasing epsilon-limit of the congruence.
 
-        A stack takes steps 1, 2 and 5 in one call each.  A stack that
+        A stack takes steps 1, 2 and 4 in one call each.  A stack that
         declines step 2, or has a left operand that is not positive
         definite, goes through ``_apply_raw`` pair by pair, and so raises
         what its first failing pair raises alone.  The congruence checks
@@ -435,9 +424,7 @@ class _FunctionBackedConnection(Connection):
             alpha, beta = self._affine
             return alpha * a + beta * b
         stack = a.ndim > 2
-        atoms = self._atoms is not None
-        large = a.shape[-1] >= _ATOM_ROUTE_MIN_DIM
-        if atoms and large:
+        if self._atoms is not None:
             if self._takes_atom_route(a, b, tol):
                 return _atom_apply(self._atoms, a, b)
             if stack:
@@ -448,8 +435,6 @@ class _FunctionBackedConnection(Connection):
             if not pd.all():
                 return super()._apply_stack(a, b, tol)
         elif not pd:
-            if atoms and not large and self._pivots_pd(w, _check_right(b, tol), tol):
-                return _atom_apply(self._atoms, a, b)
             # Singular left operand: clip its spectrum to [0, inf) and take
             # the decreasing limit over a joint shift of both operands.
             wc = np.maximum(w, 0.0)
@@ -594,9 +579,8 @@ def apply(
     inside (0, 1)), the parallel sum and atom measures with at most two
     atoms inside (0, 1) return the sum of weighted harmonic means
     w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B, one linear solve
-    per atom, when A or B is positive definite, except that at dims below
-    16 a positive-definite A takes the congruence formula; rank-deficient A
-    with positive-definite B is then exact, with no limit.  Otherwise
+    per atom, when A or B is positive definite, at every dim; rank-deficient
+    A with positive-definite B is then exact, with no limit.  Otherwise
     numerically positive-definite A takes the congruence formula and
     singular A the decreasing epsilon-limit.  Measure connections take the
     same routes with their quadrature-built f.  The result is PSD within

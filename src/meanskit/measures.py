@@ -298,14 +298,22 @@ def measure_of_builtin(
     form.
 
     Supported: left/right trivial (Dirac at 0 / 1), arithmetic(a)
-    ((1-a) delta_0 + a delta_1), harmonic(a) (delta_a), and geometric(1/2)
-    (the arcsine density).  The geometric weights other than 1/2 and the
-    logarithmic mean have no closed-form measure here and raise.
+    ((1-a) delta_0 + a delta_1), harmonic(a) (delta_a), sum
+    (delta_0 + delta_1), zero (the empty measure), parallel sum
+    (delta_{1/2} / 2), and geometric(1/2) (the arcsine density).  The
+    geometric weights other than 1/2 and the logarithmic mean have no
+    closed-form measure here and raise.
     """
     if kind == "left_trivial":
         return BorelMeasure(atoms=((0.0, 1.0),))
     if kind == "right_trivial":
         return BorelMeasure(atoms=((1.0, 1.0),))
+    if kind == "sum":
+        return BorelMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))
+    if kind == "zero":
+        return BorelMeasure()
+    if kind == "parallel_sum":
+        return BorelMeasure(atoms=((0.5, 0.5),))
     if kind in ("arithmetic", "harmonic") and (weight is None or not 0.0 <= weight <= 1.0):
         raise UnsupportedMeasureError(f"{kind} needs a weight in [0, 1], got {weight}")
     if kind == "arithmetic":

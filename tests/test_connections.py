@@ -540,12 +540,16 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize(
         "kind,weight,dim",
-        [("arithmetic", 0.5, 2), ("arithmetic", 0.5, 16), ("harmonic", 0.5, 16)],
+        [
+            ("arithmetic", 0.5, 2),
+            ("arithmetic", 0.5, 16),
+            ("harmonic", 0.5, 2),
+            ("harmonic", 0.5, 16),
+        ],
     )
     def test_first_failing_pair_is_blamed(self, kind, weight, dim):
         # Pair 0's right operand fails before pair 1's left one, as in a
-        # loop over the pairs; the harmonic mean at dim 16 takes the atom
-        # route.
+        # loop over the pairs; the harmonic mean takes the atom route.
         conn = make_builtin(kind, weight)
         left_bad, right_bad = np.eye(dim), np.eye(dim)
         left_bad[1, 1], right_bad[1, 1] = -0.5, -1.0
@@ -616,7 +620,7 @@ def _rank_deficient(n, rank, rng):
 class TestAtomRoute:
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("name", _ATOM_ROUTE)
-    @pytest.mark.parametrize("dim", [4, 16, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 64])
     @pytest.mark.parametrize("cond", [1e0, 1e4, 1e8])
     def test_ill_conditioned_left_matches_anderson_duffin(self, cond, dim, name, transposed):
         conn, atoms = _ATOM_ROUTE[name]
@@ -635,7 +639,7 @@ class TestAtomRoute:
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("name", _ATOM_ROUTE)
-    @pytest.mark.parametrize("dim", [4, 16, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 64])
     def test_rank_deficient_left_is_exact(self, monkeypatch, dim, name, transposed):
         # No epsilon-limit: the pivot t A + (1 - t) B is positive definite.
         limits = _record_limits(monkeypatch)
@@ -653,44 +657,57 @@ class TestAtomRoute:
         assert limits == []
 
     @pytest.mark.parametrize("name", _ATOM_ROUTE)
-    def test_positive_definite_left_below_the_size_limit_keeps_the_congruence(
+    def test_rank_deficient_right_is_exact(self, monkeypatch, name):
+        # A positive-definite A with a singular B: the pivot is positive
+        # definite, so no limit and no congruence around A.
+        limits = _record_limits(monkeypatch)
+        conn, atoms = _ATOM_ROUTE[name]
+        for dim in range(2, 16):
+            for rank in (dim - 1, (dim + 1) // 2):
+                rng = np.random.default_rng([340, dim, rank])
+                a, b = _well_conditioned_pd(dim, rng), _rank_deficient(dim, rank, rng)
+                got = apply(conn, SymMatrix(a), SymMatrix(b)).data
+                want = _anderson_duffin(atoms, a, b)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (dim, rank)
+        assert limits == []
+
+    @pytest.mark.parametrize("name", _ATOM_ROUTE)
+    def test_positive_definite_left_takes_the_atom_route_at_every_dim(
         self, monkeypatch, name
     ):
+        atom_apply = connections._atom_apply
         calls = _record_atom_route(monkeypatch)
         conn, _ = _ATOM_ROUTE[name]
-        for dim in range(1, connections._ATOM_ROUTE_MIN_DIM):
+        for dim in range(1, 17):
             rng = np.random.default_rng([332, dim])
             a, b = random_pd(dim, rng), random_pd(dim, rng)
-            want = SymMatrix(_congruence(conn, a.data, b.data)).data
+            want = SymMatrix(atom_apply(conn._atoms, a.data, b.data)).data
+            calls.clear()
             assert np.array_equal(apply(conn, a, b).data, want), dim
-        assert calls == []
-        a, b = _pd_stack(1, connections._ATOM_ROUTE_MIN_DIM, 332)
-        apply(conn, SymMatrix(a[0]), SymMatrix(b[0]))
-        assert calls == [a[0].shape]
+            assert calls == [(dim, dim)], dim
 
     @pytest.mark.parametrize("dim", [6, 8, 15])
-    def test_singular_left_below_the_size_limit_reuses_its_spectrum(self, monkeypatch, dim):
-        # A's spectrum from its eigendecomposition decides the pivots: no
-        # Cholesky certificate, which A must fail, and one eigenvalue solve,
-        # of B alone.
+    def test_singular_left_tries_the_certificate_once(self, monkeypatch, dim):
+        # The Cholesky certificate, which A fails, then one eigenvalue solve
+        # of the stacked operands decides the pivots; A is never
+        # eigendecomposed.
         conn = make_builtin("harmonic", 0.5)
         a, b = _rank_deficient(dim, 5, np.random.default_rng([337, dim])), 2.0 * np.eye(dim)
         calls = []
-        for name in ("cholesky", "eigvalsh"):
+        for name in ("cholesky", "eigh", "eigvalsh"):
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(
                 np.linalg, name, lambda x, _s=solver, _n=name: calls.append(_n) or _s(x)
             )
         got = apply(conn, SymMatrix(a), SymMatrix(b)).data
-        assert calls == ["eigvalsh"]
+        assert calls == ["cholesky", "eigvalsh"]
         assert np.array_equal(got, connections._atom_apply(conn._atoms, a, b))
 
     @pytest.mark.parametrize("name", ["harmonic(0.25)", "parallel_sum", "two_atoms"])
     @pytest.mark.parametrize("dim", [8, 16, 33])
     def test_stack_equals_the_per_pair_evaluation(self, dim, name):
-        # Rank-deficient left or right operands take the atom route on both
-        # sides of the size limit; a pair with both operands singular sends
-        # the stack pair by pair.
+        # Rank-deficient left or right operands take the atom route; a pair
+        # with both operands singular sends the stack pair by pair.
         conn, _ = _ATOM_ROUTE[name]
         a, b = _pd_stack(6, dim, [333, dim])
         rng = np.random.default_rng([334, dim])
@@ -705,11 +722,12 @@ class TestAtomRoute:
             for i in range(len(x)):
                 assert np.array_equal(out[i], conn._apply_raw(x[i], y[i], DEFAULT_TOL)), i
 
-    def test_left_operand_blamed_first(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_left_operand_blamed_first(self, monkeypatch, n):
         conn = make_builtin("harmonic", 0.5)
-        n = connections._ATOM_ROUTE_MIN_DIM
+        i, j = 3 % n, 5 % n
         a, b = np.eye(n), np.eye(n)
-        a[3, 3], b[5, 5] = -0.5, -2.0
+        a[i, i], b[j, j] = -0.5, -2.0
         with pytest.raises(NotPSDError) as alone:
             _psd_scale(np.linalg.eigvalsh(a), DEFAULT_TOL, "left operand")
         for stack in (False, True):
@@ -735,7 +753,7 @@ class TestAtomRoute:
         monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
         _fail_cholesky_near(monkeypatch, marker)
         b = np.eye(n)
-        b[5, 5] = marker
+        b[j, j] = marker
         with pytest.raises(NotPSDError) as both:
             apply(conn, SymMatrix(a), SymMatrix(b))
         assert str(both.value) == str(alone.value)
@@ -753,14 +771,14 @@ class TestAtomRoute:
         assert np.array_equal(got, SymMatrix(_congruence(conn, a[0], b[0])).data)
         assert calls == []
 
-    def test_near_singular_pivot_keeps_the_limit(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_near_singular_pivot_keeps_the_limit(self, monkeypatch, n):
         # A's eigenvalue -1.01e-11 is inside the PSD slack, and B's
         # smallest, 1e-9 (1 + 1e-7), just clears the positive-definite
         # threshold; along that direction the pivot 0.99 A + 0.01 B has the
         # eigenvalue 1e-18.  Solving with it would amplify A's slack
         # eigenvalue, so the route declines the pair.
         calls = _record_atom_route(monkeypatch)
-        n = connections._ATOM_ROUTE_MIN_DIM
         u = _rotation(n, np.random.default_rng(336))
         wa, wb = np.ones(n), np.ones(n)
         wa[0], wb[0] = -1.01e-11, 1.0000001e-9
@@ -822,8 +840,8 @@ def _assert_same_outcomes(got, want):
 
 class TestRoutingTable:
     """A stack of three pairs of one kind gives its pairs' results, and
-    takes their routes: from dim 16 one atom-route call for the whole stack
-    when every pair takes that route, and otherwise the pairs' own calls."""
+    takes their routes: one atom-route call for the whole stack when every
+    pair takes that route, and otherwise the pairs' own calls."""
 
     CONNS = {
         "arithmetic(0.25)": make_builtin("arithmetic", 0.25),
@@ -874,7 +892,7 @@ class TestRoutingTable:
         else:
             _assert_same_outcomes(list(got), want)
         atom_pairs = pair_calls == [("_atom_apply", a.shape[1:])] * 3
-        if atom_pairs and dim >= connections._ATOM_ROUTE_MIN_DIM:
+        if atom_pairs:
             assert calls == [("_atom_apply", a.shape)]
         else:
             assert calls == pair_calls
