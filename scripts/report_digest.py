@@ -8,7 +8,10 @@ Each report digest is taken over the canonical JSON of
 ``report.to_dict(include_elapsed=False)``: every margin, witness and input
 matrix, but not the timing.  The configuration is fixed apart from the
 trial count and seed: all five suites over ``standard_battery()``,
-with the strictness suite run for means only.
+with the strictness suite run for means only.  After those lines, each
+``results/<name>/<suite>`` line is the digest of every array that the
+suite's ``_apply_raw`` and ``_apply_stack`` calls returned, in call order,
+so that a changed evaluation shows even where it leaves the report alone.
 
 The suites draw positive-definite operands only, so the ``apply/<name>``
 lines cover the other routes: each is the digest of the canonical JSON of
@@ -30,9 +33,16 @@ of the margin of the Cholesky positive-definiteness certificate, at dims
 2, 16 and 33.  Last come the ``axioms/<name>@16,33`` and
 ``continuity/<name>@16,33`` lines, the digests of those two suites at
 dims 16 and 33 and ATOM_ROUTE_TRIALS trials, for the connections of the
-atom route: the suite lines above them reach dims 1-8 only.  The
-script uses the public API only, so it runs against any checkout's
-``src``.
+atom route: the suite lines above them reach dims 1-8 only.  They are
+followed by their ``results/`` lines.  The script uses the public API
+and the two private entry points that ``_Recorder`` wraps, so it runs
+against any checkout's ``src``.
+
+The six BLAS and OpenMP thread variables are set to 1 before numpy is
+imported, as the benchmark does: a BLAS with more threads may split and sum
+a product in another order, and the ``measure-eval`` digests differed
+between one and two OpenBLAS threads.  Without the pin, two checkouts run
+under different thread settings would show false differences.
 
     python scripts/report_digest.py --trials 40 --seed 1 > digest.txt
 """
@@ -41,16 +51,22 @@ import argparse
 import hashlib
 import io
 import math
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # after the thread variables
 
 from meanskit import (
     DEFAULT_TOL,
     BorelMeasure,
+    Connection,
     SymMatrix,
     apply,
     connection_from_function,
@@ -82,6 +98,41 @@ MARGIN_MULTIPLES = (-1.0, 0.0, 1.0, 1.5, 2.5, 4.0)
 
 def _digest(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+class _Recorder(Connection):
+    """Delegates to ``inner`` and keeps, as lists, the arrays that its
+    ``_apply_raw`` and ``_apply_stack`` return."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.results = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def _apply_raw(self, a, b, tol):
+        out = self.inner._apply_raw(a, b, tol)
+        self.results.append(out.tolist())
+        return out
+
+    def _apply_stack(self, a, b, tol):
+        out = self.inner._apply_stack(a, b, tol)
+        self.results.append(out.tolist())
+        return out
+
+
+def _print_suites(runs, cfg: TrialConfig) -> None:
+    """For each (line name, suite, connection), print the digest of the
+    suite's report; then one ``results/`` line each, the digest of every
+    array that the suite's evaluations returned."""
+    results = []
+    for line, suite, conn in runs:
+        recorder = _Recorder(conn)
+        report = suite(recorder, cfg)
+        print(f"{line} {_digest(report.to_dict(include_elapsed=False))}")
+        results.append(f"results/{line} {_digest(recorder.results)}")
+    print("\n".join(results))
 
 
 def _gram(rng, rows: int, cols: int) -> np.ndarray:
@@ -212,12 +263,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
     cfg = TrialConfig(trials=args.trials, seed=args.seed)
-    for name, conn in standard_battery():
-        for suite_name, suite in SUITES.items():
-            if suite_name == "strictness" and not is_mean(conn, cfg.tol):
-                continue
-            report = suite(conn, cfg)
-            print(f"{name}/{suite_name} {_digest(report.to_dict(include_elapsed=False))}")
+    runs = [
+        (f"{name}/{suite_name}", suite, conn)
+        for name, conn in standard_battery()
+        for suite_name, suite in SUITES.items()
+        if suite_name != "strictness" or is_mean(conn, cfg.tol)
+    ]
+    _print_suites(runs, cfg)
     report = run_counterexamples(cfg.tol)
     print(f"counterexamples {_digest(report.to_dict(include_elapsed=False))}")
     pairs = _apply_corpus(args.seed)
@@ -238,10 +290,12 @@ def main(argv=None) -> int:
     ]:
         print(f"apply/{name}@margin {_digest(_apply_results(conn, pairs))}")
     cfg = TrialConfig(dims=ATOM_ROUTE_DIMS, trials=ATOM_ROUTE_TRIALS, seed=args.seed)
-    for name, conn in _atom_route_connections():
-        for suite_name in ("axioms", "continuity"):
-            report = SUITES[suite_name](conn, cfg)
-            print(f"{suite_name}/{name}@{suffix} {_digest(report.to_dict(include_elapsed=False))}")
+    runs = [
+        (f"{suite_name}/{name}@{suffix}", SUITES[suite_name], conn)
+        for name, conn in _atom_route_connections()
+        for suite_name in ("axioms", "continuity")
+    ]
+    _print_suites(runs, cfg)
     return 0
 
 

@@ -92,14 +92,6 @@ _ZERO_PROBE = 1e-12
 # and no benchmark workload has three, so the limit stays.
 _ATOM_ROUTE_MAX_ATOMS = 2
 
-# A single pair of operands below this dim is checked by its eigenvalues
-# alone: there one ``eigvalsh`` costs less than the Cholesky certificate
-# with its shift and scale.  On the machine above, the operand check of one
-# pair took 15.4 us with the certificate and 10.9 us without at dim 1, the
-# two met at dim 6, and at dim 8 they read 16.9 and 19.9 us.  A stack's
-# spectra cost more to check, and it is certified at every dim.
-_CERTIFY_MIN_DIM = 6
-
 # Operands whose squared entries sum to more than this (or overflow) are
 # scaled by a power of two for evaluation, and the result is scaled back:
 # (cA) sigma (cB) = c (A sigma B) for c > 0.  Below it nothing is scaled,
@@ -118,13 +110,6 @@ BUILTIN_KINDS = (
     "zero",
 )
 WEIGHTED_KINDS = frozenset({"arithmetic", "geometric", "harmonic"})
-# (alpha, beta) of the unweighted kinds whose f is alpha + beta x.
-_AFFINE_KINDS = {
-    "left_trivial": (1.0, 0.0),
-    "right_trivial": (0.0, 1.0),
-    "sum": (1.0, 1.0),
-    "zero": (0.0, 0.0),
-}
 
 
 class ZeroConnectionError(ValueError):
@@ -220,6 +205,29 @@ def _builtin_repr_function(kind: str, weight: float | None) -> ReprFunction:
     if kind == "zero":
         return ReprFunction(np.zeros_like, 0.0, 0.0)
     raise ValueError(f"unknown builtin kind {kind!r}; expected one of {BUILTIN_KINDS}")
+
+
+def _builtin_atoms(kind: str, weight: float | None) -> tuple | None:
+    """The atoms (t, w) of a builtin's measure on [0, 1] when that measure
+    is atoms only, and None for geometric(a), 0 < a < 1, and the
+    logarithmic mean, whose measures have a density.  A weighted kind is
+    left-trivial at weight 0 and right-trivial at weight 1."""
+    a = weight
+    if kind == "left_trivial" or (kind in WEIGHTED_KINDS and a == 0.0):
+        return ((0.0, 1.0),)
+    if kind == "right_trivial" or (kind in WEIGHTED_KINDS and a == 1.0):
+        return ((1.0, 1.0),)
+    if kind == "arithmetic":
+        return ((0.0, 1.0 - a), (1.0, a))
+    if kind == "harmonic":
+        return ((a, 1.0),)
+    if kind == "parallel_sum":
+        return ((0.5, 0.5),)
+    if kind == "sum":
+        return ((0.0, 1.0), (1.0, 1.0))
+    if kind == "zero":
+        return ()
+    return None
 
 
 class Connection(ABC):
@@ -324,13 +332,12 @@ def _checked_spectra(ab, tol):
 
 def _operand_spectra(a, b, tol):
     """None when ``_certified_pd`` shows both (..., n, n) operands positive
-    definite (a single pair only from ``_CERTIFY_MIN_DIM``), and otherwise
-    their ascending spectra, after checking that both are PSD by
-    ``_checked_spectra``.  When a stack fails that check, its pairs are
-    checked one at a time, in order, so that it raises what its first
-    failing pair raises alone."""
+    definite, and otherwise their ascending spectra, after checking that
+    both are PSD by ``_checked_spectra``.  When a stack fails that check,
+    its pairs are checked one at a time, in order, so that it raises what
+    its first failing pair raises alone."""
     ab = np.array([a, b])
-    if (a.ndim > 2 or a.shape[-1] >= _CERTIFY_MIN_DIM) and _certified_pd(ab, tol):
+    if _certified_pd(ab, tol):
         return None
     try:
         return _checked_spectra(ab, tol)
@@ -368,15 +375,35 @@ class _FunctionBackedConnection(Connection):
     maps a spectrum array to the values of f.  For builtins and measures
     the array form is ``repr_function.fn`` itself.
 
-    ``_affine`` holds (alpha, beta) when f is exactly alpha + beta x.
-    ``_atoms`` holds the atoms (t, w) of the measure when f is
-    w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i), with w0 and w1 the
-    atoms at t = 0 and t = 1 and at most ``_ATOM_ROUTE_MAX_ATOMS`` atoms
-    t_i inside (0, 1).  ``_apply_raw`` chooses the route from them.
+    ``_affine`` holds (alpha, beta) when f is exactly alpha + beta x, and
+    ``_atoms`` the atoms of a measure of the atom route; ``_route_from_measure``
+    sets both, and ``_apply_raw`` chooses the route from them.
     """
 
     _affine = None
     _atoms = None
+
+    def _route_from_measure(self, atoms: tuple, has_density: bool) -> tuple:
+        """Set ``_affine``, ``_atoms`` and ``_slope_at_infinity`` from a
+        measure on [0, 1], given by its atoms (t, w) at distinct t and
+        whether it has a density; the one rule from a measure to its route.
+
+        With w0 and w1 the atoms at t = 0 and t = 1, f is
+        w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) over the atoms t_i
+        inside (0, 1) and the density.  With no mass inside (0, 1), f is
+        affine, (w0, w1).  Atoms only, with at most ``_ATOM_ROUTE_MAX_ATOMS``
+        inside (0, 1), take the atom route.  f(y)/y tends to w1.  Returns
+        (w0, w1, the atoms inside (0, 1)).
+        """
+        ends = dict(atoms)
+        w0, w1 = ends.get(0.0, 0.0), ends.get(1.0, 0.0)
+        interior = [(t, w) for t, w in atoms if 0.0 < t < 1.0]
+        if not (interior or has_density):
+            self._affine = (w0, w1)
+        elif not has_density and len(interior) <= _ATOM_ROUTE_MAX_ATOMS:
+            self._atoms = atoms
+        self._slope_at_infinity = w1
+        return w0, w1, interior
 
     def _takes_atom_route(self, a, b, tol) -> bool:
         """Whether each pivot t A + (1 - t) B of an atom inside (0, 1) is
@@ -459,11 +486,10 @@ class BuiltinConnection(_FunctionBackedConnection):
     """One of the named connections, with exact representing-function
     constants at 0 and 1.
 
-    The affine kinds (left/right trivial, arithmetic, sum, zero, and
-    geometric or harmonic at weight 0 or 1) are applied as alpha A + beta B
-    rather than through the congruence formula.  That is exact for
-    singular operands, and it keeps zero betweenness margins zero instead
-    of letting conditioning-amplified roundoff decide their sign.
+    Its route follows from its measure, as for a measure connection: the
+    kinds whose measure has no mass inside (0, 1) (left/right trivial,
+    arithmetic, sum, zero, and geometric or harmonic at weight 0 or 1) are
+    applied as alpha A + beta B, exact for singular operands.
     """
 
     def __init__(self, kind: str, weight: float | None = None):
@@ -483,16 +509,8 @@ class BuiltinConnection(_FunctionBackedConnection):
         self.weight = weight
         self.repr_function = _builtin_repr_function(kind, weight)
         self._fn_array = self.repr_function.fn
-        if kind == "arithmetic" or weight in (0.0, 1.0):
-            self._affine = (1.0 - weight, weight)
-        else:
-            self._affine = _AFFINE_KINDS.get(kind)
-        if kind == "harmonic" and self._affine is None:
-            self._atoms = ((weight, 1.0),)
-        elif kind == "parallel_sum":
-            self._atoms = ((0.5, 0.5),)
-        # f(y)/y tends to beta for affine f and to 0 for the curved kinds.
-        self._slope_at_infinity = 0.0 if self._affine is None else self._affine[1]
+        atoms = _builtin_atoms(kind, weight)
+        self._route_from_measure(() if atoms is None else atoms, atoms is None)
 
     def __repr__(self) -> str:
         if self.weight is None:

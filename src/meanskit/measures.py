@@ -34,7 +34,12 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import _ATOM_ROUTE_MAX_ATOMS, ReprFunction, _FunctionBackedConnection
+from .connections import (
+    ReprFunction,
+    _builtin_atoms,
+    _FunctionBackedConnection,
+    make_builtin,
+)
 from .linalg import _is_whole
 
 __all__ = [
@@ -180,7 +185,8 @@ def arcsine_density(t: float) -> float:
 
 @dataclass(frozen=True)
 class BorelMeasure:
-    """Atoms on [0, 1] plus an optional density with a quadrature plan."""
+    """Atoms on [0, 1] plus an optional density with a quadrature plan, of
+    finite total mass."""
 
     atoms: tuple = ()
     density: Density | None = None
@@ -190,11 +196,15 @@ class BorelMeasure:
         for t, w in cleaned:
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"atom location {t} outside [0, 1]")
-            if not w > 0.0:
-                raise ValueError(f"atom weight {w} must be positive")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"atom weight {w} must be positive and finite")
         if len({t for t, _ in cleaned}) != len(cleaned):
             raise ValueError("atom locations must be distinct")
         object.__setattr__(self, "atoms", cleaned)
+        with np.errstate(over="ignore"):
+            mass = total_mass(self)
+        if not math.isfinite(mass):
+            raise ValueError(f"total mass {mass} of the atoms and density must be finite")
 
     def density_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (nodes, weights) for the density part; the density is
@@ -241,24 +251,15 @@ class MeasureConnection(_FunctionBackedConnection):
     where w0 and w1 are the atoms at t = 0 and t = 1 and (t_i, w_i) are the
     interior atoms and the density's quadrature nodes.  By congruence
     invariance this equals the integral of (A !_t B) d mu(t) under the
-    same quadrature.  A measure with no mass inside (0, 1) is affine,
-    w0 A + w1 B.  A measure of atoms only, with at most two inside (0, 1),
-    is evaluated as that integral, w0 A + w1 B + sum_i w_i (A !_{t_i} B),
-    by one linear solve per atom (the atom route of ``apply``).
+    same quadrature.  Its route follows from mu by the rule that builtins
+    share: affine w0 A + w1 B with no mass inside (0, 1), and for atoms
+    only, at most two inside (0, 1), one linear solve per atom.
     """
 
     def __init__(self, measure: BorelMeasure):
         self.measure = measure
-        w0 = 0.0
-        w1 = 0.0
-        interior = []
-        for t, w in measure.atoms:
-            if t == 0.0:
-                w0 += w
-            elif t == 1.0:
-                w1 += w
-            else:
-                interior.append((t, w))
+        has_density = measure.density is not None
+        w0, w1, interior = self._route_from_measure(measure.atoms, has_density)
         ts, ws = measure.density_nodes()
         ts = np.concatenate([np.array([t for t, _ in interior]), ts])
         ws = np.concatenate([np.array([w for _, w in interior]), ws])
@@ -271,10 +272,6 @@ class MeasureConnection(_FunctionBackedConnection):
 
         self.repr_function = ReprFunction(f, w0, float(f(1.0)))
         self._fn_array = f
-        self._affine = None if ts.size else (w0, w1)
-        if measure.density is None and len(interior) <= _ATOM_ROUTE_MAX_ATOMS:
-            self._atoms = measure.atoms
-        self._slope_at_infinity = w1
 
     def __repr__(self) -> str:
         return f"MeasureConnection({self.measure!r})"
@@ -295,48 +292,26 @@ def measure_of_builtin(
     kind: str, weight: float | None = None, nodes: int = DEFAULT_QUADRATURE_NODES
 ) -> BorelMeasure:
     """Associated measure of a builtin connection, where known in closed
-    form.
+    form; ``kind`` and ``weight`` are checked as ``make_builtin`` checks
+    them.
 
     Supported: left/right trivial (Dirac at 0 / 1), arithmetic(a)
-    ((1-a) delta_0 + a delta_1), harmonic(a) (delta_a), sum
-    (delta_0 + delta_1), zero (the empty measure), parallel sum
-    (delta_{1/2} / 2), and geometric(1/2) (the arcsine density).  The
-    geometric weights other than 1/2 and the logarithmic mean have no
-    closed-form measure here and raise.
+    ((1-a) delta_0 + a delta_1), harmonic(a) (delta_a), geometric(0) and
+    geometric(1) (delta_0 and delta_1), sum (delta_0 + delta_1), zero (the
+    empty measure), parallel sum (delta_{1/2} / 2), and geometric(1/2)
+    (the arcsine density).  The other geometric weights and the
+    logarithmic mean have no closed-form measure here and raise
+    ``UnsupportedMeasureError``.
     """
-    if kind == "left_trivial":
-        return BorelMeasure(atoms=((0.0, 1.0),))
-    if kind == "right_trivial":
-        return BorelMeasure(atoms=((1.0, 1.0),))
-    if kind == "sum":
-        return BorelMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))
-    if kind == "zero":
-        return BorelMeasure()
-    if kind == "parallel_sum":
-        return BorelMeasure(atoms=((0.5, 0.5),))
-    if kind in ("arithmetic", "harmonic") and (weight is None or not 0.0 <= weight <= 1.0):
-        raise UnsupportedMeasureError(f"{kind} needs a weight in [0, 1], got {weight}")
-    if kind == "arithmetic":
-        atoms = []
-        if 1.0 - weight > 0.0:
-            atoms.append((0.0, 1.0 - weight))
-        if weight > 0.0:
-            atoms.append((1.0, float(weight)))
-        return BorelMeasure(atoms=tuple(atoms))
-    if kind == "harmonic":
-        return BorelMeasure(atoms=((float(weight), 1.0),))
-    if kind == "geometric":
-        if weight is None or abs(weight - 0.5) > 1e-12:
-            raise UnsupportedMeasureError(
-                "only the weight-1/2 geometric mean has a closed-form "
-                f"measure (the arcsine density); got weight {weight}"
-            )
+    builtin = make_builtin(kind, weight)
+    atoms = _builtin_atoms(kind, builtin.weight)
+    if atoms is not None:
+        return BorelMeasure(atoms=atoms)
+    if kind == "geometric" and abs(builtin.weight - 0.5) <= 1e-12:
         return BorelMeasure(
             density=Density(arcsine_density, QuadraturePlan.transformed_arcsine(nodes))
         )
-    raise UnsupportedMeasureError(
-        f"no closed-form associated measure for builtin {kind!r}"
-    )
+    raise UnsupportedMeasureError(f"no closed-form associated measure for {builtin!r}")
 
 
 def measure_to_dict(mu: BorelMeasure) -> dict:

@@ -654,6 +654,28 @@ class TestMeasureEval:
         assert captured.out == ""
         assert "defined on [0, inf)" in captured.err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("0.5:inf", "atom weight inf must be positive and finite"),
+            ("0.5:1e308,0.25:1e308", "total mass inf of the atoms and density must be finite"),
+            ('{"atoms": [[0.5, Infinity]]}', "atom weight inf must be positive and finite"),
+        ],
+    )
+    def test_infinite_mass_exits_2(self, capsys, tmp_path, source, message):
+        if source.startswith("{"):
+            path = tmp_path / "mu.json"
+            path.write_text(source)
+            argv = ["measure-eval", "--measure", str(path)]
+        else:
+            argv = ["measure-eval", "--atoms", source]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--x", "1", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_rejects_file_plus_inline(self, capsys, tmp_path):
         path = tmp_path / "mu.json"
         path.write_text('{"atoms": [[0.5, 1.0]], "density": null}')

@@ -340,6 +340,44 @@ def _fail_cholesky_near(monkeypatch, marker):
     monkeypatch.setattr(np.linalg, "cholesky", flaky)
 
 
+class TestRouteAttributes:
+    """Each builtin's ``_affine``, ``_atoms`` and ``_slope_at_infinity``,
+    which follow from its measure."""
+
+    AFFINE_LEFT = ((1.0, 0.0), None, 0.0)
+    AFFINE_RIGHT = ((0.0, 1.0), None, 1.0)
+    CURVED = (None, None, 0.0)
+    TABLE = {
+        ("left_trivial", None): AFFINE_LEFT,
+        ("right_trivial", None): AFFINE_RIGHT,
+        ("logarithmic", None): CURVED,
+        ("parallel_sum", None): (None, ((0.5, 0.5),), 0.0),
+        ("sum", None): ((1.0, 1.0), None, 1.0),
+        ("zero", None): ((0.0, 0.0), None, 0.0),
+        ("arithmetic", 0.0): AFFINE_LEFT,
+        ("arithmetic", 0.25): ((0.75, 0.25), None, 0.25),
+        ("arithmetic", 0.5): ((0.5, 0.5), None, 0.5),
+        ("arithmetic", 0.75): ((0.25, 0.75), None, 0.75),
+        ("arithmetic", 1.0): AFFINE_RIGHT,
+        ("geometric", 0.0): AFFINE_LEFT,
+        ("geometric", 0.25): CURVED,
+        ("geometric", 0.5): CURVED,
+        ("geometric", 0.75): CURVED,
+        ("geometric", 1.0): AFFINE_RIGHT,
+        ("harmonic", 0.0): AFFINE_LEFT,
+        ("harmonic", 0.25): (None, ((0.25, 1.0),), 0.0),
+        ("harmonic", 0.5): (None, ((0.5, 1.0),), 0.0),
+        ("harmonic", 0.75): (None, ((0.75, 1.0),), 0.0),
+        ("harmonic", 1.0): AFFINE_RIGHT,
+    }
+
+    @pytest.mark.parametrize("kind, weight", TABLE)
+    def test_route_attributes(self, kind, weight):
+        conn = make_builtin(kind, weight)
+        got = (conn._affine, conn._atoms, conn._slope_at_infinity)
+        assert got == self.TABLE[kind, weight]
+
+
 class TestAffineKinds:
     @pytest.mark.parametrize(
         "conn,scale",
@@ -612,6 +650,18 @@ def _congruence(conn, a, b):
     return connections._congruence_apply(w, q, b, conn._fn_array, DEFAULT_TOL)
 
 
+def _record_solvers(monkeypatch):
+    """The names of the calls to numpy's Cholesky and symmetric eigenvalue
+    solvers, in order."""
+    calls = []
+    for name in ("cholesky", "eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda x, _s=solver, _n=name: calls.append(_n) or _s(x)
+        )
+    return calls
+
+
 def _rank_deficient(n, rank, rng):
     g = rng.standard_normal((n, rank))
     return g @ g.T
@@ -686,19 +736,15 @@ class TestAtomRoute:
             assert np.array_equal(apply(conn, a, b).data, want), dim
             assert calls == [(dim, dim)], dim
 
-    @pytest.mark.parametrize("dim", [6, 8, 15])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 8, 15])
     def test_singular_left_tries_the_certificate_once(self, monkeypatch, dim):
         # The Cholesky certificate, which A fails, then one eigenvalue solve
         # of the stacked operands decides the pivots; A is never
         # eigendecomposed.
         conn = make_builtin("harmonic", 0.5)
-        a, b = _rank_deficient(dim, 5, np.random.default_rng([337, dim])), 2.0 * np.eye(dim)
-        calls = []
-        for name in ("cholesky", "eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name, lambda x, _s=solver, _n=name: calls.append(_n) or _s(x)
-            )
+        rank = min(5, dim - 1)
+        a, b = _rank_deficient(dim, rank, np.random.default_rng([337, dim])), 2.0 * np.eye(dim)
+        calls = _record_solvers(monkeypatch)
         got = apply(conn, SymMatrix(a), SymMatrix(b)).data
         assert calls == ["cholesky", "eigvalsh"]
         assert np.array_equal(got, connections._atom_apply(conn._atoms, a, b))
@@ -941,6 +987,17 @@ class TestPositiveDefiniteCertificate:
                 want = self._outcomes(pairs, calls)
             _assert_same_outcomes(got, want)
         assert certified > 0
+
+    @pytest.mark.parametrize("conn", CONNS[:2] + (make_builtin("parallel_sum"),), ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_positive_definite_pair_is_certified_at_small_dims(self, monkeypatch, conn, n):
+        # The affine and the atom route check a single pair by one Cholesky
+        # factorization at every dim, and solve no eigenvalues.
+        rng = np.random.default_rng([342, n])
+        a, b = random_pd(n, rng), random_pd(n, rng)
+        calls = _record_solvers(monkeypatch)
+        apply(conn, a, b)
+        assert calls == ["cholesky"]
 
     def test_nothing_certified_where_rounding_could_reach_the_slack(self):
         assert not _certified_pd(np.eye(2)[None], Tolerances(psd_slack=0.0))

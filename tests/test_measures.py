@@ -1,6 +1,7 @@
 """Tests for Borel measures and their integral representations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ class TestMeasureValidation:
     def test_nonpositive_weight(self):
         with pytest.raises(ValueError):
             BorelMeasure(atoms=((0.5, 0.0),))
+
+    def test_infinite_mass(self):
+        inf = float("inf")
+        for w in (inf, float("nan")):
+            with pytest.raises(ValueError, match="atom weight .* must be positive and finite"):
+                BorelMeasure(atoms=((0.5, w),))
+        with pytest.raises(ValueError, match="total mass inf .* must be finite"):
+            BorelMeasure(atoms=((0.5, 1e308), (0.25, 1e308)))
+        plan = QuadraturePlan.gauss_legendre(4)
+        with pytest.raises(ValueError, match="total mass inf .* must be finite"):
+            BorelMeasure(density=Density(lambda t: inf, plan))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="total mass inf .* must be finite"):
+                BorelMeasure(atoms=((0.0, 1e308),), density=Density(lambda t: 1e308, plan))
 
     def test_duplicate_locations(self):
         with pytest.raises(ValueError):
@@ -317,6 +333,16 @@ class TestConnectionFromMeasure:
         assert frobenius(x - y) <= 1e-6 * max(1.0, frobenius(y))
 
 
+# Every builtin whose measure is atoms only, with the weights that reach
+# each of its routes.
+_ATOM_BUILTINS = (
+    [(kind, None) for kind in ("left_trivial", "right_trivial", "sum", "zero", "parallel_sum")]
+    + [("arithmetic", w) for w in (0.0, 0.25, 1.0)]
+    + [("harmonic", w) for w in (0.0, 0.25, 0.5, 1.0)]
+    + [("geometric", w) for w in (0.0, 1.0)]
+)
+
+
 class TestMeasureOfBuiltin:
     def test_trivial_means_are_diracs(self):
         assert measure_of_builtin("left_trivial").atoms == ((0.0, 1.0),)
@@ -354,13 +380,19 @@ class TestMeasureOfBuiltin:
         with pytest.raises(UnsupportedMeasureError):
             measure_of_builtin("logarithmic")
         assert measure_of_builtin("sum") == BorelMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))
+        assert measure_of_builtin("geometric", 0) == BorelMeasure(atoms=((0.0, 1.0),))
+        assert measure_of_builtin("geometric", 1) == BorelMeasure(atoms=((1.0, 1.0),))
 
-    @pytest.mark.parametrize("kind", ["sum", "zero", "parallel_sum"])
-    def test_trivial_builtins_match_their_measures(self, kind):
+    @pytest.mark.parametrize(
+        "kind, weight",
+        _ATOM_BUILTINS,
+        ids=[kind if w is None else f"{kind}({w:g})" for kind, w in _ATOM_BUILTINS],
+    )
+    def test_trivial_builtins_match_their_measures(self, kind, weight):
         # Each pair of connections shares its affine form or its atoms, so
         # both take the same route at every dim and agree bit for bit.
-        builtin = make_builtin(kind)
-        conn = connection_from_measure(measure_of_builtin(kind))
+        builtin = make_builtin(kind, weight)
+        conn = connection_from_measure(measure_of_builtin(kind, weight))
         for x in AUDIT_GRID:
             assert conn.fn(x) == pytest.approx(builtin.fn(x), rel=1e-12, abs=1e-12), x
         for dim in (1, 2, 8, 16, 33):

@@ -24,7 +24,8 @@ def test_one_digest_per_report(capsys):
         for name, conn in standard_battery()
         for suite in SUITES
         if suite != "strictness" or is_mean(conn)
-    ] + ["counterexamples"]
+    ]
+    expected += [f"results/{name}" for name in expected] + ["counterexamples"]
     expected += [
         f"apply/{name}"
         for name in [name for name, _ in standard_battery()]
@@ -41,12 +42,13 @@ def test_one_digest_per_report(capsys):
         + ["two_atoms", "transpose_harmonic(0.25)"]
     ]
     expected += ["apply/arithmetic(0.25)@margin", "apply/harmonic(0.75)@margin"]
-    expected += [
+    atom_route_suites = [
         f"{suite}/{name}@16,33"
         for name in ["harmonic(0.25)", "harmonic(0.5)", "harmonic(0.75)", "parallel_sum"]
         + ["two_atoms"]
         for suite in ("axioms", "continuity")
     ]
+    expected += atom_route_suites + [f"results/{name}" for name in atom_route_suites]
     assert [line.split(" ")[0] for line in lines] == expected
 
     name, conn = standard_battery()[3]
