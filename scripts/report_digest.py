@@ -23,18 +23,23 @@ and stderr of in-process ``meanskit.cli.main`` runs: ``eval`` and
 ``measure-eval --atoms`` on seeded positive-definite matrix files at each
 dim of CLI_DIMS, and ``function --grid`` on the grids of CLI_GRIDS.
 
-The ``apply/<name>@16,33`` lines come last: the same five pair kinds at
+The ``apply/<name>@16,33`` lines come next: the same five pair kinds at
 dims 16 and 33, above APPLY_DIMS, for the weighted harmonic means, the
 parallel sum and atom measures, which are evaluated by linear solves at
 every dim.  Then the
 ``apply/<name>@margin`` lines, for an affine connection and one of the atom
 route, on pairs with one operand's smallest eigenvalue put on both sides
 of the margin of the Cholesky positive-definiteness certificate, at dims
-2, 16 and 33.  Last come the ``axioms/<name>@16,33`` and
+2, 16 and 33.  Then come the ``axioms/<name>@16,33`` and
 ``continuity/<name>@16,33`` lines, the digests of those two suites at
 dims 16 and 33 and ATOM_ROUTE_TRIALS trials, for the connections of the
 atom route: the suite lines above them reach dims 1-8 only.  They are
-followed by their ``results/`` lines.  The script uses the public API
+followed by their ``results/`` lines.
+
+Last, each ``apply/`` line has a ``bits/apply/`` twin, in the same order:
+the digest of the raw float64 bytes of every result, and of the text of
+every raise.  Canonical JSON writes -0.0 as 0, so only these lines show a
+changed sign of zero.  The script uses the public API
 and the two private entry points that ``_Recorder`` wraps, so it runs
 against any checkout's ``src``.
 
@@ -217,14 +222,28 @@ def _atom_route_connections():
     ]
 
 
-def _apply_results(conn, pairs) -> list:
-    results = []
+def _apply_results(conn, pairs) -> tuple[list, str]:
+    """``apply`` on each pair, as nested lists with ``"<Type>: <message>"``
+    for a raise, and the SHA-256 of the same results as raw float64 bytes."""
+    results, bits = [], hashlib.sha256()
     for a, b in pairs:
         try:
-            results.append(apply(conn, a, b).tolist())
+            out = apply(conn, a, b).data
         except Exception as exc:
-            results.append(f"{type(exc).__name__}: {exc}")
-    return results
+            text = f"{type(exc).__name__}: {exc}"
+            results.append(text)
+            bits.update(text.encode("utf-8"))
+        else:
+            results.append(out.tolist())
+            bits.update(out.tobytes())
+    return results, bits.hexdigest()
+
+
+def _print_apply(name: str, conn, pairs, bit_lines: list) -> None:
+    """Print the ``apply/<name>`` line and keep its ``bits/`` twin."""
+    results, bits = _apply_results(conn, pairs)
+    print(f"apply/{name} {_digest(results)}")
+    bit_lines.append(f"bits/apply/{name} {bits}")
 
 
 def _cli_run(argv) -> list:
@@ -273,8 +292,9 @@ def main(argv=None) -> int:
     report = run_counterexamples(cfg.tol)
     print(f"counterexamples {_digest(report.to_dict(include_elapsed=False))}")
     pairs = _apply_corpus(args.seed)
+    bit_lines = []
     for name, conn in _apply_connections():
-        print(f"apply/{name} {_digest(_apply_results(conn, pairs))}")
+        _print_apply(name, conn, pairs, bit_lines)
     with tempfile.TemporaryDirectory() as workdir:
         for name, digest in _cli_digests(args.seed, Path(workdir)):
             print(f"{name} {digest}")
@@ -282,13 +302,13 @@ def main(argv=None) -> int:
     suffix = ",".join(map(str, ATOM_ROUTE_DIMS))
     transposed = ("transpose_harmonic(0.25)", transpose(make_builtin("harmonic", 0.25)))
     for name, conn in _atom_route_connections() + [transposed]:
-        print(f"apply/{name}@{suffix} {_digest(_apply_results(conn, pairs))}")
+        _print_apply(f"{name}@{suffix}", conn, pairs, bit_lines)
     pairs = _margin_corpus(args.seed)
     for name, conn in [
         ("arithmetic(0.25)", make_builtin("arithmetic", 0.25)),
         ("harmonic(0.75)", make_builtin("harmonic", 0.75)),
     ]:
-        print(f"apply/{name}@margin {_digest(_apply_results(conn, pairs))}")
+        _print_apply(f"{name}@margin", conn, pairs, bit_lines)
     cfg = TrialConfig(dims=ATOM_ROUTE_DIMS, trials=ATOM_ROUTE_TRIALS, seed=args.seed)
     runs = [
         (f"{suite_name}/{name}@{suffix}", SUITES[suite_name], conn)
@@ -296,6 +316,7 @@ def main(argv=None) -> int:
         for suite_name in ("axioms", "continuity")
     ]
     _print_suites(runs, cfg)
+    print("\n".join(bit_lines))
     return 0
 
 

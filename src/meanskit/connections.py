@@ -256,13 +256,20 @@ class Connection(ABC):
         calls ``_apply_raw`` once per pair."""
         return np.stack([self._apply_raw(x, y, tol) for x, y in zip(a, b)])
 
+    def _returns_symmetric(self) -> bool:
+        """Whether ``_apply_raw`` is known to return arrays that are
+        symmetric bit for bit, so that ``apply`` wraps them as they are.
+        False here: another connection's result is symmetrized."""
+        return False
+
     def apply(
         self, A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL
     ) -> SymMatrix:
         a, b = A.data, B.data
         _check_same_dim(a, b)
+        wrap = SymMatrix._of_symmetric if self._returns_symmetric() else SymMatrix
         if np.vdot(a, a) + np.vdot(b, b) <= _SCALE_ABOVE:
-            return SymMatrix(self._apply_raw(a, b, tol))
+            return wrap(self._apply_raw(a, b, tol))
         # Evaluate with the largest entry scaled into [1, 2).
         exponent = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1] - 1
         scaled = self._apply_raw(np.ldexp(a, -exponent), np.ldexp(b, -exponent), tol)
@@ -275,7 +282,7 @@ class Connection(ABC):
                 scaled=scaled,
                 exponent=exponent,
             )
-        return SymMatrix(x)
+        return wrap(x)
 
     def __call__(self, A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL):
         return self.apply(A, B, tol)
@@ -475,6 +482,12 @@ class _FunctionBackedConnection(Connection):
             )
         return _congruence_apply(w, q, b, self._fn_array, tol, lambda: _check_right(b, tol))
 
+    def _returns_symmetric(self) -> bool:
+        """Every route ends in ``_sym`` or in alpha A + beta B of stored
+        symmetric operands, and scaling by a power of two keeps that, unless
+        a subclass replaces the evaluator."""
+        return type(self)._apply_raw is _FunctionBackedConnection._apply_raw
+
     # One body serves pairs and stacks.  The second name stays because
     # per-call wrappers of ``_apply_raw``, such as the benchmark's tracer,
     # expect 2-D operands: a stack enters through this unwrapped binding,
@@ -566,6 +579,12 @@ class TransposeConnection(Connection):
 
     def _apply_stack(self, a, b, tol):
         return self.inner._apply_stack(b, a, tol)
+
+    def _returns_symmetric(self) -> bool:
+        return (
+            type(self)._apply_raw is TransposeConnection._apply_raw
+            and self.inner._returns_symmetric()
+        )
 
     def __repr__(self) -> str:
         return f"TransposeConnection({self.inner!r})"

@@ -170,6 +170,19 @@ class SymMatrix:
         sym.flags.writeable = False
         self.data = sym
 
+    @classmethod
+    def _of_symmetric(cls, arr: np.ndarray) -> "SymMatrix":
+        """Wrap a float (n, n) array that this package built symmetric bit
+        for bit, such as a result of ``_sym``, without a copy: construction
+        would map it to itself, signed zeros included.  The array becomes
+        read-only; a non-finite entry raises as construction does."""
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
+        arr.flags.writeable = False
+        out = object.__new__(cls)
+        out.data = arr
+        return out
+
     @property
     def dim(self) -> int:
         return self.data.shape[0]
@@ -343,8 +356,12 @@ def _certified_pd(x: np.ndarray, tol: Tolerances) -> bool:
     shift = 2.0 * tol.psd_slack * max(n * float(np.abs(x).max()), 1.0)
     if not shift < math.inf:
         return False
+    # Subtracting the shift from the diagonal of one copy gives the matrix
+    # x - shift I bit for bit.
+    y = x.copy()
+    y.reshape(*x.shape[:-2], n * n)[..., :: n + 1] -= shift
     try:
-        np.linalg.cholesky(x - shift * np.eye(n))
+        np.linalg.cholesky(y)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -450,7 +467,9 @@ def fn_calculus(
     ValueError
         If f fails on some eigenvalue.
     """
-    return SymMatrix(_fn_calculus_raw(_per_eigenvalue(f), _as_array(A), tol))
+    # _fn_calculus_raw ends in _sym, so its result is symmetric bit for bit.
+    out = _fn_calculus_raw(_per_eigenvalue(f), _as_array(A), tol)
+    return SymMatrix._of_symmetric(out)
 
 
 def sqrt_psd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:

@@ -1475,3 +1475,93 @@ class TestHugeOperands:
         conn = make_builtin("geometric", 0.25)
         raw = conn._apply_raw(a.data, b.data, DEFAULT_TOL)
         assert np.array_equal(apply(conn, a, b).data, raw)
+
+
+def _route_cases(dim):
+    """(route, connection, A, B, recorder name) for each route at ``dim``;
+    the recorder, if any, shows that the pair took the route."""
+    rng = np.random.default_rng(dim)
+    a, b = random_pd(dim, rng), random_pd(dim, rng)
+    singular = SymMatrix(_rank_deficient(dim, dim // 2, rng))
+    geometric = make_builtin("geometric", 0.5)
+    arcsine = connection_from_measure(measure_of_builtin("geometric", 0.5))
+    return [
+        ("affine", make_builtin("arithmetic", 0.25), a, b, None),
+        ("affine_zero", make_builtin("zero"), a, b, None),
+        ("atom", make_builtin("harmonic", 0.5), a, b, "atom"),
+        ("congruence", geometric, a, b, None),
+        ("limit", geometric, singular, b, "limit"),
+        ("scaled", geometric, a * 1e300, b * 1e300, None),
+        ("scaled_atom", make_builtin("parallel_sum"), a * 1e300, b * 1e300, "atom"),
+        ("transpose", transpose(make_builtin("geometric", 0.25)), a, b, None),
+        ("transpose_atom", transpose(make_builtin("harmonic", 0.25)), a, b, "atom"),
+        ("measure", arcsine, a, b, None),
+        ("user_function", connection_from_function(math.sqrt), a, b, None),
+    ]
+
+
+class _Product(Connection):
+    """A foreign connection whose raw result, A B, is not symmetric."""
+
+    def fn(self, x):
+        return x
+
+    def _apply_raw(self, a, b, tol):
+        return a @ b
+
+
+class _OwnEvaluator(connections.FunctionConnection):
+    """A user subclass that replaces the package's evaluator."""
+
+    def _apply_raw(self, a, b, tol):
+        return a @ b
+
+
+class TestResultWrapping:
+    """``apply`` wraps the evaluator's result as it is where the package
+    built it symmetric bit for bit, and symmetrizes any other result."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_every_route_returns_a_bitwise_symmetric_read_only_result(
+        self, monkeypatch, dim
+    ):
+        recorders = {
+            "atom": _record_atom_route(monkeypatch),
+            "limit": _record_limits(monkeypatch),
+        }
+        for route, conn, a, b, recorder in _route_cases(dim):
+            seen = {name: len(calls) for name, calls in recorders.items()}
+            out = apply(conn, a, b)
+            if recorder is not None:
+                assert len(recorders[recorder]) > seen[recorder], route
+            if route.startswith("scaled"):
+                # An entry above 2**500 puts the pair above the scaling threshold.
+                assert np.abs(a.data).max() > 2.0**500
+            assert not out.data.flags.writeable, route
+            # The raw bits tell -0.0 from 0.0.
+            bits = out.data.view(np.uint64)
+            assert np.array_equal(bits, bits.T), route
+            # Construction would map the result to itself, signed zeros included.
+            assert np.array_equal(SymMatrix(out.data).data.view(np.uint64), bits), route
+
+    def test_signed_zeros_are_kept(self):
+        a = SymMatrix([[2.0, -1.0], [-1.0, 2.0]])
+        out = apply(make_builtin("zero"), a, a).data
+        assert np.signbit(out[0, 1]) and np.signbit(out[1, 0])
+
+    def test_foreign_result_is_symmetrized(self):
+        a, b = SymMatrix([[2.0, 1.0], [1.0, 1.0]]), SymMatrix([[1.0, 0.0], [0.0, 3.0]])
+        assert not np.array_equal(a.data @ b.data, (a.data @ b.data).T)
+        for conn in (_Product(), _OwnEvaluator(lambda x: x)):
+            assert np.array_equal(apply(conn, a, b).data, SymMatrix(a.data @ b.data).data)
+            assert np.array_equal(
+                apply(transpose(conn), a, b).data, SymMatrix(b.data @ a.data).data
+            )
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_non_finite_user_value_raises_as_construction_does(self, dim, scale):
+        conn = connection_from_function(lambda x: math.nan if x > 0.0 else 0.0)
+        a = SymMatrix.identity(dim) * scale
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            apply(conn, a, a)

@@ -49,6 +49,7 @@ def test_one_digest_per_report(capsys):
         for suite in ("axioms", "continuity")
     ]
     expected += atom_route_suites + [f"results/{name}" for name in atom_route_suites]
+    expected += [f"bits/{name}" for name in expected if name.startswith("apply/")]
     assert [line.split(" ")[0] for line in lines] == expected
 
     name, conn = standard_battery()[3]
