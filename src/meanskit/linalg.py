@@ -356,12 +356,8 @@ def _certified_pd(x: np.ndarray, tol: Tolerances) -> bool:
     shift = 2.0 * tol.psd_slack * max(n * float(np.abs(x).max()), 1.0)
     if not shift < math.inf:
         return False
-    # Subtracting the shift from the diagonal of one copy gives the matrix
-    # x - shift I bit for bit.
-    y = x.copy()
-    y.reshape(*x.shape[:-2], n * n)[..., :: n + 1] -= shift
     try:
-        np.linalg.cholesky(y)
+        np.linalg.cholesky(x - shift * np.eye(n))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -467,9 +463,7 @@ def fn_calculus(
     ValueError
         If f fails on some eigenvalue.
     """
-    # _fn_calculus_raw ends in _sym, so its result is symmetric bit for bit.
-    out = _fn_calculus_raw(_per_eigenvalue(f), _as_array(A), tol)
-    return SymMatrix._of_symmetric(out)
+    return SymMatrix(_fn_calculus_raw(_per_eigenvalue(f), _as_array(A), tol))
 
 
 def sqrt_psd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
