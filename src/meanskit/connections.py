@@ -35,7 +35,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     EigenSolverError,
-    NotPSDError,
     SingularMatrixError,
     SymMatrix,
     Tolerances,
@@ -340,21 +339,9 @@ def _checked_spectra(ab, tol):
 def _operand_spectra(a, b, tol):
     """None when ``_certified_pd`` shows both (..., n, n) operands positive
     definite, and otherwise their ascending spectra, after checking that
-    both are PSD by ``_checked_spectra``.  When a stack fails that check,
-    its pairs are checked one at a time, in order, so that it raises what
-    its first failing pair raises alone."""
+    both are PSD by ``_checked_spectra``."""
     ab = np.array([a, b])
-    if _certified_pd(ab, tol):
-        return None
-    try:
-        return _checked_spectra(ab, tol)
-    except (EigenSolverError, NotPSDError):
-        if a.ndim == 2:
-            raise
-    n = a.shape[-1]
-    pairs = ab.reshape(2, -1, n, n)
-    spectra = [np.stack(_checked_spectra(pairs[:, i], tol)) for i in range(pairs.shape[1])]
-    return np.stack(spectra, axis=1).reshape(2, *a.shape[:-1])
+    return None if _certified_pd(ab, tol) else _checked_spectra(ab, tol)
 
 
 def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -447,40 +434,47 @@ class _FunctionBackedConnection(Connection):
         4. positive-definite A: the congruence around A;
         5. any other A: the decreasing epsilon-limit of the congruence.
 
-        A stack takes steps 1, 2 and 4 in one call each.  A stack that
-        declines step 2, or has a left operand that is not positive
-        definite, goes through ``_apply_raw`` pair by pair, and so raises
-        what its first failing pair raises alone.  The congruence checks
-        B's own spectrum before it clips the transformed right operand.
+        A stack takes steps 1, 2 and 4 in one call each.  One rule keeps a
+        stack's errors those of its pairs: a stack that declines step 2,
+        has a left operand that is not positive definite, or raises
+        anything on the way, is evaluated again pair by pair through
+        ``_apply_raw``, and so raises what its first failing pair raises
+        alone.  The congruence checks B's own spectrum before it clips the
+        transformed right operand.
         """
-        if self._affine is not None:
-            _operand_spectra(a, b, tol)
-            alpha, beta = self._affine
-            return alpha * a + beta * b
         stack = a.ndim > 2
-        if self._atoms is not None:
-            if self._takes_atom_route(a, b, tol):
+        try:
+            if self._affine is not None:
+                _operand_spectra(a, b, tol)
+                alpha, beta = self._affine
+                return alpha * a + beta * b
+            if self._atoms is not None and self._takes_atom_route(a, b, tol):
                 return _atom_apply(self._atoms, a, b)
-            if stack:
-                return super()._apply_stack(a, b, tol)
-        w, q = _eigh(a, "left operand")
-        pd = _is_pd(w, tol, "left operand")
+            if not (stack and self._atoms is not None):
+                w, q = _eigh(a, "left operand")
+                pd = _is_pd(w, tol, "left operand")
+                if pd.all() if stack else pd:
+                    return _congruence_apply(
+                        w, q, b, self._fn_array, tol, lambda: _check_right(b, tol)
+                    )
+        except Exception:
+            # A stack's pairs run again below, and the first failing one
+            # raises its own error, so no list of error types is kept here.
+            if not stack:
+                raise
         if stack:
-            if not pd.all():
-                return super()._apply_stack(a, b, tol)
-        elif not pd:
-            # Singular left operand: clip its spectrum to [0, inf) and take
-            # the decreasing limit over a joint shift of both operands.
-            wc = np.maximum(w, 0.0)
-            eye = np.eye(a.shape[0])
-            fn = self._fn_array
-            # B is checked once, however many steps clip.
-            check = functools.cache(lambda: _check_right(b, tol))
-            return _regularize_raw(
-                lambda eps: _congruence_apply(wc + eps, q, b + eps * eye, fn, tol, check),
-                tol,
-            )
-        return _congruence_apply(w, q, b, self._fn_array, tol, lambda: _check_right(b, tol))
+            return super()._apply_stack(a, b, tol)
+        # A pair with a singular left operand: clip its spectrum to [0, inf)
+        # and take the decreasing limit over a joint shift of both operands.
+        wc = np.maximum(w, 0.0)
+        eye = np.eye(a.shape[0])
+        fn = self._fn_array
+        # B is checked once, however many steps clip.
+        check = functools.cache(lambda: _check_right(b, tol))
+        return _regularize_raw(
+            lambda eps: _congruence_apply(wc + eps, q, b + eps * eye, fn, tol, check),
+            tol,
+        )
 
     def _returns_symmetric(self) -> bool:
         """Every route ends in ``_sym`` or in alpha A + beta B of stored

@@ -99,6 +99,12 @@ class NonConvergenceError(RuntimeError):
         self.distance = distance
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number, such as an int or a numpy float; a
+    bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances shared across the package.
@@ -123,8 +129,11 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("psd_slack", "eq_tol", "eps0", "eps_min"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
+            value = getattr(self, name)
+            if not (_is_real(value) and 0 <= value < math.inf):
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {value!r}"
+                )
         if not self.eps_min < self.eps0:
             raise ValueError("eps_min must be smaller than eps0")
 
@@ -247,29 +256,12 @@ def _as_array(A) -> np.ndarray:
     return np.asarray(A, dtype=float)
 
 
-def _locate_failure(
-    call, a: np.ndarray, core: int, errors
-) -> tuple[str, np.ndarray]:
-    """For a stack of items with ``core`` trailing dimensions, the text
-    ", item i of (k,)" and the first item on which ``call`` raises one of
-    ``errors``; for a single item, or when no item fails alone, "" and a."""
-    lead = a.shape[: a.ndim - core]
-    if lead:
-        for index in np.ndindex(lead):
-            try:
-                call(a[index])
-            except errors:
-                return f", item {', '.join(map(str, index))} of {lead}", a[index]
-    return "", a
-
-
 def _eigen_error(
-    a: np.ndarray, label: str, exc: np.linalg.LinAlgError, solver
+    a: np.ndarray, label: str, exc: np.linalg.LinAlgError
 ) -> EigenSolverError:
-    where, item = _locate_failure(solver, a, 2, np.linalg.LinAlgError)
     return EigenSolverError(
         f"eigendecomposition failed for {label} "
-        f"(dim {a.shape[-1]}{where}, entries {item.tolist()}): {exc}"
+        f"(dim {a.shape[-1]}, entries {a.tolist()}): {exc}"
     )
 
 
@@ -277,14 +269,14 @@ def _eigh(a: np.ndarray, label: str = "matrix") -> tuple[np.ndarray, np.ndarray]
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise _eigen_error(a, label, exc, np.linalg.eigh) from exc
+        raise _eigen_error(a, label, exc) from exc
 
 
 def _eigvalsh(a: np.ndarray, label: str = "matrix") -> np.ndarray:
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
-        raise _eigen_error(a, label, exc, np.linalg.eigvalsh) from exc
+        raise _eigen_error(a, label, exc) from exc
 
 
 def _spectral_scale(w: np.ndarray) -> float:
@@ -425,10 +417,8 @@ def _fn_calculus_raw(
     except NotPSDError:
         raise
     except Exception as exc:
-        where, item = _locate_failure(fn, w, 1, Exception)
         raise ValueError(
-            f"scalar function evaluation failed on the spectrum "
-            f"{item.tolist()}{where}: {exc}"
+            f"scalar function evaluation failed on the spectrum {w.tolist()}: {exc}"
         ) from exc
     if outer is not None:
         q = outer @ q

@@ -40,7 +40,7 @@ from .connections import (
     _FunctionBackedConnection,
     make_builtin,
 )
-from .linalg import _is_whole
+from .linalg import _is_real, _is_whole
 
 __all__ = [
     "BorelMeasure",
@@ -329,11 +329,30 @@ def measure_to_dict(mu: BorelMeasure) -> dict:
     return {"atoms": [[t, w] for t, w in mu.atoms], "density": density}
 
 
+def _check_keys(obj, keys: tuple, what: str) -> None:
+    """Refuse a payload that is not an object, or has a key not in keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; expected only {list(keys)}")
+
+
 def measure_from_dict(obj: dict) -> BorelMeasure:
-    atoms = tuple((float(t), float(w)) for t, w in obj.get("atoms", ()))
+    """Parse the measure file payload (see ``measure_to_dict``).  Both keys
+    may be left out; {} is the zero measure."""
+    _check_keys(obj, ("atoms", "density"), "measure")
+    pairs = obj.get("atoms", ())
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"measure atoms must be a list, got {type(pairs).__name__}")
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_real, pair)):
+            raise ValueError(f"measure atom {pair!r} is not a [t, w] pair of numbers")
+    atoms = tuple((float(t), float(w)) for t, w in pairs)
     density_obj = obj.get("density")
     density = None
     if density_obj is not None:
+        _check_keys(density_obj, ("scheme", "n"), "measure density")
         scheme = density_obj.get("scheme")
         if scheme != "arcsine":
             raise ValueError(f"unsupported density scheme {scheme!r}")

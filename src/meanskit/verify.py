@@ -181,8 +181,16 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
 
 def _loewner_margin(p: np.ndarray, q: np.ndarray, tol: Tolerances):
     """Margin for p <= q; nonnegative means the order holds within slack.
-    Stacks of shape (..., n, n) give one margin per item."""
-    w = _eigvalsh(q - p)
+    Stacks of shape (k, n, n) give one margin per item, from one eigenvalue
+    solve; a stack whose solve raises is solved item by item, so the error
+    is the first failing item's own."""
+    d = q - p
+    try:
+        w = _eigvalsh(d)
+    except EigenSolverError:
+        if d.ndim == 2:
+            raise
+        w = np.array([_eigvalsh(x) for x in d])
     scale = np.maximum(1.0, np.maximum(_frobenius(p), _frobenius(q)))
     return w[..., 0] + tol.psd_slack * scale
 
@@ -300,15 +308,9 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
                 tol,
             )
             lhs, lhs_pd = _congr(c_ineq, x_ab), _congr(c_pd, x_ab)
-            try:
-                mono, transformer = _loewner_margin(
-                    np.stack([x_ab, lhs]), np.stack([x_cd, rhs]), tol
-                )
-            except EigenSolverError:
-                # The separate solves raise the error that names the matrix
-                # alone, not its place in the stack.
-                mono = _loewner_margin(x_ab, x_cd, tol)
-                transformer = _loewner_margin(lhs, rhs, tol)
+            mono, transformer = _loewner_margin(
+                np.stack([x_ab, lhs]), np.stack([x_cd, rhs]), tol
+            )
             checks = [
                 ("monotonicity", mono),
                 ("transformer_inequality", transformer),

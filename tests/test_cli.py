@@ -676,6 +676,23 @@ class TestMeasureEval:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ('{"atomz": [[0.5, 1.0]]}', "measure has unknown keys ['atomz']; expected only ['atoms', 'density']"),
+            ('[[0.5, 1.0]]', "measure must be an object, got list"),
+            ('{"density": "arcsine"}', "measure density must be an object, got str"),
+            ('{"atoms": [[0.5, 1.0, 2.0]]}', "measure atom [0.5, 1.0, 2.0] is not a [t, w] pair of numbers"),
+        ],
+    )
+    def test_malformed_measure_file_exits_2(self, capsys, tmp_path, source, message):
+        path = tmp_path / "mu.json"
+        path.write_text(source)
+        assert main(["measure-eval", "--measure", str(path), "--x", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_rejects_file_plus_inline(self, capsys, tmp_path):
         path = tmp_path / "mu.json"
         path.write_text('{"atoms": [[0.5, 1.0]], "density": null}')

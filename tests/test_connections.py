@@ -522,6 +522,51 @@ def _assert_items_match_pairs(conn, a, b, out):
         assert np.linalg.norm(out[i] - want) <= 1e-14 * np.linalg.norm(want), i
 
 
+def _sqrt_up_to_3(x):
+    if x > 3.0:
+        raise ArithmeticError("out of domain")
+    return math.sqrt(x)
+
+
+# A limit that gives up after its first step, so that a pair whose left
+# operand is singular raises NonConvergenceError.
+_ONE_STEP_LIMIT = Tolerances(eps_min=6e-3)
+
+
+def _first_failure_cases():
+    """(id, connection, a, b): stacks whose first failing pair raises
+    something other than what a check of the whole stack would meet first."""
+    eye = np.eye(2)
+    geometric = make_builtin("geometric", 0.5)
+    # Pair 0's B is PSD within slack, but its transformed right operand is
+    # not; pair 1's B is not PSD.
+    clip_a = np.stack([np.diag([1e-6, 1.0]), eye])
+    clip_b = np.stack([np.diag([-5e-10, 1.0]), np.diag([1.0, -1.0])])
+    # f raises on pair 1's spectrum, and pair 2's B is not PSD.
+    f_a = np.stack([eye] * 4)
+    f_b = f_a.copy()
+    f_b[1], f_b[2] = np.diag([1.0, 5.0]), np.diag([1.0, -1.0])
+    f_only = f_a.copy()
+    f_only[2] = np.diag([1.0, 5.0])
+    # Pair 0's B is not PSD, and pair 1's A is not.
+    bad = np.diag([1.0, -1.0])
+    order_a, order_b = np.stack([eye, bad]), np.stack([bad, eye])
+    # Pair 0 declines the atom route (its pivot is singular), and its limit
+    # gives up; pair 1's B is not PSD.
+    corner = np.diag([1.0, 0.0])
+    limit_a, limit_b = np.stack([corner, eye]), np.stack([corner, bad])
+    function = connection_from_function(_sqrt_up_to_3)
+    return [
+        ("congruence", geometric, clip_a, clip_b),
+        ("measure", connection_from_measure(measure_of_builtin("geometric", 0.5)), clip_a, clip_b),
+        ("transpose", transpose(geometric), clip_b, clip_a),
+        ("function_before_psd_check", function, f_a, f_b),
+        ("function_on_one_pair", function, f_a, f_only),
+        ("affine", make_builtin("arithmetic", 0.5), order_a, order_b),
+        ("atom_route_declined", make_builtin("harmonic", 0.5), limit_a, limit_b),
+    ]
+
+
 class TestStackedEvaluation:
     @pytest.mark.parametrize("dim", [1, 2, 5, 8])
     @pytest.mark.parametrize(
@@ -561,20 +606,34 @@ class TestStackedEvaluation:
 
 
     def test_failing_callable_names_the_item(self):
-        def f(x):
-            if x > 3.0:
-                raise ArithmeticError("out of domain")
-            return math.sqrt(x)
-
+        # The stack raises what its item 2 raises alone: the spectrum that
+        # f fails on, and no position in the stack.
         a = np.stack([np.eye(2)] * 4)
         b = a.copy()
         b[2] = np.diag([1.0, 5.0])
-        with pytest.raises(ValueError) as info:
-            connection_from_function(f)._apply_stack(a, b, DEFAULT_TOL)
-        assert str(info.value) == (
-            "scalar function evaluation failed on the spectrum [1.0, 5.0], "
-            "item 2 of (4,): out of domain"
+        conn = connection_from_function(_sqrt_up_to_3)
+        with pytest.raises(ValueError) as alone:
+            conn._apply_raw(a[2], b[2], DEFAULT_TOL)
+        with pytest.raises(ValueError) as stacked:
+            conn._apply_stack(a, b, DEFAULT_TOL)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value) == (
+            "scalar function evaluation failed on the spectrum [1.0, 5.0]: "
+            "out of domain"
         )
+
+    @pytest.mark.parametrize(
+        "conn,a,b", [c[1:] for c in _first_failure_cases()],
+        ids=[c[0] for c in _first_failure_cases()],
+    )
+    def test_stack_raises_what_its_first_failing_pair_raises(self, conn, a, b):
+        with pytest.raises(Exception) as alone:
+            for x, y in zip(a, b):
+                conn._apply_raw(x, y, _ONE_STEP_LIMIT)
+        with pytest.raises(Exception) as stacked:
+            conn._apply_stack(a, b, _ONE_STEP_LIMIT)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
 
     @pytest.mark.parametrize(
         "kind,weight,dim",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from meanskit.connections import make_builtin
 from meanskit.linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
@@ -155,14 +156,20 @@ class TestEigenSolverErrors:
         assert "item" not in msg
 
     def test_stack_reports_the_failing_item(self, monkeypatch):
+        # A stack whose solve fails raises what its first failing item
+        # raises alone: that item's entries, and no other item's.
         self._reject_negative_corner(monkeypatch)
-        stack = np.stack([np.eye(2) * (k + 1.0) for k in range(5)])
-        stack[3, 0, 0] = -4.0
-        with pytest.raises(EigenSolverError) as info:
-            _eigh(stack, "left operand")
-        msg = str(info.value)
-        assert "(dim 2, item 3 of (5,), entries [[-4.0, 0.0], [0.0, 4.0]])" in msg
-        assert "1.0" not in msg  # no other item is dumped
+        a = np.stack([np.eye(2) * (k + 1.0) for k in range(5)])
+        a[3, 0, 0] = -4.0
+        b = np.stack([np.eye(2)] * 5)
+        conn = make_builtin("geometric", 0.5)
+        with pytest.raises(EigenSolverError) as alone:
+            conn._apply_raw(a[3], b[3], DEFAULT_TOL)
+        with pytest.raises(EigenSolverError) as stacked:
+            conn._apply_stack(a, b, DEFAULT_TOL)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+        assert "(dim 2, entries [[-4.0, 0.0], [0.0, 4.0]])" in str(stacked.value)
 
 
 class TestCheckSpectra:
@@ -422,6 +429,16 @@ class TestTolerances:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     Tolerances(**{name: value})
+
+    def test_bool_or_non_real_field_rejected(self):
+        for name in ("psd_slack", "eq_tol", "eps0", "eps_min"):
+            for value in (True, False, "1e-9", None, 1j):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    Tolerances(**{name: value})
+
+    def test_int_and_numpy_fields_accepted(self):
+        tol = Tolerances(psd_slack=np.float64(1e-9), eq_tol=0, eps0=1, eps_min=np.float32(1e-3))
+        assert (tol.psd_slack, tol.eq_tol, tol.eps0) == (1e-9, 0, 1)
 
 
 class TestMatrixIO:

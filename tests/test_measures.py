@@ -432,6 +432,33 @@ class TestMeasureIO:
         with pytest.raises(ValueError, match="scheme"):
             measure_from_dict({"atoms": [], "density": {"scheme": "beta", "n": 4}})
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"atomz": [[0.5, 1.0]]}, r"measure has unknown keys \['atomz'\]"),
+            ([[0.5, 1.0]], "measure must be an object, got list"),
+            ({"density": "arcsine"}, "measure density must be an object, got str"),
+            (
+                {"density": {"scheme": "arcsine", "nodes": 8}},
+                r"measure density has unknown keys \['nodes'\]",
+            ),
+            ({"atoms": None}, "measure atoms must be a list, got NoneType"),
+            ({"atoms": [[0.5]]}, r"measure atom \[0.5\] is not a \[t, w\] pair"),
+            ({"atoms": [[0.5, "1"]]}, r"measure atom \[0.5, '1'\] is not a \[t, w\] pair"),
+            ({"atoms": [[0.5, True]]}, r"measure atom \[0.5, True\] is not a \[t, w\] pair"),
+            ({"atoms": [0.5]}, r"measure atom 0.5 is not a \[t, w\] pair"),
+        ],
+    )
+    def test_malformed_payload_rejected(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            measure_from_dict(payload)
+
+    def test_empty_payload_is_the_zero_measure(self):
+        for payload in ({}, {"atoms": []}, {"atoms": [], "density": None}):
+            assert measure_from_dict(payload) == BorelMeasure()
+        mu = measure_from_dict({"atoms": ((0.5, np.float64(1.0)),)})
+        assert mu.atoms == ((0.5, 1.0),)
+
     def test_parse_atoms(self):
         assert parse_atoms("0:0.5,1:0.5") == ((0.0, 0.5), (1.0, 0.5))
         assert parse_atoms("0.25:2") == ((0.25, 2.0),)

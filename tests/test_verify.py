@@ -525,3 +525,33 @@ def test_standard_battery_roster():
     mean_names = [name for name, _ in standard_means()]
     assert len(mean_names) == 12
     assert "parallel_sum" not in mean_names and "sum" not in mean_names
+
+
+def test_continuity_solver_failure_names_the_item_alone(monkeypatch):
+    # The stacked solve of a trial's Loewner margins fails, and so does its
+    # item 2 alone: the witness holds item 2's own error, with no place in
+    # the stack.
+    real = np.linalg.eigvalsh
+    seen = []
+
+    def fail(x):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def eigvalsh(x):
+        seen.append(np.array(x))
+        if x.ndim > 2 or sum(s.ndim == 2 for s in seen) == 3:
+            fail(x)
+        return real(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    report = check_continuity_from_above(
+        make_builtin("arithmetic", 0.5), TrialConfig(dims=(2,), trials=1, seed=7)
+    )
+    stacks = [s for s in seen if s.ndim > 2]
+    assert len(stacks) == 1 and np.array_equal(seen[-1], stacks[0][2])
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(EigenSolverError) as alone:
+        _eigvalsh(stacks[0][2])
+    assert report.violations == 1
+    assert report.witnesses[0]["error"] == f"EigenSolverError: {alone.value}"
+    assert "item" not in report.witnesses[0]["error"]
