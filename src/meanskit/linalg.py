@@ -6,6 +6,14 @@ suites, the CLI) is built on the operations defined here.  All operations
 are pure functions of their inputs, ``SymMatrix`` values are immutable
 after construction, and no shared mutable state exists, so everything in
 this module is safe to call concurrently.
+
+Every LAPACK call of the package goes through ``_lapack``: the symmetric
+eigensolvers, the Cholesky certificate and the atom route's linear solve.
+It calls the gufuncs that ``numpy.linalg`` itself calls, with the same
+float64 signatures, and skips only that module's per-call checks and
+conversions, so results are bit for bit those of ``numpy.linalg``.  On a
+failure, or on input the gufunc does not take, the public ``numpy.linalg``
+function runs instead and raises numpy's own error.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "ASYMMETRY_WARN_REL",
@@ -265,18 +274,58 @@ def _eigen_error(
     )
 
 
+# The gufuncs that numpy.linalg's functions of these names call, with the
+# signature each passes for float64 input.
+_GUFUNCS = {
+    "eigh": (_umath_linalg.eigh_lo, "d->dd"),
+    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d"),
+    "cholesky": (_umath_linalg.cholesky_lo, "d->d"),
+    "solve": (_umath_linalg.solve, "dd->d"),
+}
+
+
+def _lapack(name: str, *args, rerun_on_failure: bool = True):
+    """``numpy.linalg.<name>(*args)`` for ``name`` in ``_GUFUNCS``, by one
+    call of its gufunc, without numpy.linalg's per-call wrapper.
+
+    The gufunc runs on float64 arrays only (``casting="no"``) and in the
+    errstate numpy.linalg uses, where LAPACK's failure flag raises and every
+    other flag is ignored.  Input it refuses, such as a 1-D or non-square
+    array or another dtype, and a failure, such as a matrix that is not
+    positive definite for ``cholesky``, run the public function instead,
+    which raises numpy's own error.  With ``rerun_on_failure=False`` a
+    failure raises a bare ``LinAlgError`` at once, for a caller to whom a
+    failure is an answer and a second factorization would be waste.
+    """
+    gufunc, signature = _GUFUNCS[name]
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return gufunc(*args, signature=signature, casting="no")
+    except FloatingPointError as exc:
+        if not rerun_on_failure:
+            raise np.linalg.LinAlgError(str(exc)) from None
+    except (TypeError, ValueError):
+        pass
+    return getattr(np.linalg, name)(*args)
+
+
 def _eigh(a: np.ndarray, label: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     try:
-        return np.linalg.eigh(a)
+        return _lapack("eigh", a)
     except np.linalg.LinAlgError as exc:
         raise _eigen_error(a, label, exc) from exc
 
 
 def _eigvalsh(a: np.ndarray, label: str = "matrix") -> np.ndarray:
     try:
-        return np.linalg.eigvalsh(a)
+        return _lapack("eigvalsh", a)
     except np.linalg.LinAlgError as exc:
         raise _eigen_error(a, label, exc) from exc
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X with a X = b, for a of shape (..., n, n) and b of shape (..., n, m)."""
+    return _lapack("solve", a, b)
 
 
 def _spectral_scale(w: np.ndarray) -> float:
@@ -349,7 +398,7 @@ def _certified_pd(x: np.ndarray, tol: Tolerances) -> bool:
     if not shift < math.inf:
         return False
     try:
-        np.linalg.cholesky(x - shift * np.eye(n))
+        _lapack("cholesky", x - shift * np.eye(n), rerun_on_failure=False)
     except np.linalg.LinAlgError:
         return False
     return True

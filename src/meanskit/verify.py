@@ -92,6 +92,8 @@ class TrialConfig:
             raise ValueError("trials must be a whole number >= 1")
         if not _is_whole(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative whole number")
+        if not isinstance(self.tol, Tolerances):
+            raise ValueError(f"tol must be a Tolerances, got {self.tol!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))

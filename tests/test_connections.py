@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanskit import connections
+from meanskit import connections, linalg
 from meanskit.connections import (
     AUDIT_GRID,
     BUILTIN_KINDS,
@@ -325,19 +325,39 @@ def _rank_deficient_pairs():
         yield b, a
 
 
+def _fail_solver(monkeypatch, solver, fails, message):
+    """Make ``linalg._lapack``, the package's one call into LAPACK, raise
+    numpy's ``LinAlgError(message)`` for ``solver`` on any matrix x with
+    fails(x)."""
+    lapack = linalg._lapack
+
+    def flaky(name, x, *rest, **kwargs):
+        if name == solver and fails(x):
+            raise np.linalg.LinAlgError(message)
+        return lapack(name, x, *rest, **kwargs)
+
+    monkeypatch.setattr(linalg, "_lapack", flaky)
+
+
+def _fail_eigvalsh_on(monkeypatch, marker):
+    """Make the eigenvalue solve fail on a matrix with an entry equal to
+    ``marker``."""
+    _fail_solver(
+        monkeypatch, "eigvalsh", lambda x: np.any(x == marker), "Eigenvalues did not converge"
+    )
+
+
 def _fail_cholesky_near(monkeypatch, marker):
-    """Make np.linalg.cholesky fail on a matrix with an entry within 1e-6
-    of ``marker``: the positive-definiteness certificate factors the
+    """Make the Cholesky factorization fail on a matrix with an entry within
+    1e-6 of ``marker``: the positive-definiteness certificate factors the
     operands shifted by a tiny multiple of I, and has to fail for the
     eigenvalue checks to run."""
-    cholesky = np.linalg.cholesky
-
-    def flaky(x):
-        if np.any(np.abs(x - marker) < 1e-6):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return cholesky(x)
-
-    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    _fail_solver(
+        monkeypatch,
+        "cholesky",
+        lambda x: np.any(np.abs(x - marker) < 1e-6),
+        "Matrix is not positive definite",
+    )
 
 
 class TestRouteAttributes:
@@ -411,15 +431,8 @@ class TestAffineKinds:
 
     @pytest.mark.parametrize("failing", ["left", "right"])
     def test_eigensolver_failure_names_the_operand(self, monkeypatch, failing):
-        eigvalsh = np.linalg.eigvalsh
         marker = 7.25
-
-        def flaky(x):
-            if np.any(x == marker):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigvalsh(x)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        _fail_eigvalsh_on(monkeypatch, marker)
         _fail_cholesky_near(monkeypatch, marker)
         operands = {"left": np.eye(2), "right": np.eye(2)}
         operands[failing][1, 1] = marker
@@ -435,18 +448,11 @@ class TestAffineKinds:
         )
 
     def test_left_not_psd_blamed_before_right_solver_failure(self, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
         marker = 7.25
-
-        def flaky(x):
-            if np.any(x == marker):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigvalsh(x)
-
         a = np.diag([1.0, -0.5])
         with pytest.raises(NotPSDError) as alone:
-            _psd_scale(eigvalsh(a), DEFAULT_TOL, "left operand")
-        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+            _psd_scale(np.linalg.eigvalsh(a), DEFAULT_TOL, "left operand")
+        _fail_eigvalsh_on(monkeypatch, marker)
         with pytest.raises(NotPSDError) as both:
             apply(make_builtin("sum"), SymMatrix(a), SymMatrix(np.diag([1.0, marker])))
         assert str(both.value) == str(alone.value)
@@ -710,14 +716,17 @@ def _congruence(conn, a, b):
 
 
 def _record_solvers(monkeypatch):
-    """The names of the calls to numpy's Cholesky and symmetric eigenvalue
-    solvers, in order."""
+    """The names of the Cholesky and symmetric eigenvalue solves that pass
+    through ``linalg._lapack``, in order."""
     calls = []
-    for name in ("cholesky", "eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda x, _s=solver, _n=name: calls.append(_n) or _s(x)
-        )
+    lapack = linalg._lapack
+
+    def recording(name, *args, **kwargs):
+        if name in ("cholesky", "eigh", "eigvalsh"):
+            calls.append(name)
+        return lapack(name, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_lapack", recording)
     return calls
 
 
@@ -847,15 +856,8 @@ class TestAtomRoute:
 
         # On a failure of the stacked eigenvalue solve, the separate checks
         # still blame the left operand before the right one's solver failure.
-        eigvalsh = np.linalg.eigvalsh
         marker = 7.25
-
-        def flaky(x):
-            if np.any(x == marker):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigvalsh(x)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        _fail_eigvalsh_on(monkeypatch, marker)
         _fail_cholesky_near(monkeypatch, marker)
         b = np.eye(n)
         b[j, j] = marker

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from meanskit import linalg
 from meanskit.connections import make_builtin
 from meanskit.linalg import (
     DEFAULT_TOL,
@@ -136,15 +137,15 @@ class TestSpectrum:
 class TestEigenSolverErrors:
     @staticmethod
     def _reject_negative_corner(monkeypatch):
-        # A solver that fails on any item whose (0, 0) entry is negative.
-        real = np.linalg.eigh
+        # An eigensolver that fails on any item whose (0, 0) entry is negative.
+        lapack = linalg._lapack
 
-        def eigh(a):
-            if np.any(np.asarray(a)[..., 0, 0] < 0):
+        def failing(name, a, *rest, **kwargs):
+            if name == "eigh" and np.any(np.asarray(a)[..., 0, 0] < 0):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(a)
+            return lapack(name, a, *rest, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(linalg, "_lapack", failing)
 
     def test_single_matrix_reports_its_dim_and_entries(self, monkeypatch):
         self._reject_negative_corner(monkeypatch)
@@ -170,6 +171,115 @@ class TestEigenSolverErrors:
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
         assert "(dim 2, entries [[-4.0, 0.0], [0.0, 4.0]])" in str(stacked.value)
+
+
+def _raised(call):
+    """The exception that call() raises, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as info:
+            call()
+    return info.value
+
+
+class TestLapack:
+    """``linalg._lapack`` against the public numpy.linalg functions."""
+
+    @staticmethod
+    def _operands(name, shape, rng):
+        g = rng.standard_normal(shape)
+        pd = g @ g.swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1])
+        if name == "solve":
+            return g, rng.standard_normal(shape)
+        return (pd,) if name == "cholesky" else ((g + g.swapaxes(-1, -2)) * 0.5,)
+
+    @pytest.mark.parametrize("name", ["eigh", "eigvalsh", "cholesky", "solve"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 33])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_bitwise_equal_to_numpy(self, name, n, stack):
+        args = self._operands(name, stack + (n, n), np.random.default_rng([350, n, len(stack)]))
+        got = linalg._lapack(name, *args)
+        want = getattr(np.linalg, name)(*args)
+        if name == "eigh":
+            assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("cholesky", (-np.eye(3),)),
+            # The factorization overflows before it fails; that flag must
+            # not warn.
+            ("cholesky", (np.array([[1e-300, 1e300], [1e300, 1.0]]),)),
+            ("cholesky", (np.stack([np.eye(2), -np.eye(2)]),)),
+            ("solve", (np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))),
+            ("solve", (np.zeros((2, 3, 3)), np.ones((2, 3, 1)))),
+        ],
+    )
+    def test_failure_raises_numpys_own_error(self, name, args):
+        got = _raised(lambda: linalg._lapack(name, *args))
+        want = _raised(lambda: getattr(np.linalg, name)(*args))
+        assert type(got) is np.linalg.LinAlgError
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("eigvalsh", (np.ones(3),)),
+            ("eigh", (np.ones((2, 3)),)),
+            ("cholesky", (np.ones((2, 2), dtype=np.float32),)),
+            ("eigvalsh", (np.array([[2, 1], [1, 2]]),)),
+            ("solve", (np.eye(2), np.ones(2))),
+            ("solve", (np.eye(2), np.ones((3, 3)))),
+        ],
+    )
+    def test_input_the_gufunc_refuses_goes_to_numpy(self, name, args):
+        public = getattr(np.linalg, name)
+        try:
+            want = public(*args)
+        except Exception as exc:
+            got = _raised(lambda: linalg._lapack(name, *args))
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            got = linalg._lapack(name, *args)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.array_equal(got, want)
+
+    def test_failed_certificate_factors_once(self, monkeypatch):
+        counts = {"gufunc": 0, "public": 0}
+        gufunc, signature = linalg._GUFUNCS["cholesky"]
+        public = np.linalg.cholesky
+
+        def counting_gufunc(*args, **kwargs):
+            counts["gufunc"] += 1
+            return gufunc(*args, **kwargs)
+
+        def counting_public(*args, **kwargs):
+            counts["public"] += 1
+            return public(*args, **kwargs)
+
+        monkeypatch.setitem(linalg._GUFUNCS, "cholesky", (counting_gufunc, signature))
+        monkeypatch.setattr(np.linalg, "cholesky", counting_public)
+        assert not _certified_pd(np.diag([1.0, -1.0]), DEFAULT_TOL)
+        assert counts == {"gufunc": 1, "public": 0}
+        assert _certified_pd(np.eye(2), DEFAULT_TOL)
+        assert counts == {"gufunc": 2, "public": 0}
+
+    @pytest.mark.parametrize("fn", [opnorm, spectrum, is_psd])
+    def test_malformed_input_keeps_its_error(self, fn):
+        # The messages these raised before the gufuncs were called directly.
+        prefix = "eigendecomposition failed for matrix (dim 3, entries "
+        cases = [
+            (np.ones(3), "[1.0, 1.0, 1.0]): 1-dimensional array given. "
+             "Array must be at least two-dimensional"),
+            (np.ones((2, 3)), "[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]): "
+             "Last 2 dimensions of the array must be square"),
+        ]
+        for x, rest in cases:
+            got = _raised(lambda: fn(x))
+            assert type(got) is EigenSolverError
+            assert str(got) == prefix + rest
 
 
 class TestCheckSpectra:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from meanskit import linalg
 from meanskit.connections import Connection, _FunctionBackedConnection, make_builtin
 from meanskit.linalg import (
     DEFAULT_TOL,
@@ -509,6 +510,12 @@ def test_config_rejects_non_whole_counts(bad):
         TrialConfig(**bad)
 
 
+@pytest.mark.parametrize("tol", [None, 1e-9, {"psd_slack": 1e-9}])
+def test_config_rejects_a_tol_that_is_not_tolerances(tol):
+    with pytest.raises(ValueError, match="^tol must be a Tolerances, got "):
+        TrialConfig(trials=3, tol=tol)
+
+
 def test_config_accepts_whole_floats():
     cfg = TrialConfig(dims=(2.0, 3), trials=3.0, seed=7.0)
     assert (cfg.dims, cfg.trials, cfg.seed) == ((2, 3), 3, 7)
@@ -531,25 +538,26 @@ def test_continuity_solver_failure_names_the_item_alone(monkeypatch):
     # The stacked solve of a trial's Loewner margins fails, and so does its
     # item 2 alone: the witness holds item 2's own error, with no place in
     # the stack.
-    real = np.linalg.eigvalsh
+    real = linalg._lapack
     seen = []
 
     def fail(x):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def eigvalsh(x):
-        seen.append(np.array(x))
-        if x.ndim > 2 or sum(s.ndim == 2 for s in seen) == 3:
-            fail(x)
-        return real(x)
+    def lapack(name, x, *rest, **kwargs):
+        if name == "eigvalsh":
+            seen.append(np.array(x))
+            if x.ndim > 2 or sum(s.ndim == 2 for s in seen) == 3:
+                fail(x)
+        return real(name, x, *rest, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(linalg, "_lapack", lapack)
     report = check_continuity_from_above(
         make_builtin("arithmetic", 0.5), TrialConfig(dims=(2,), trials=1, seed=7)
     )
     stacks = [s for s in seen if s.ndim > 2]
     assert len(stacks) == 1 and np.array_equal(seen[-1], stacks[0][2])
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(linalg, "_lapack", lambda name, x, *rest, **kwargs: fail(x))
     with pytest.raises(EigenSolverError) as alone:
         _eigvalsh(stacks[0][2])
     assert report.violations == 1
