@@ -45,9 +45,9 @@ from .linalg import (
     _eigvalsh,
     _fn_calculus_raw,
     _is_pd,
+    _lapack,
     _per_eigenvalue,
     _regularize_raw,
-    _solve,
     _sym,
 )
 
@@ -348,19 +348,10 @@ def _operand_spectra(a, b, tol):
 def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The sum of w (A !_t B) over the atoms (t, w), for operands of shape
     (..., n, n): w A at t = 0, w B at t = 1, and the weighted harmonic mean
-    w A (t A + (1 - t) B)^{-1} B inside (0, 1), by a linear solve with
-    each pivot t A + (1 - t) B (Anderson and Duffin's parallel sum; Kubo
-    and Ando).  It needs each pivot positive definite, and then no limit
-    for a singular operand.  The terms are summed in the order of the
-    atoms."""
-    pivots = [t * a + (1.0 - t) * b for t, _ in atoms if 0.0 < t < 1.0]
-    # Two or more pivots are solved in one stacked call, which pays the
-    # per-call cost once; a single pivot is solved as it is, because
-    # stacking it costs more than that.
-    if len(pivots) > 1:
-        solved = iter(_solve(np.array(pivots), b))
-    else:
-        solved = (_solve(p, b) for p in pivots)
+    w A (t A + (1 - t) B)^{-1} B inside (0, 1), by one linear solve per atom
+    (Anderson and Duffin's parallel sum; Kubo and Ando).  It needs each
+    pivot t A + (1 - t) B positive definite, and then no limit for a
+    singular operand."""
     out = 0.0
     for t, w in atoms:
         if t == 0.0:
@@ -368,7 +359,7 @@ def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         elif t == 1.0:
             term = b
         else:
-            term = a @ next(solved)
+            term = a @ _lapack("solve", t * a + (1.0 - t) * b, b)
         out = out + w * term
     return _sym(out)
 

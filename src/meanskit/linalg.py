@@ -298,14 +298,18 @@ def _lapack(name: str, *args, rerun_on_failure: bool = True):
     failure is an answer and a second factorization would be waste.
     """
     gufunc, signature = _GUFUNCS[name]
-    try:
-        with np.errstate(all="ignore", invalid="raise"):
-            return gufunc(*args, signature=signature, casting="no")
-    except FloatingPointError as exc:
-        if not rerun_on_failure:
-            raise np.linalg.LinAlgError(str(exc)) from None
-    except (TypeError, ValueError):
-        pass
+    # numpy.linalg.solve reads a b of one dimension fewer than a as a stack
+    # of vectors (numpy 1.x at every ndim, numpy 2 when b is 1-D), where the
+    # gufunc reads matrices, so such a b goes to the public function.
+    if name != "solve" or np.ndim(args[0]) == np.ndim(args[1]):
+        try:
+            with np.errstate(all="ignore", invalid="raise"):
+                return gufunc(*args, signature=signature, casting="no")
+        except FloatingPointError as exc:
+            if not rerun_on_failure:
+                raise np.linalg.LinAlgError(str(exc)) from None
+        except (TypeError, ValueError):
+            pass
     return getattr(np.linalg, name)(*args)
 
 
@@ -321,11 +325,6 @@ def _eigvalsh(a: np.ndarray, label: str = "matrix") -> np.ndarray:
         return _lapack("eigvalsh", a)
     except np.linalg.LinAlgError as exc:
         raise _eigen_error(a, label, exc) from exc
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X with a X = b, for a of shape (..., n, n) and b of shape (..., n, m)."""
-    return _lapack("solve", a, b)
 
 
 def _spectral_scale(w: np.ndarray) -> float:

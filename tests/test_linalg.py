@@ -215,6 +215,9 @@ class TestLapack:
             ("cholesky", (np.stack([np.eye(2), -np.eye(2)]),)),
             ("solve", (np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))),
             ("solve", (np.zeros((2, 3, 3)), np.ones((2, 3, 1)))),
+            # A stack of singular pivots with a 2-D b, as many pivots as b
+            # has columns, so numpy 1.x and 2.x both read b as valid.
+            ("solve", (np.zeros((3, 3, 3)), np.eye(3))),
         ],
     )
     def test_failure_raises_numpys_own_error(self, name, args):
@@ -245,6 +248,30 @@ class TestLapack:
             got = linalg._lapack(name, *args)
             assert np.asarray(got).dtype == np.asarray(want).dtype
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.zeros((2, 3, 3)), np.stack([2.0 * np.eye(3), np.diag([1.0, 2.0, 3.0])])],
+        ids=["singular", "nonsingular"],
+    )
+    def test_solve_with_one_dim_fewer_in_b_goes_to_numpy(self, monkeypatch, a):
+        # numpy 1.x reads this b as vectors and numpy 2 as matrices; either
+        # way, the gufunc is not called and the answer is numpy's.
+        b = np.arange(9.0).reshape(3, 3)
+        try:
+            want = np.linalg.solve(a, b)
+        except Exception as exc:
+            want = exc
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("the gufunc was called")
+
+        monkeypatch.setitem(linalg._GUFUNCS, "solve", (not_called, "dd->d"))
+        if isinstance(want, Exception):
+            got = _raised(lambda: linalg._lapack("solve", a, b))
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert np.array_equal(linalg._lapack("solve", a, b), want)
 
     def test_failed_certificate_factors_once(self, monkeypatch):
         counts = {"gufunc": 0, "public": 0}
