@@ -43,6 +43,7 @@ from .linalg import (
     _check_spectra,
     _eigh,
     _eigvalsh,
+    _eye,
     _fn_calculus_raw,
     _is_pd,
     _lapack,
@@ -468,7 +469,7 @@ class _FunctionBackedConnection(Connection):
         # A pair with a singular left operand: clip its spectrum to [0, inf)
         # and take the decreasing limit over a joint shift of both operands.
         wc = np.maximum(w, 0.0)
-        eye = np.eye(a.shape[0])
+        eye = _eye(a.shape[0])
         fn = self._fn_array
         # B is checked once, however many steps clip.
         check = functools.cache(lambda: _check_right(b, tol))

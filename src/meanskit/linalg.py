@@ -18,6 +18,7 @@ function runs instead and raises numpy's own error.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -27,6 +28,13 @@ from typing import Callable
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+try:
+    # numpy 2 keeps the floating-point error state in this context variable,
+    # the one np.errstate sets and resets; numpy 1.x has no such variable.
+    from numpy._core._ufunc_config import _extobj_contextvar
+except ImportError:
+    _extobj_contextvar = None
 
 __all__ = [
     "ASYMMETRY_WARN_REL",
@@ -148,6 +156,27 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+# Identities up to this dim are shared, at most 16 of them.  A larger one is
+# built per call: beside the O(n^3) work it serves, building it is cheap,
+# and a cached one would hold its memory.
+_SHARED_EYE_MAX_DIM = 128
+
+
+def _read_only_eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+_shared_eye = functools.lru_cache(maxsize=16)(_read_only_eye)
+
+
+def _eye(n: int) -> np.ndarray:
+    """np.eye(n), read-only, and for small n one array shared by every call:
+    the shifts of the certificate, the limit route and the suites reuse it."""
+    return _shared_eye(n) if n <= _SHARED_EYE_MAX_DIM else _read_only_eye(n)
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
@@ -284,18 +313,33 @@ _GUFUNCS = {
 }
 
 
+# numpy.linalg's error state, where LAPACK's failure flag raises and every
+# other flag is ignored, built once for ``_lapack``: entering it is one set
+# and one reset of numpy's context variable, not a fresh np.errstate.  It
+# keeps the buffer size and error callback of the moment of import; no flag
+# is in "call" mode, and the buffer size, which only chunks the loop over a
+# stack, changes no result.  None on numpy 1.x.
+_LINALG_ERRSTATE = None
+if _extobj_contextvar is not None:
+    with np.errstate(all="ignore", invalid="raise"):
+        _LINALG_ERRSTATE = _extobj_contextvar.get()
+
+
 def _lapack(name: str, *args, rerun_on_failure: bool = True):
     """``numpy.linalg.<name>(*args)`` for ``name`` in ``_GUFUNCS``, by one
     call of its gufunc, without numpy.linalg's per-call wrapper.
 
     The gufunc runs on float64 arrays only (``casting="no"``) and in the
-    errstate numpy.linalg uses, where LAPACK's failure flag raises and every
-    other flag is ignored.  Input it refuses, such as a 1-D or non-square
-    array or another dtype, and a failure, such as a matrix that is not
-    positive definite for ``cholesky``, run the public function instead,
-    which raises numpy's own error.  With ``rerun_on_failure=False`` a
-    failure raises a bare ``LinAlgError`` at once, for a caller to whom a
-    failure is an answer and a second factorization would be waste.
+    error state numpy.linalg uses, where LAPACK's failure flag raises and
+    every other flag is ignored: ``_LINALG_ERRSTATE``, or on numpy 1.x a
+    fresh ``np.errstate``.  The caller's state, which numpy keeps per
+    thread, is back in place on return and on a raise.  Input the gufunc
+    refuses, such as a 1-D or non-square array or another dtype, and a
+    failure, such as a matrix that is not positive definite for
+    ``cholesky``, run the public function instead, which raises numpy's own
+    error.  With ``rerun_on_failure=False`` a failure raises a bare
+    ``LinAlgError`` at once, for a caller to whom a failure is an answer and
+    a second factorization would be waste.
     """
     gufunc, signature = _GUFUNCS[name]
     # numpy.linalg.solve reads a b of one dimension fewer than a as a stack
@@ -303,8 +347,14 @@ def _lapack(name: str, *args, rerun_on_failure: bool = True):
     # gufunc reads matrices, so such a b goes to the public function.
     if name != "solve" or np.ndim(args[0]) == np.ndim(args[1]):
         try:
-            with np.errstate(all="ignore", invalid="raise"):
+            if _LINALG_ERRSTATE is None:
+                with np.errstate(all="ignore", invalid="raise"):
+                    return gufunc(*args, signature=signature, casting="no")
+            token = _extobj_contextvar.set(_LINALG_ERRSTATE)
+            try:
                 return gufunc(*args, signature=signature, casting="no")
+            finally:
+                _extobj_contextvar.reset(token)
         except FloatingPointError as exc:
             if not rerun_on_failure:
                 raise np.linalg.LinAlgError(str(exc)) from None
@@ -397,7 +447,7 @@ def _certified_pd(x: np.ndarray, tol: Tolerances) -> bool:
     if not shift < math.inf:
         return False
     try:
-        _lapack("cholesky", x - shift * np.eye(n), rerun_on_failure=False)
+        _lapack("cholesky", x - shift * _eye(n), rerun_on_failure=False)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -263,12 +263,13 @@ class MeasureConnection(_FunctionBackedConnection):
         ts, ws = measure.density_nodes()
         ts = np.concatenate([np.array([t for t, _ in interior]), ts])
         ws = np.concatenate([np.array([w for _, w in interior]), ws])
+        us = 1.0 - ts
 
         def f(x):
             # A Python float or a spectrum array.
             x = np.asarray(x)
             xs = x[..., None]
-            return w0 + w1 * x + (xs / ((1.0 - ts) * xs + ts)) @ ws
+            return w0 + w1 * x + (xs / (us * xs + ts)) @ ws
 
         self.repr_function = ReprFunction(f, w0, float(f(1.0)))
         self._fn_array = f

@@ -25,7 +25,7 @@ from .connections import (
     make_builtin,
 )
 from .linalg import DEFAULT_TOL, EigenSolverError, SymMatrix, Tolerances, opnorm
-from .linalg import _eigvalsh, _is_whole, _sym
+from .linalg import _eigvalsh, _eye, _is_whole, _sym
 
 __all__ = [
     "COUNTEREXAMPLE_TOL",
@@ -140,7 +140,7 @@ def _gram(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _gram_pd(dim: int, rng: np.random.Generator, tol: Tolerances) -> np.ndarray:
-    return _gram(dim, rng) + 10.0 * tol.psd_slack * np.eye(dim)
+    return _gram(dim, rng) + 10.0 * tol.psd_slack * _eye(dim)
 
 
 def _ordered_pair(
@@ -293,7 +293,7 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
     tol = cfg.tol
     start = time.perf_counter()
     for index, rng, dim in _draws(cfg):
-        shift = _AXIOMS_SHIFT * np.eye(dim)
+        shift = _AXIOMS_SHIFT * _eye(dim)
         a = _gram(dim, rng) + shift
         c = a + _gram(dim, rng)
         b = _gram(dim, rng) + shift
@@ -305,13 +305,13 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
 
         def evaluate():
             x_ab, x_cd, rhs, rhs_pd = conn._apply_stack(
-                np.stack([a, c, _congr(c_ineq, a), _congr(c_pd, a)]),
-                np.stack([b, d, _congr(c_ineq, b), _congr(c_pd, b)]),
+                np.array([a, c, _congr(c_ineq, a), _congr(c_pd, a)]),
+                np.array([b, d, _congr(c_ineq, b), _congr(c_pd, b)]),
                 tol,
             )
             lhs, lhs_pd = _congr(c_ineq, x_ab), _congr(c_pd, x_ab)
             mono, transformer = _loewner_margin(
-                np.stack([x_ab, lhs]), np.stack([x_cd, rhs]), tol
+                np.array([x_ab, lhs]), np.array([x_cd, rhs]), tol
             )
             checks = [
                 ("monotonicity", mono),
@@ -346,7 +346,7 @@ def check_continuity_from_above(
     tol = cfg.tol
     start = time.perf_counter()
     for index, rng, dim in _draws(cfg):
-        shift = _CONTINUITY_SHIFT * np.eye(dim)
+        shift = _CONTINUITY_SHIFT * _eye(dim)
         a = _gram(dim, rng) + shift
         b = _gram(dim, rng) + shift
         p = _gram(dim, rng)

@@ -328,21 +328,25 @@ def _rank_deficient_pairs():
 def _fail_solver(monkeypatch, solver, fails, message):
     """Make ``linalg._lapack``, the package's one call into LAPACK, raise
     numpy's ``LinAlgError(message)`` for ``solver`` on any matrix x with
-    fails(x)."""
+    fails(x).  Returns a list that gets one entry, the failing x, per
+    raise, so a test can tell that its injected failure fired."""
     lapack = linalg._lapack
+    raised = []
 
     def flaky(name, x, *rest, **kwargs):
         if name == solver and fails(x):
+            raised.append(x)
             raise np.linalg.LinAlgError(message)
         return lapack(name, x, *rest, **kwargs)
 
     monkeypatch.setattr(linalg, "_lapack", flaky)
+    return raised
 
 
 def _fail_eigvalsh_on(monkeypatch, marker):
     """Make the eigenvalue solve fail on a matrix with an entry equal to
-    ``marker``."""
-    _fail_solver(
+    ``marker``; returns ``_fail_solver``'s list of raises."""
+    return _fail_solver(
         monkeypatch, "eigvalsh", lambda x: np.any(x == marker), "Eigenvalues did not converge"
     )
 
@@ -452,10 +456,12 @@ class TestAffineKinds:
         a = np.diag([1.0, -0.5])
         with pytest.raises(NotPSDError) as alone:
             _psd_scale(np.linalg.eigvalsh(a), DEFAULT_TOL, "left operand")
-        _fail_eigvalsh_on(monkeypatch, marker)
+        raised = _fail_eigvalsh_on(monkeypatch, marker)
         with pytest.raises(NotPSDError) as both:
             apply(make_builtin("sum"), SymMatrix(a), SymMatrix(np.diag([1.0, marker])))
         assert str(both.value) == str(alone.value)
+        # The eigenvalue solve that sees the right operand did fail.
+        assert raised
 
     def test_coefficients_match_representing_function(self):
         curved = {("logarithmic", None), ("parallel_sum", None)}

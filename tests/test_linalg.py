@@ -1,6 +1,8 @@
 """Tests for the symmetric-matrix substrate."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -35,7 +37,7 @@ from meanskit.linalg import (
     spectrum,
     sqrt_psd,
 )
-from meanskit.linalg import _certified_pd, _check_spectra, _eigh, _psd_scale
+from meanskit.linalg import _certified_pd, _check_spectra, _eigh, _eye, _psd_scale
 
 # sqrt of [[2,1],[1,2]] by hand: eigenvalues 1, 3 with eigenvectors
 # (1,-1)/sqrt2, (1,1)/sqrt2, so the entries are (sqrt3 +- 1)/2.
@@ -307,6 +309,136 @@ class TestLapack:
             got = _raised(lambda: fn(x))
             assert type(got) is EigenSolverError
             assert str(got) == prefix + rest
+
+
+@pytest.fixture(params=["prebuilt", "np.errstate"])
+def errstate_path(request, monkeypatch):
+    """Run a test on both ways into numpy.linalg's error state: the state
+    that ``linalg`` builds at import, and a fresh ``np.errstate`` per call,
+    which is what numpy 1.x gets, having no state to prebuild."""
+    if request.param == "np.errstate":
+        monkeypatch.setattr(linalg, "_LINALG_ERRSTATE", None)
+
+
+@pytest.mark.usefixtures("errstate_path")
+class TestLapackErrorState:
+    """``linalg._lapack`` calls LAPACK in numpy.linalg's error state and
+    leaves the caller's state as it found it."""
+
+    SPD = np.array([[2.0, 1.0], [1.0, 2.0]])
+    # Cholesky fails on each; on the second the factorization overflows
+    # before it fails.
+    NOT_PD = [-np.eye(3), np.array([[1e-300, 1e300], [1e300, 1.0]])]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: linalg._lapack("eigh", TestLapackErrorState.SPD),
+            lambda: linalg._lapack("cholesky", -np.eye(3)),
+            lambda: linalg._lapack("cholesky", -np.eye(3), rerun_on_failure=False),
+        ],
+        ids=["success", "failure", "failure-no-rerun"],
+    )
+    def test_callers_error_state_is_restored(self, call):
+        for state in ({}, {"all": "warn", "under": "raise"}, {"all": "ignore"}):
+            with np.errstate(**state):
+                before = np.geterr()
+                try:
+                    call()
+                except np.linalg.LinAlgError:
+                    pass
+                assert np.geterr() == before
+
+    def test_failure_is_caught_whatever_the_callers_state(self):
+        # Under a caller's "ignore", a failed factorization would otherwise
+        # return NaN and certify a matrix that is not positive definite.
+        for state in ({"all": "ignore"}, {"all": "warn"}, {"all": "raise"}):
+            with np.errstate(**state):
+                for x in self.NOT_PD:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        linalg._lapack("cholesky", x)
+                    assert not _certified_pd(x, DEFAULT_TOL)
+                assert np.array_equal(
+                    linalg._lapack("cholesky", self.SPD), np.linalg.cholesky(self.SPD)
+                )
+
+    @pytest.mark.parametrize(
+        "x",
+        NOT_PD + [np.diag([1.0, -1.0]), np.zeros((2, 2)), np.stack([np.eye(2), -np.eye(2)])],
+    )
+    def test_failing_certificate_does_not_warn(self, x):
+        with np.errstate(all="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _certified_pd(x, DEFAULT_TOL)
+
+    def test_other_threads_keep_their_own_error_state(self):
+        # Threads that each hold np.errstate(over="raise") run beside threads
+        # that call _lapack in a loop, with a short switch interval so that
+        # they interleave between almost any two bytecodes.
+        stop = threading.Event()
+        checks, missed = [], []
+
+        def holder():
+            count = 0
+            with np.errstate(over="raise"):
+                while not stop.is_set():
+                    try:
+                        np.float64(1e300) * np.float64(1e300)
+                    except FloatingPointError:
+                        pass
+                    else:
+                        missed.append("overflow did not raise")
+                    if np.geterr()["over"] != "raise":
+                        missed.append(np.geterr())
+                    count += 1
+            checks.append(count)
+
+        def caller():
+            state = np.geterr()
+            for _ in range(2000):
+                linalg._lapack("eigh", self.SPD)
+                try:
+                    linalg._lapack("cholesky", -np.eye(2), rerun_on_failure=False)
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    missed.append("cholesky did not fail")
+                if np.geterr() != state:
+                    missed.append(np.geterr())
+
+        before = np.geterr()
+        holders = [threading.Thread(target=holder) for _ in range(2)]
+        callers = [threading.Thread(target=caller) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in holders + callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            for thread in holders:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in holders + callers)
+        assert missed == []
+        assert len(checks) == 2 and min(checks) >= 100
+        assert np.geterr() == before
+
+
+class TestEye:
+    @pytest.mark.parametrize("n", [1, 2, 8, 128, 129])
+    def test_read_only_identity(self, n):
+        eye = _eye(n)
+        assert eye.dtype == np.float64 and not eye.flags.writeable
+        assert np.array_equal(eye, np.eye(n))
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
+    def test_small_dims_share_one_array(self):
+        assert _eye(5) is _eye(5)
+        assert _eye(linalg._SHARED_EYE_MAX_DIM) is _eye(linalg._SHARED_EYE_MAX_DIM)
 
 
 class TestCheckSpectra:
