@@ -69,9 +69,11 @@ _CONTINUITY_SHIFT = 0.2
 _AXIOMS_SHIFT = 0.5
 
 # Checkpoints for the decreasing sequences A + 2^-n P; monotonicity along a
-# subsampled grid implies it along the full one by transitivity.
+# subsampled grid implies it along the full one by transitivity.  The
+# leading scale 0 puts the base pair first in the stack: a + 0 * p is a bit
+# for bit, because a's shift leaves it no -0.0 entry.
 _CONTINUITY_STEPS = tuple(range(0, 13)) + tuple(range(14, 25, 2)) + (28, 32, 36, 40)
-_CONTINUITY_SCALES = np.array([2.0**-n for n in _CONTINUITY_STEPS])[:, None, None]
+_CONTINUITY_SCALES = np.array([0.0] + [2.0**-n for n in _CONTINUITY_STEPS])[:, None, None]
 
 _MAX_WITNESSES = 5
 
@@ -131,12 +133,19 @@ def _draws(cfg: TrialConfig, count: int | None = None, offset: int = 0):
         yield index, _trial_rng(cfg.seed, index), cfg.dims[k % len(cfg.dims)]
 
 
+def _grams(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The raw draw behind every suite: a (k, dim, dim) stack of G G^T for
+    G with independent standard-normal entries, from one generator call.
+    The generator fills the stack in the order that k draws of one G each
+    would, and numpy computes each item's product from one triangle, so
+    item i is the i-th of k single draws bit for bit, exactly symmetric,
+    and SymMatrix stores it unchanged."""
+    g = rng.standard_normal((k, dim, dim))
+    return g @ g.swapaxes(-1, -2)
+
+
 def _gram(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The raw draw behind every suite: G G^T for G with independent
-    standard-normal entries.  numpy computes g @ g.T from one triangle, so
-    the result is exactly symmetric and SymMatrix stores it unchanged."""
-    g = rng.standard_normal((dim, dim))
-    return g @ g.T
+    return _grams(1, dim, rng)[0]
 
 
 def _gram_pd(dim: int, rng: np.random.Generator, tol: Tolerances) -> np.ndarray:
@@ -286,37 +295,36 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
     """Monotonicity, the transformer inequality, congruence invariance for
     positive-definite transforms, and dim-1 scalar consistency.
 
-    A trial's four n x n evaluations, (A, B), (C, D) and the two congruence
-    transforms of (A, B), are stacked into one call, and its two Loewner
-    margins come from one eigenvalue solve."""
+    A trial's six Gram matrices come from one draw.  Its four n x n
+    evaluations, (A, B), (C, D) and the two congruence transforms of
+    (A, B), are stacked into one call, and its two Loewner margins come
+    from one eigenvalue solve."""
     rec = _SuiteRecorder("axioms", cfg.seed)
     tol = cfg.tol
     start = time.perf_counter()
     for index, rng, dim in _draws(cfg):
         shift = _AXIOMS_SHIFT * _eye(dim)
-        a = _gram(dim, rng) + shift
-        c = a + _gram(dim, rng)
-        b = _gram(dim, rng) + shift
-        d = b + _gram(dim, rng)
-        c_ineq = _gram(dim, rng) + shift
-        c_pd = _gram(dim, rng) + shift
-        s = float(rng.uniform(0.05, 3.0))
-        u = float(rng.uniform(0.05, 3.0))
+        # Drawn in the order A, C - A, B, D - B, C_ineq, C_pd.
+        g = _grams(6, dim, rng)
+        ab = g[0:4:2] + shift
+        cd = ab + g[1:4:2]
+        transforms = g[4:] + shift
+        s, u = rng.uniform(0.05, 3.0, 2).tolist()
 
         def evaluate():
-            x_ab, x_cd, rhs, rhs_pd = conn._apply_stack(
-                np.array([a, c, _congr(c_ineq, a), _congr(c_pd, a)]),
-                np.array([b, d, _congr(c_ineq, b), _congr(c_pd, b)]),
-                tol,
+            # operands[0] is (A, C, C_ineq A C_ineq, C_pd A C_pd), and
+            # operands[1] the same with B and D.
+            operands = np.concatenate(
+                [ab[:, None], cd[:, None], _congr(transforms, ab[:, None])], axis=1
             )
-            lhs, lhs_pd = _congr(c_ineq, x_ab), _congr(c_pd, x_ab)
-            mono, transformer = _loewner_margin(
-                np.array([x_ab, lhs]), np.array([x_cd, rhs]), tol
-            )
+            x = conn._apply_stack(operands[0], operands[1], tol)
+            x_ab = x[0]
+            lhs, lhs_pd = _congr(transforms, x_ab)
+            mono, transformer = _loewner_margin(np.array([x_ab, lhs]), x[1:3], tol)
             checks = [
                 ("monotonicity", mono),
                 ("transformer_inequality", transformer),
-                ("congruence_equality", _equality_margin(lhs_pd, rhs_pd, tol)),
+                ("congruence_equality", _equality_margin(lhs_pd, x[3], tol)),
             ]
             got = conn._apply_raw(np.array([[s]]), np.array([[u]]), tol)[0, 0]
             expected = s * conn.fn(u / s)
@@ -328,7 +336,17 @@ def check_axioms(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Report:
             )
             return checks
 
-        rec.run_trial(index, dim, evaluate, A=a, B=b, C=c, D=d, C_ineq=c_ineq, C_pd=c_pd)
+        rec.run_trial(
+            index,
+            dim,
+            evaluate,
+            A=ab[0],
+            B=ab[1],
+            C=cd[0],
+            D=cd[1],
+            C_ineq=transforms[0],
+            C_pd=transforms[1],
+        )
     return rec.report(time.perf_counter() - start)
 
 
@@ -339,25 +357,21 @@ def check_continuity_from_above(
     must decrease in the Loewner order and converge to the value at the
     base pair by n = 40.
 
-    A trial evaluates the base pair and every checkpoint of the sequence in
-    one stacked call, and takes the Loewner margins from one stacked
-    eigenvalue solve."""
+    A trial's four Gram matrices come from one draw.  It evaluates the base
+    pair and every checkpoint of the sequence in one stacked call, and
+    takes the Loewner margins from one stacked eigenvalue solve."""
     rec = _SuiteRecorder("continuity", cfg.seed)
     tol = cfg.tol
     start = time.perf_counter()
     for index, rng, dim in _draws(cfg):
-        shift = _CONTINUITY_SHIFT * _eye(dim)
-        a = _gram(dim, rng) + shift
-        b = _gram(dim, rng) + shift
-        p = _gram(dim, rng)
-        q = _gram(dim, rng)
+        # Drawn in the order A, B, P, Q.
+        g = _grams(4, dim, rng)
+        ab = g[:2] + _CONTINUITY_SHIFT * _eye(dim)
+        pq = g[2:]
 
         def evaluate():
-            x = conn._apply_stack(
-                np.concatenate([a[None], a + _CONTINUITY_SCALES * p]),
-                np.concatenate([b[None], b + _CONTINUITY_SCALES * q]),
-                tol,
-            )
+            operands = ab[:, None] + _CONTINUITY_SCALES * pq[:, None]
+            x = conn._apply_stack(operands[0], operands[1], tol)
             target, steps = x[0], x[1:]
             checks = [
                 ("loewner_nonincreasing", margin)
@@ -366,7 +380,7 @@ def check_continuity_from_above(
             checks.append(("limit_reached", _equality_margin(steps[-1], target, tol)))
             return checks
 
-        rec.run_trial(index, dim, evaluate, A=a, B=b, P=p, Q=q)
+        rec.run_trial(index, dim, evaluate, A=ab[0], B=ab[1], P=pq[0], Q=pq[1])
     return rec.report(time.perf_counter() - start)
 
 
@@ -382,7 +396,7 @@ def check_positivity(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Repo
     for index, rng, dim in _draws(cfg):
         a = _gram_pd(dim, rng, tol)
         b = _gram_pd(dim, rng, tol)
-        eye = np.eye(dim)
+        eye = _eye(dim)
 
         def evaluate():
             x = conn._apply_raw(a, b, tol)
@@ -455,7 +469,7 @@ def _non_comparable_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """PD pair whose difference is indefinite with eigenvalues of size at
     least 0.5 on both sides (needs dim >= 2)."""
-    a = _sym(_gram(dim, rng) + 2.0 * np.eye(dim))
+    a = _sym(_gram(dim, rng) + 2.0 * _eye(dim))
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     mags = rng.uniform(0.5, 1.5, size=dim)
     signs = np.ones(dim)

@@ -37,7 +37,7 @@ from meanskit.verify import (
     standard_battery,
     standard_means,
 )
-from meanskit.verify import _frobenius, _gram, _trial_rng
+from meanskit.verify import _congr, _frobenius, _gram, _grams, _trial_rng
 
 SMALL = TrialConfig(dims=(1, 2, 3), trials=40, seed=7)
 
@@ -138,6 +138,68 @@ class TestGenerators:
                 public = random_psd(dim, np.random.default_rng([903, dim, i]))
                 assert raw.tobytes() == (g @ g.T).tobytes()
                 assert public.data.tobytes() == raw.tobytes(), (dim, i)
+
+
+class TestOneCallDraws:
+    """The axioms and continuity suites draw a trial's Gram matrices with
+    one generator call and take its congruences as one broadcast product;
+    each must give what the one-at-a-time calls give, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_grams_are_successive_single_draws(self, k, dim):
+        for i in range(20):
+            stacked = _grams(k, dim, np.random.default_rng([905, dim, i]))
+            rng = np.random.default_rng([905, dim, i])
+            assert stacked.shape == (k, dim, dim)
+            for item in stacked:
+                assert item.tobytes() == _gram(dim, rng).tobytes(), (k, dim, i)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_grams_leave_the_generator_where_single_draws_do(self, k, dim):
+        stacked = np.random.default_rng([906, dim])
+        single = np.random.default_rng([906, dim])
+        _grams(k, dim, stacked)
+        for _ in range(k):
+            _gram(dim, single)
+        assert _gram(dim, stacked).tobytes() == _gram(dim, single).tobytes()
+        assert stacked.uniform(0.05, 3.0) == single.uniform(0.05, 3.0)
+
+    def test_broadcast_congruence_is_the_pairwise_congruence(self):
+        for dim in (1, 2, 3, 5, 8):
+            for i in range(20):
+                rng = np.random.default_rng([907, dim, i])
+                transforms = _grams(2, dim, rng) + _AXIOMS_SHIFT * np.eye(dim)
+                operands = _grams(2, dim, rng) + _AXIOMS_SHIFT * np.eye(dim)
+                pairs = _congr(transforms, operands[:, None])
+                assert pairs.shape == (2, 2, dim, dim)
+                for j, x in enumerate(operands):
+                    for m, c in enumerate(transforms):
+                        assert pairs[j, m].tobytes() == _congr(c, x).tobytes()
+                one_operand = _congr(transforms, operands[0])
+                for m, c in enumerate(transforms):
+                    assert one_operand[m].tobytes() == _congr(c, operands[0]).tobytes()
+
+    def test_axioms_draw_two_scalar_uniforms_after_the_grams(self, monkeypatch):
+        # Only the dim-1 scalar check reaches _apply_raw (the stacks take
+        # _apply_stack), so it records each trial's (s, u).
+        original = _FunctionBackedConnection._apply_raw
+        seen = []
+
+        def recording(self, a, b, tol):
+            assert a.shape == b.shape == (1, 1)
+            seen.append((a[0, 0], b[0, 0]))
+            return original(self, a, b, tol)
+
+        monkeypatch.setattr(_FunctionBackedConnection, "_apply_raw", recording)
+        check_axioms(make_builtin("arithmetic", 0.5), SMALL)
+        assert len(seen) == SMALL.trials
+        for index, (s, u) in enumerate(seen):
+            rng = _trial_rng(SMALL.seed, index)
+            for _ in range(6):
+                _gram(SMALL.dims[index % len(SMALL.dims)], rng)
+            assert (s, u) == (rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)), index
 
 
 def test_frobenius_is_linalg_norm_bitwise():
@@ -252,10 +314,17 @@ class TestReportContract:
         assert broken.violations > 0 and len(broken.witnesses) > 0
         assert len(broken.witnesses) <= 5
 
-    def test_determinism_modulo_elapsed(self):
+    # One connection per route: affine, atom and congruence.
+    @pytest.mark.parametrize(
+        "kind, weight", [("sum", None), ("harmonic", 0.5), ("geometric", 0.5)]
+    )
+    @pytest.mark.parametrize(
+        "suite", [check_axioms, check_continuity_from_above], ids=lambda s: s.__name__
+    )
+    def test_determinism_modulo_elapsed(self, suite, kind, weight):
         cfg = TrialConfig(dims=(2, 3), trials=25, seed=11)
-        r1 = check_axioms(make_builtin("geometric", 0.5), cfg)
-        r2 = check_axioms(make_builtin("geometric", 0.5), cfg)
+        r1 = suite(make_builtin(kind, weight), cfg)
+        r2 = suite(make_builtin(kind, weight), cfg)
         assert r1.to_dict(include_elapsed=False) == r2.to_dict(include_elapsed=False)
 
     def test_to_dict_fields(self):
