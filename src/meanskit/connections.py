@@ -34,7 +34,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    EigenSolverError,
     SingularMatrixError,
     SymMatrix,
     Tolerances,
@@ -313,37 +312,25 @@ def _congruence_apply(
     )
 
 
-def _check_right(b, tol):
-    """The ascending spectrum of b, once it is checked PSD as the right operand."""
-    w = _eigvalsh(b, "right operand")
-    _check_spectra(w, tol, "right operand")
+def _checked_spectrum(x, tol, label):
+    """The ascending spectrum of the operand x, or of each item of a
+    (k, n, n) stack, once it is checked PSD; a solver failure and a
+    spectrum outside the cone both name ``label``."""
+    w = _eigvalsh(x, label)
+    _check_spectra(w, tol, label)
     return w
-
-
-def _checked_spectra(ab, tol):
-    """The ascending spectra of the operands stacked in ab = [A, B], after
-    checking that both are PSD.  One eigenvalue solve checks both; the left
-    one is blamed first, as two separate checks would.  On a solver
-    failure, the two separate checks run instead, so the error names the
-    operand."""
-    try:
-        wa, wb = _eigvalsh(ab)
-    except EigenSolverError:
-        wa = _eigvalsh(ab[0], "left operand")
-        _check_spectra(wa, tol, "left operand")
-        wb = _eigvalsh(ab[1], "right operand")
-    else:
-        _check_spectra(wa, tol, "left operand")
-    _check_spectra(wb, tol, "right operand")
-    return wa, wb
 
 
 def _operand_spectra(a, b, tol):
     """None when ``_certified_pd`` shows both (..., n, n) operands positive
-    definite, and otherwise their ascending spectra, after checking that
-    both are PSD by ``_checked_spectra``."""
-    ab = np.array([a, b])
-    return None if _certified_pd(ab, tol) else _checked_spectra(ab, tol)
+    definite, and otherwise their ascending spectra, each checked PSD by
+    ``_checked_spectrum``, the left one first."""
+    if _certified_pd(np.array([a, b]), tol):
+        return None
+    return (
+        _checked_spectrum(a, tol, "left operand"),
+        _checked_spectrum(b, tol, "right operand"),
+    )
 
 
 def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -457,7 +444,8 @@ class _FunctionBackedConnection(Connection):
                 pd = _is_pd(w, tol, "left operand")
                 if pd.all() if stack else pd:
                     return _congruence_apply(
-                        w, q, b, self._fn_array, tol, lambda: _check_right(b, tol)
+                        w, q, b, self._fn_array, tol,
+                        lambda: _checked_spectrum(b, tol, "right operand"),
                     )
         except Exception:
             # A stack's pairs run again below, and the first failing one
@@ -472,7 +460,7 @@ class _FunctionBackedConnection(Connection):
         eye = _eye(a.shape[0])
         fn = self._fn_array
         # B is checked once, however many steps clip.
-        check = functools.cache(lambda: _check_right(b, tol))
+        check = functools.cache(lambda: _checked_spectrum(b, tol, "right operand"))
         return _regularize_raw(
             lambda eps: _congruence_apply(wc + eps, q, b + eps * eye, fn, tol, check),
             tol,
@@ -636,7 +624,12 @@ def repr_fn_eval(conn: Connection, x: float, tol: Tolerances = DEFAULT_TOL) -> f
 
 def is_mean(conn: Connection, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff f(1) = 1 within eq_tol (fixed-point property)."""
-    return abs(conn.fn(1.0) - 1.0) <= tol.eq_tol
+    return abs(float(conn.fn(1.0)) - 1.0) <= tol.eq_tol
+
+
+def _is_zero(conn: Connection, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff f(1) <= eq_tol: f is 0 at 1, and so everywhere."""
+    return float(conn.fn(1.0)) <= tol.eq_tol
 
 
 @dataclass(frozen=True)
@@ -667,10 +660,8 @@ def classify(conn: Connection, tol: Tolerances = DEFAULT_TOL) -> ClassificationR
     f(2) = 2, by the rigidity of operator monotone functions that are
     constant (or the identity) on an interval.
     """
-    f1 = float(conn.fn(1.0))
     f2 = float(conn.fn(2.0))
-    zero = f1 <= tol.eq_tol
-    mean = abs(f1 - 1.0) <= tol.eq_tol
+    mean = is_mean(conn, tol)
     left = mean and abs(f2 - 1.0) <= tol.eq_tol
     right = mean and abs(f2 - 2.0) <= tol.eq_tol
     if mean:
@@ -680,7 +671,7 @@ def classify(conn: Connection, tol: Tolerances = DEFAULT_TOL) -> ClassificationR
     else:
         strict_left = strict_right = strict = None
     return ClassificationRecord(
-        is_zero=zero,
+        is_zero=_is_zero(conn, tol),
         is_mean=mean,
         is_left_trivial=left,
         is_right_trivial=right,
@@ -705,13 +696,12 @@ def solve_self_mean_equation(
             f"(min eigenvalue {float(w[0]):.6e})",
             min_eigenvalue=float(w[0]),
         )
-    f1 = float(conn.fn(1.0))
-    if f1 <= tol.eq_tol:
+    if _is_zero(conn, tol):
         raise ZeroConnectionError(
             "the zero connection maps every X to 0; X sigma X = A has no "
             "positive solution"
         )
-    return A * (1.0 / f1)
+    return A * (1.0 / float(conn.fn(1.0)))
 
 
 def repr_fn_audit(target, grid=AUDIT_GRID) -> dict:

@@ -648,15 +648,22 @@ def _relative_asymmetry(arr: np.ndarray) -> float:
 def matrix_from_dict(obj: dict) -> SymMatrix:
     """Parse the matrix file payload, warning if asymmetry exceeds 1e-12
     relative before symmetrizing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix must be an object, got {type(obj).__name__}")
     try:
         dim = obj["dim"]
         data = obj["data"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"matrix object must have 'dim' and 'data': {exc}") from exc
     if not _is_whole(dim) or dim < 1:
         raise ValueError(f"matrix dim must be a whole number >= 1, got {dim!r}")
     dim = int(dim)
     arr = np.asarray(data, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(
+            f"matrix data must be a flat list of numbers, got {type(data).__name__} "
+            f"of shape {arr.shape}"
+        )
     if arr.size != dim * dim:
         raise ValueError(
             f"matrix data has {arr.size} entries, expected dim*dim = {dim * dim}"

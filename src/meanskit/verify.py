@@ -20,6 +20,7 @@ import numpy as np
 from .connections import (
     AUDIT_GRID,
     Connection,
+    _is_zero,
     classify,
     is_mean,
     make_builtin,
@@ -391,7 +392,7 @@ def check_positivity(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Repo
     representing function and its transpose."""
     rec = _SuiteRecorder("positivity", cfg.seed)
     tol = cfg.tol
-    zero_conn = conn.fn(1.0) <= tol.eq_tol
+    zero_conn = _is_zero(conn, tol)
     start = time.perf_counter()
     for index, rng, dim in _draws(cfg):
         a = _gram_pd(dim, rng, tol)

@@ -290,6 +290,24 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("error: matrix dim must be a whole number")
 
+    @pytest.mark.parametrize(
+        "payload,error",
+        [
+            ("[]", "matrix must be an object, got list"),
+            ('{"dim": 2, "data": [[2, 1], [1, 2]]}', "matrix data must be a flat list"),
+            ('{"dim": 2, "data": "2112"}', "matrix data must be a flat list"),
+        ],
+        ids=["list", "nested_data", "string_data"],
+    )
+    def test_malformed_matrix_exits_2(self, capsys, matrix_files, tmp_path, payload, error):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        argv = ["eval", "--mean", "sum", "--A", str(path), "--B", matrix_files["pd"]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}")
+
     def test_whole_float_dim_loads(self, capsys, matrix_files, tmp_path):
         path = tmp_path / "eye.json"
         path.write_text('{"dim": 2.0, "data": [1.0, 0.0, 0.0, 1.0]}')

@@ -460,8 +460,8 @@ class TestAffineKinds:
         with pytest.raises(NotPSDError) as both:
             apply(make_builtin("sum"), SymMatrix(a), SymMatrix(np.diag([1.0, marker])))
         assert str(both.value) == str(alone.value)
-        # The eigenvalue solve that sees the right operand did fail.
-        assert raised
+        # The right operand is never solved once the left one fails.
+        assert raised == []
 
     def test_coefficients_match_representing_function(self):
         curved = {("logarithmic", None), ("parallel_sum", None)}
@@ -813,14 +813,13 @@ class TestAtomRoute:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 8, 15])
     def test_singular_left_tries_the_certificate_once(self, monkeypatch, dim):
         # The Cholesky certificate, which A fails, then one eigenvalue solve
-        # of the stacked operands decides the pivots; A is never
-        # eigendecomposed.
+        # per operand decides the pivots; A is never eigendecomposed.
         conn = make_builtin("harmonic", 0.5)
         rank = min(5, dim - 1)
         a, b = _rank_deficient(dim, rank, np.random.default_rng([337, dim])), 2.0 * np.eye(dim)
         calls = _record_solvers(monkeypatch)
         got = apply(conn, SymMatrix(a), SymMatrix(b)).data
-        assert calls == ["cholesky", "eigvalsh"]
+        assert calls == ["cholesky", "eigvalsh", "eigvalsh"]
         assert np.array_equal(got, connections._atom_apply(conn._atoms, a, b))
 
     @pytest.mark.parametrize("name", ["harmonic(0.25)", "parallel_sum", "two_atoms"])
@@ -915,13 +914,13 @@ def _certificate_scale(a, b):
     return max(1.0, a.shape[-1] * max(np.abs(a).max(), np.abs(b).max()))
 
 
-def _margin_pairs(n, cond, seed):
-    """(multiple, side, A, B) for each multiple c in _MARGIN_MULTIPLES and
+def _margin_pairs(n, cond, seed, multiples=_MARGIN_MULTIPLES):
+    """(multiple, side, A, B) for each multiple c in ``multiples`` and
     each side: the operand on that side (0 left, 1 right) has eigenvalues
     in [0.5, 2] with the smallest moved to c psd_slack S, and the other has
     eigenvalues spaced geometrically from 2 / cond to 2."""
     rng = np.random.default_rng(seed)
-    for c in _MARGIN_MULTIPLES:
+    for c in multiples:
         for side in (0, 1):
             q = [_rotation(n, rng) for _ in range(2)]
             values = [rng.uniform(0.5, 2.0, n), np.geomspace(2.0 / cond, 2.0, n)]
@@ -1091,6 +1090,66 @@ class TestPositiveDefiniteCertificate:
             assert np.array_equal(got, conn._apply_raw(a, b, DEFAULT_TOL))
 
 
+class TestOperandSpectra:
+    """``_operand_spectra`` on pairs and stacks that the certificate does not
+    vouch for: each operand's own ``np.linalg.eigvalsh``, bit for bit, or
+    the error that checking the left operand and then the right one raises."""
+
+    # The multiples of the ``apply/<name>@margin`` lines of report_digest.py.
+    MULTIPLES = (-1.0, 0.0, 1.0, 1.5, 2.5, 4.0)
+
+    @staticmethod
+    def _per_operand(a, b):
+        spectra = []
+        for x, label in ((a, "left operand"), (b, "right operand")):
+            w = np.linalg.eigvalsh(x)
+            for item in w.reshape(-1, w.shape[-1]):
+                _psd_scale(item, DEFAULT_TOL, label)
+            spectra.append(w)
+        return tuple(spectra)
+
+    @pytest.mark.parametrize("n", [2, 16, 33])
+    def test_each_operand_is_checked_alone_left_first(self, monkeypatch, n):
+        pairs = [(a, b) for _, _, a, b in _margin_pairs(n, 4.0, [343, n], self.MULTIPLES)]
+        # Each multiple's two pairs, with the left and then the right
+        # operand at the margin, as one stack.
+        stacks = [
+            (np.stack([a0, a1]), np.stack([b0, b1]))
+            for (a0, b0), (a1, b1) in zip(pairs[::2], pairs[1::2])
+        ]
+        rng = np.random.default_rng([344, n])
+        pd = random_pd(n, rng).data
+        singular = _rank_deficient(n, n // 2, rng)
+        u = _rotation(n, rng)
+        # Outside the cone, with different smallest eigenvalues.
+        left_bad, right_bad = (
+            connections._sym((u * np.r_[-c, np.ones(n - 1)]) @ u.T) for c in (0.5, 0.25)
+        )
+        pairs += [
+            (singular, pd),
+            (pd, singular),
+            (singular, singular),
+            (left_bad, pd),
+            (pd, right_bad),
+            (left_bad, right_bad),
+        ]
+        stacks.append((np.stack([left_bad, pd]), np.stack([pd, right_bad])))
+        monkeypatch.setattr(connections, "_certified_pd", lambda x, tol: False)
+        raised = 0
+        for a, b in pairs + stacks:
+            got = _outcome(lambda: connections._operand_spectra(a, b, DEFAULT_TOL))
+            want = _outcome(lambda: self._per_operand(a, b))
+            assert type(got) is type(want)
+            if isinstance(want, str):
+                raised += 1
+                assert got == want
+            else:
+                _assert_same_outcomes(list(got), list(want))
+        # The two pairs at -1 and their stack, and the four cases outside
+        # the cone.
+        assert raised == 7
+
+
 class TestRightOperandOnTheCongruence:
     """When the transformed right operand has eigenvalues to clip, B's own
     spectrum is checked, so a B outside the cone is refused even where the
@@ -1133,9 +1192,11 @@ class TestRightOperandOnTheCongruence:
 
     def test_psd_b_keeps_its_value(self, monkeypatch):
         checked = []
-        check_right = connections._check_right
+        checked_spectrum = connections._checked_spectrum
         monkeypatch.setattr(
-            connections, "_check_right", lambda b, tol: checked.append(b) or check_right(b, tol)
+            connections,
+            "_checked_spectrum",
+            lambda x, tol, label: checked.append(x) or checked_spectrum(x, tol, label),
         )
         rng = np.random.default_rng(332)
         geo = make_builtin("geometric", 0.5)

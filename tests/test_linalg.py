@@ -756,6 +756,21 @@ class TestMatrixIO:
         with pytest.raises(ValueError):
             matrix_from_dict({"dim": 0, "data": []})
 
+    @pytest.mark.parametrize("payload", [[], "m", 2, None])
+    def test_payload_must_be_an_object(self, payload):
+        with pytest.raises(ValueError) as info:
+            matrix_from_dict(payload)
+        assert str(info.value) == f"matrix must be an object, got {type(payload).__name__}"
+
+    @pytest.mark.parametrize(
+        "data",
+        [[[2.0, 1.0], [1.0, 2.0]], "2112", None, 2.0],
+        ids=["nested", "string", "null", "number"],
+    )
+    def test_data_must_be_a_flat_list(self, data):
+        with pytest.raises(ValueError, match="^matrix data must be a flat list of numbers"):
+            matrix_from_dict({"dim": 2, "data": data})
+
     @pytest.mark.parametrize("dim", [2.5, True, "2", None])
     def test_dim_must_be_whole(self, dim):
         with pytest.raises(ValueError, match="matrix dim must be a whole number"):
