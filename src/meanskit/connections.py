@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -34,6 +35,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    EigenSolverError,
+    NotPSDError,
     SingularMatrixError,
     SymMatrix,
     Tolerances,
@@ -181,32 +184,6 @@ def _log_mean(x):
     return value
 
 
-def _builtin_repr_function(kind: str, weight: float | None) -> ReprFunction:
-    """A builtin's representing function.  Its ``fn`` is a numpy expression
-    that takes a Python float or a whole spectrum array, so it is also the
-    connection's array form of f."""
-    a = weight
-    if kind == "left_trivial" or (kind == "harmonic" and a == 0.0):
-        return ReprFunction(np.ones_like, 1.0, 1.0)
-    if kind == "right_trivial":
-        return ReprFunction(lambda x: x, 0.0, 1.0)
-    if kind == "arithmetic":
-        return ReprFunction(lambda x: (1.0 - a) + a * x, 1.0 - a, 1.0)
-    if kind == "geometric":
-        return ReprFunction(lambda x: x**a, 1.0 if a == 0.0 else 0.0, 1.0)
-    if kind == "harmonic":
-        return ReprFunction(lambda x: x / ((1.0 - a) * x + a), 0.0, 1.0)
-    if kind == "logarithmic":
-        return ReprFunction(_log_mean, 0.0, 1.0)
-    if kind == "parallel_sum":
-        return ReprFunction(lambda x: x / (1.0 + x), 0.0, 0.5)
-    if kind == "sum":
-        return ReprFunction(lambda x: 1.0 + x, 1.0, 2.0)
-    if kind == "zero":
-        return ReprFunction(np.zeros_like, 0.0, 0.0)
-    raise ValueError(f"unknown builtin kind {kind!r}; expected one of {BUILTIN_KINDS}")
-
-
 def _builtin_atoms(kind: str, weight: float | None) -> tuple | None:
     """The atoms (t, w) of a builtin's measure on [0, 1] when that measure
     is atoms only, and None for geometric(a), 0 < a < 1, and the
@@ -228,6 +205,21 @@ def _builtin_atoms(kind: str, weight: float | None) -> tuple | None:
     if kind == "zero":
         return ()
     return None
+
+
+def _atoms_repr_function(w0: float, w1: float, interior: list) -> ReprFunction:
+    """f = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) from what
+    ``_route_from_measure`` returns.  ``fn`` takes a float or a spectrum
+    array, so it is also the array form of f.  w (x / ...), not (w x) / ...,
+    keeps x / (1 + x) exact at the smallest subnormal x."""
+
+    def fn(x):
+        out = w0 + w1 * x
+        for t, w in interior:
+            out = out + w * (x / ((1.0 - t) * x + t))
+        return out
+
+    return ReprFunction(fn, w0, float(fn(1.0)))
 
 
 class Connection(ABC):
@@ -256,18 +248,12 @@ class Connection(ABC):
         calls ``_apply_raw`` once per pair."""
         return np.stack([self._apply_raw(x, y, tol) for x, y in zip(a, b)])
 
-    def _returns_symmetric(self) -> bool:
-        """Whether ``_apply_raw`` is known to return arrays that are
-        symmetric bit for bit, so that ``apply`` wraps them as they are.
-        False here: another connection's result is symmetrized."""
-        return False
-
     def apply(
         self, A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL
     ) -> SymMatrix:
         a, b = A.data, B.data
         _check_same_dim(a, b)
-        wrap = SymMatrix._of_symmetric if self._returns_symmetric() else SymMatrix
+        wrap = SymMatrix._of_symmetric if _returns_symmetric(self) else SymMatrix
         if np.vdot(a, a) + np.vdot(b, b) <= _SCALE_ABOVE:
             return wrap(self._apply_raw(a, b, tol))
         # Evaluate with the largest entry scaled into [1, 2).
@@ -466,12 +452,6 @@ class _FunctionBackedConnection(Connection):
             tol,
         )
 
-    def _returns_symmetric(self) -> bool:
-        """Every route ends in ``_sym`` or in alpha A + beta B of stored
-        symmetric operands, and scaling by a power of two keeps that, unless
-        a subclass replaces the evaluator."""
-        return type(self)._apply_raw is _FunctionBackedConnection._apply_raw
-
     # One body serves pairs and stacks.  The second name stays because
     # per-call wrappers of ``_apply_raw``, such as the benchmark's tracer,
     # expect 2-D operands: a stack enters through this unwrapped binding,
@@ -480,13 +460,13 @@ class _FunctionBackedConnection(Connection):
 
 
 class BuiltinConnection(_FunctionBackedConnection):
-    """One of the named connections, with exact representing-function
-    constants at 0 and 1.
+    """One of the named connections.
 
-    Its route follows from its measure, as for a measure connection: the
-    kinds whose measure has no mass inside (0, 1) (left/right trivial,
-    arithmetic, sum, zero, and geometric or harmonic at weight 0 or 1) are
-    applied as alpha A + beta B, exact for singular operands.
+    Its route and, where ``_builtin_atoms`` gives its measure, its f follow
+    from its measure, as for a measure connection: the kinds whose measure
+    has no mass inside (0, 1) (left/right trivial, arithmetic, sum, zero,
+    and geometric or harmonic at weight 0 or 1) are applied as
+    alpha A + beta B, exact for singular operands.
     """
 
     def __init__(self, kind: str, weight: float | None = None):
@@ -504,10 +484,16 @@ class BuiltinConnection(_FunctionBackedConnection):
             weight = None
         self.kind = kind
         self.weight = weight
-        self.repr_function = _builtin_repr_function(kind, weight)
-        self._fn_array = self.repr_function.fn
         atoms = _builtin_atoms(kind, weight)
-        self._route_from_measure(() if atoms is None else atoms, atoms is None)
+        if atoms is None:
+            # Geometric(a), 0 < a < 1, and the logarithmic mean have densities.
+            self._route_from_measure((), True)
+            fn = _log_mean if kind == "logarithmic" else lambda x: x**weight
+            self.repr_function = ReprFunction(fn, 0.0, 1.0)
+        else:
+            route = self._route_from_measure(atoms, False)
+            self.repr_function = _atoms_repr_function(*route)
+        self._fn_array = self.repr_function.fn
 
     def __repr__(self) -> str:
         if self.weight is None:
@@ -538,7 +524,13 @@ class TransposeConnection(Connection):
     representing function is g(x) = x * f(1/x).  Its value at 0 is
     g(0) = lim f(y)/y as y -> inf, exact where the inner connection knows
     that slope (builtins, measures and transposes), and otherwise taken by
-    ``ReprFunction.from_callable``."""
+    ``ReprFunction.from_callable``.
+
+    The inner connection's ``NotPSDError`` and ``EigenSolverError`` name its
+    own operands, the caller's swapped, so the transpose swaps "left" and
+    "right operand" back in their messages.  Where both operands fail, the
+    one named is the one the inner connection checks first, its left
+    operand: the caller's right operand, B."""
 
     def __init__(self, inner: Connection):
         self.inner = inner
@@ -558,20 +550,47 @@ class TransposeConnection(Connection):
         # g(y)/y = f(1/y) tends to f(0).
         self._slope_at_infinity = float(inner.fn(0.0))
 
+    # A plain try, not a context manager, costs nothing on success.
     def _apply_raw(self, a, b, tol):
-        return self.inner._apply_raw(b, a, tol)
+        try:
+            return self.inner._apply_raw(b, a, tol)
+        except (NotPSDError, EigenSolverError) as exc:
+            _swap_operand_names(exc)
+            raise
 
     def _apply_stack(self, a, b, tol):
-        return self.inner._apply_stack(b, a, tol)
-
-    def _returns_symmetric(self) -> bool:
-        return (
-            type(self)._apply_raw is TransposeConnection._apply_raw
-            and self.inner._returns_symmetric()
-        )
+        try:
+            return self.inner._apply_stack(b, a, tol)
+        except (NotPSDError, EigenSolverError) as exc:
+            _swap_operand_names(exc)
+            raise
 
     def __repr__(self) -> str:
         return f"TransposeConnection({self.inner!r})"
+
+
+def _swap_operand_names(exc: Exception) -> None:
+    """Swap "left operand" and "right operand" in the message of exc, in
+    place, so that it keeps its type, attributes and traceback."""
+    message = re.sub(
+        "(left|right) operand",
+        lambda m: ("right" if m[1] == "left" else "left") + " operand",
+        exc.args[0],
+    )
+    exc.args = (message, *exc.args[1:])
+
+
+def _returns_symmetric(conn: Connection) -> bool:
+    """Whether ``apply`` wraps the result of ``conn._apply_raw`` as it is:
+    whether, through any transposes that keep ``TransposeConnection``'s
+    swap, the evaluating connection's ``_apply_raw`` is the package's
+    evaluator.  Its every route ends in ``_sym`` or in alpha A + beta B of
+    stored symmetric operands, so its results are symmetric bit for bit,
+    and scaling by a power of two keeps that.  Any other result is
+    symmetrized."""
+    while type(conn)._apply_raw is TransposeConnection._apply_raw:
+        conn = conn.inner
+    return type(conn)._apply_raw is _FunctionBackedConnection._apply_raw
 
 
 def make_builtin(kind: str, weight: float | None = None) -> BuiltinConnection:

@@ -658,12 +658,18 @@ def matrix_from_dict(obj: dict) -> SymMatrix:
     if not _is_whole(dim) or dim < 1:
         raise ValueError(f"matrix dim must be a whole number >= 1, got {dim!r}")
     dim = int(dim)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1:
+    if not isinstance(data, (list, tuple)):
         raise ValueError(
-            f"matrix data must be a flat list of numbers, got {type(data).__name__} "
-            f"of shape {arr.shape}"
+            f"matrix data must be a flat list of numbers, got {type(data).__name__}"
         )
+    # One pass over the entries' types: JSON numbers load as int or float.
+    if not {float, int}.issuperset(map(type, data)):
+        for x in data:
+            if not _is_real(x):
+                raise ValueError(
+                    f"matrix data must be a flat list of numbers, got entry {x!r}"
+                )
+    arr = np.asarray(data, dtype=float)
     if arr.size != dim * dim:
         raise ValueError(
             f"matrix data has {arr.size} entries, expected dim*dim = {dim * dim}"

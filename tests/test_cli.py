@@ -308,6 +308,28 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {error}")
 
+    @pytest.mark.parametrize(
+        "payload,entry",
+        [
+            ('{"dim": 1, "data": ["1"]}', "'1'"),
+            ('{"dim": 1, "data": [true]}', "True"),
+            ('{"dim": 1, "data": [null]}', "None"),
+            ('{"dim": 2, "data": [[2, 1], [1]]}', "[2, 1]"),
+            ('{"dim": 2, "data": ["a", 1, 1, 2]}', "'a'"),
+        ],
+        ids=["numeric_string", "bool", "null", "ragged", "string"],
+    )
+    def test_non_number_entry_exits_2(self, capsys, matrix_files, tmp_path, payload, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        argv = ["eval", "--mean", "sum", "--A", matrix_files["pd"], "--B", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: matrix data must be a flat list of numbers, got entry {entry}\n"
+        )
+
     def test_whole_float_dim_loads(self, capsys, matrix_files, tmp_path):
         path = tmp_path / "eye.json"
         path.write_text('{"dim": 2.0, "data": [1.0, 0.0, 0.0, 1.0]}')

@@ -1,6 +1,7 @@
 """Tests for connections, representing functions, and classification."""
 
 import math
+import traceback
 import warnings
 
 import numpy as np
@@ -1331,6 +1332,71 @@ class TestArrayForm:
             assert type(repr_fn_eval(conn, x)) is float, x
 
 
+def _closed_form(kind, weight):
+    """Each builtin's representing function as a closed form: the reference
+    that the functions built from ``_builtin_atoms`` match bit for bit."""
+    a = weight
+    if kind == "left_trivial" or (kind == "harmonic" and a == 0.0):
+        return ReprFunction(np.ones_like, 1.0, 1.0)
+    if kind == "right_trivial":
+        return ReprFunction(lambda x: x, 0.0, 1.0)
+    if kind == "arithmetic":
+        return ReprFunction(lambda x: (1.0 - a) + a * x, 1.0 - a, 1.0)
+    if kind == "geometric":
+        return ReprFunction(lambda x: x**a, 1.0 if a == 0.0 else 0.0, 1.0)
+    if kind == "harmonic":
+        return ReprFunction(lambda x: x / ((1.0 - a) * x + a), 0.0, 1.0)
+    if kind == "logarithmic":
+        return ReprFunction(connections._log_mean, 0.0, 1.0)
+    if kind == "parallel_sum":
+        return ReprFunction(lambda x: x / (1.0 + x), 0.0, 0.5)
+    if kind == "sum":
+        return ReprFunction(lambda x: 1.0 + x, 1.0, 2.0)
+    assert kind == "zero"
+    return ReprFunction(np.zeros_like, 0.0, 0.0)
+
+
+class TestBuiltinFunctionsFromAtoms:
+    """Every builtin's f, its array form and its values at 0 and 1 are the
+    closed forms' bit for bit, where f is built from the builtin's atoms.
+    -0.0 is not a point: calling f at 0 returns ``f_at_0``, and the
+    congruence clips spectra to [0, inf) with ``np.maximum(w, 0.0)``."""
+
+    POINTS = np.concatenate(
+        [
+            [0.0, 5e-324, 1e-310, 1e-16, 0.5, 1.0, 2.0, 1e16, 1e300, 1.7e308],
+            np.exp(np.random.default_rng(25).uniform(-40.0, 40.0, 400)),
+        ]
+    )
+
+    @pytest.mark.parametrize(
+        "kind,weight",
+        [
+            (kind, weight)
+            for kind in BUILTIN_KINDS
+            for weight in (
+                (0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 0.75, 0.9, 1.0)
+                if kind in WEIGHTED_KINDS
+                else (None,)
+            )
+        ],
+    )
+    def test_matches_the_closed_form_bit_for_bit(self, kind, weight):
+        conn = make_builtin(kind, weight)
+        got, want = conn.repr_function, _closed_form(kind, weight)
+        assert got.f_at_0.hex() == want.f_at_0.hex()
+        assert got.f_at_1.hex() == want.f_at_1.hex()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.broadcast_to(conn._fn_array(self.POINTS), self.POINTS.shape)
+        reference = np.broadcast_to(want.fn(self.POINTS), self.POINTS.shape)
+        assert values.dtype == np.float64
+        assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
+        for x in self.POINTS.tolist():
+            assert float(got.fn(x)).hex() == float(want.fn(x)).hex(), x
+            assert conn.fn(x).hex() == want(x).hex(), x
+
+
 class TestReprFnEvalConsistency:
     def test_matches_one_by_one_apply(self):
         for name, conn in standard_battery():
@@ -1415,6 +1481,67 @@ class TestTranspose:
         # A user callable keeps its own value at 0, read or probed once.
         user = connection_from_function(lambda x: x / math.log1p(x))
         assert transpose(transpose(user)).fn(0.0) == user.fn(0.0)
+
+    @pytest.mark.parametrize(
+        "kind,weight",
+        [("geometric", 0.5), ("harmonic", 0.25), ("arithmetic", 0.3)],
+        ids=["congruence", "atom", "affine"],
+    )
+    def test_not_psd_error_names_the_callers_operand(self, kind, weight):
+        conn = make_builtin(kind, weight)
+        psd, bad = np.diag([2.0, 1.0]), np.diag([1.0, -1.0])
+        # Where both fail, the inner connection's left operand, B, is named.
+        cases = [(psd, bad, "right"), (bad, psd, "left"), (bad, bad, "right")]
+        for t in (transpose(conn), transpose(transpose(transpose(conn)))):
+            for a, b, named in cases:
+                stacks = np.array([psd, a]), np.array([psd, b])
+                calls = [
+                    lambda: apply(t, SymMatrix(a), SymMatrix(b)),
+                    lambda: t._apply_stack(*stacks, DEFAULT_TOL),
+                ]
+                for call in calls:
+                    with pytest.raises(NotPSDError) as info:
+                        call()
+                    assert str(info.value).startswith(
+                        f"{named} operand is not positive semidefinite: min eigenvalue"
+                    ), (t, named)
+                    assert info.value.min_eigenvalue == -1.0
+                    # The traceback reaches the check that raised.
+                    frames = traceback.extract_tb(info.value.__traceback__)
+                    assert frames[-1].name == "_psd_scale"
+                with pytest.raises(NotPSDError) as plain:
+                    apply(conn, SymMatrix(a), SymMatrix(b))
+                with pytest.raises(NotPSDError) as twice:
+                    apply(transpose(transpose(conn)), SymMatrix(a), SymMatrix(b))
+                assert str(twice.value) == str(plain.value)
+
+    def test_solver_error_names_the_callers_operand(self, monkeypatch):
+        marker = 7.25
+        _fail_eigvalsh_on(monkeypatch, marker)
+        _fail_cholesky_near(monkeypatch, marker)
+        eye, marked = SymMatrix.identity(2), SymMatrix(np.diag([1.0, marker]))
+        t = transpose(make_builtin("arithmetic", 0.3))
+        failed = "^eigendecomposition failed for {} operand "
+        with pytest.raises(EigenSolverError, match=failed.format("right")):
+            apply(t, eye, marked)
+        with pytest.raises(EigenSolverError, match=failed.format("left")):
+            apply(t, marked, eye)
+
+    def test_transformed_operand_is_swapped_too(self, monkeypatch):
+        # The congruence's second eigendecomposition is of the transformed
+        # inner right operand, which is the caller's A.
+        seen = []
+
+        def second_call(x):
+            seen.append(x)
+            return len(seen) == 2
+
+        _fail_solver(monkeypatch, "eigh", second_call, "Eigenvalues did not converge")
+        eye = SymMatrix.identity(2)
+        with pytest.raises(
+            EigenSolverError, match="^eigendecomposition failed for transformed left operand "
+        ):
+            apply(transpose(make_builtin("geometric", 0.5)), eye, eye)
 
 
 class TestClassification:
@@ -1645,6 +1772,13 @@ class _OwnEvaluator(connections.FunctionConnection):
         return a @ b
 
 
+class _OwnSwap(connections.TransposeConnection):
+    """A transpose subclass that replaces the swap with its own."""
+
+    def _apply_raw(self, a, b, tol):
+        return self.inner._apply_raw(b, a, tol)
+
+
 class TestResultWrapping:
     """``apply`` wraps the evaluator's result as it is where the package
     built it symmetric bit for bit, and symmetrizes any other result."""
@@ -1685,6 +1819,40 @@ class TestResultWrapping:
             assert np.array_equal(
                 apply(transpose(conn), a, b).data, SymMatrix(b.data @ a.data).data
             )
+
+    def test_only_the_package_evaluators_result_is_wrapped_as_it_is(self, monkeypatch):
+        a, b = SymMatrix([[2.0, 1.0], [1.0, 1.0]]), SymMatrix([[1.0, 0.0], [0.0, 3.0]])
+        own = {
+            "builtin": lambda: make_builtin("geometric", 0.5),
+            "measure": lambda: connection_from_measure(measure_of_builtin("geometric", 0.5)),
+            "user_function": lambda: connection_from_function(math.sqrt),
+        }
+        foreign = {
+            "own_evaluator": lambda: _OwnEvaluator(math.sqrt),
+            "product": _Product,
+        }
+        cases = [
+            (prefix + name, wrap(make()), name in own)
+            for name, make in {**own, **foreign}.items()
+            for prefix, wrap in (("", lambda c: c), ("transpose ", transpose))
+        ]
+        cases += [
+            ("double transpose builtin", transpose(transpose(own["builtin"]())), True),
+            ("double transpose product", transpose(transpose(_Product())), False),
+            ("own swap builtin", _OwnSwap(own["builtin"]()), False),
+            ("transpose own swap builtin", transpose(_OwnSwap(own["builtin"]())), False),
+        ]
+        for name, conn, as_is in cases:
+            # An instance attribute records the evaluator's array; the
+            # wrapping rule reads the classes' ``_apply_raw``, not this one.
+            raws = []
+            evaluate = conn._apply_raw
+            monkeypatch.setattr(
+                conn, "_apply_raw", lambda x, y, tol: raws.append(evaluate(x, y, tol)) or raws[-1]
+            )
+            out = apply(conn, a, b)
+            assert (out.data is raws[-1]) is as_is, name
+            assert np.array_equal(out.data, SymMatrix(raws[-1]).data), name
 
     @pytest.mark.parametrize("dim", [1, 2, 8])
     @pytest.mark.parametrize("scale", [1.0, 1e300])

@@ -771,6 +771,30 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match="^matrix data must be a flat list of numbers"):
             matrix_from_dict({"dim": 2, "data": data})
 
+    @pytest.mark.parametrize(
+        "dim,data,entry",
+        [
+            (1, ["1"], "'1'"),
+            (1, [True], "True"),
+            (1, [None], "None"),
+            (2, [2.0, 1.0, False, 2.0], "False"),
+            (2, [[2, 1], [1]], "[2, 1]"),
+            (2, ["a", 1, 1, 2], "'a'"),
+        ],
+        ids=["numeric_string", "bool", "null", "bool_among_floats", "ragged", "string"],
+    )
+    def test_entries_must_be_numbers(self, dim, data, entry):
+        with pytest.raises(ValueError) as info:
+            matrix_from_dict({"dim": dim, "data": data})
+        assert str(info.value) == (
+            f"matrix data must be a flat list of numbers, got entry {entry}"
+        )
+
+    def test_numpy_numbers_load(self):
+        data = [np.float64(2.0), np.int64(1), 1, 2.0]
+        m = matrix_from_dict({"dim": 2, "data": data})
+        np.testing.assert_array_equal(m.data, [[2.0, 1.0], [1.0, 2.0]])
+
     @pytest.mark.parametrize("dim", [2.5, True, "2", None])
     def test_dim_must_be_whole(self, dim):
         with pytest.raises(ValueError, match="matrix dim must be a whole number"):
