@@ -17,16 +17,15 @@ linear solve per atom, when A or B is positive definite, at every dim.
 That route needs no limit for a singular operand.  Both of these routes
 check their operands with one Cholesky factorization where it certifies
 them positive definite, and with their eigenvalues otherwise.  Builtins,
-measures and user functions all share this one evaluator.  Connection
-values are immutable and freely shareable across threads; ``apply`` is
-reentrant.
+measures, user functions and the reflected transposes of builtins and
+measures all share this one evaluator.  Connection values are immutable
+and freely shareable across threads; ``apply`` is reentrant.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -35,8 +34,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    EigenSolverError,
-    NotPSDError,
     SingularMatrixError,
     SymMatrix,
     Tolerances,
@@ -226,9 +223,11 @@ class Connection(ABC):
     """A binary operation on PSD matrices encoded by its representing
     function."""
 
-    # lim f(y)/y as y -> inf where it is known exactly, else None; it is
-    # the value at 0 of the transpose's g(x) = x f(1/x).
-    _slope_at_infinity = None
+    # The transpose's representing function g(x) = x f(1/x) where it is
+    # known exactly, else None.  Its value at 0 is lim f(y)/y as y -> inf;
+    # where the package's evaluator runs the connection, its ``fn`` is also
+    # g's array form.
+    _reflected = None
 
     def fn(self, x: float) -> float:
         """Value of the representing function at x >= 0."""
@@ -281,6 +280,7 @@ def _congruence_apply(
     fn: Callable[[np.ndarray], np.ndarray],
     tol: Tolerances,
     on_clip: Callable[[], None] | None = None,
+    label: str = "transformed right operand",
 ) -> np.ndarray:
     """A sigma B from the eigendecomposition A = Q diag(w) Q^T of
     positive-definite A, for operands of shape (..., n, n); ``fn`` is the
@@ -289,13 +289,12 @@ def _congruence_apply(
     (Q diag r)^T B (Q diag r), r = 1/sqrt(w).  M is scaled by multiplying,
     never dividing, so tiny quotients b/a stay representable.  Four n x n
     products, and no A^{1/2} or A^{-1/2} is formed.  ``on_clip`` runs when
-    M has a negative eigenvalue, before M's spectrum is checked."""
+    M has a negative eigenvalue, before M's spectrum, named ``label``, is
+    checked."""
     sw = np.sqrt(w)[..., None, :]
     qr = q * (1.0 / sw)
     m = _sym(qr.swapaxes(-1, -2) @ b @ qr)
-    return _fn_calculus_raw(
-        fn, m, tol, label="transformed right operand", outer=q * sw, on_clip=on_clip
-    )
+    return _fn_calculus_raw(fn, m, tol, label=label, outer=q * sw, on_clip=on_clip)
 
 
 def _checked_spectrum(x, tol, label):
@@ -341,19 +340,23 @@ def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _FunctionBackedConnection(Connection):
     """Shared apply machinery for connections given by a representing
     function ``repr_function`` and its array form ``_fn_array``, which
-    maps a spectrum array to the values of f.  For builtins and measures
-    the array form is ``repr_function.fn`` itself.
+    maps a spectrum array to the values of f.  For builtins, measures and
+    their transposes the array form is ``repr_function.fn`` itself.
 
     ``_affine`` holds (alpha, beta) when f is exactly alpha + beta x, and
     ``_atoms`` the atoms of a measure of the atom route; ``_route_from_measure``
-    sets both, and ``_apply_raw`` chooses the route from them.
+    or a transpose sets both, and ``_apply_raw`` chooses the route from them.
     """
 
     _affine = None
     _atoms = None
+    # Whether a pair whose A is not positive definite but whose B is takes
+    # the congruence around B with ``_reflected`` in place of the limit; a
+    # transpose does, so that it agrees with its inner connection on (B, A).
+    _around_pd_b = False
 
     def _route_from_measure(self, atoms: tuple, has_density: bool) -> tuple:
-        """Set ``_affine``, ``_atoms`` and ``_slope_at_infinity`` from a
+        """Set ``_affine`` and ``_atoms`` from a
         measure on [0, 1], given by its atoms (t, w) at distinct t and
         whether it has a density; the one rule from a measure to its route.
 
@@ -361,8 +364,8 @@ class _FunctionBackedConnection(Connection):
         w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) over the atoms t_i
         inside (0, 1) and the density.  With no mass inside (0, 1), f is
         affine, (w0, w1).  Atoms only, with at most ``_ATOM_ROUTE_MAX_ATOMS``
-        inside (0, 1), take the atom route.  f(y)/y tends to w1.  Returns
-        (w0, w1, the atoms inside (0, 1)).
+        inside (0, 1), take the atom route.  Returns (w0, w1, the atoms
+        inside (0, 1)).
         """
         ends = dict(atoms)
         w0, w1 = ends.get(0.0, 0.0), ends.get(1.0, 0.0)
@@ -371,7 +374,6 @@ class _FunctionBackedConnection(Connection):
             self._affine = (w0, w1)
         elif not has_density and len(interior) <= _ATOM_ROUTE_MAX_ATOMS:
             self._atoms = atoms
-        self._slope_at_infinity = w1
         return w0, w1, interior
 
     def _takes_atom_route(self, a, b, tol) -> bool:
@@ -407,7 +409,9 @@ class _FunctionBackedConnection(Connection):
         2. ``_atom_apply`` when ``_takes_atom_route``, at every dim;
         3. A's eigendecomposition, and ``_is_pd`` on its spectrum;
         4. positive-definite A: the congruence around A;
-        5. any other A: the decreasing epsilon-limit of the congruence.
+        5. with ``_around_pd_b``, positive-definite B: the congruence around
+           B with ``_reflected``;
+        6. any other pair: the decreasing epsilon-limit of the congruence.
 
         A stack takes steps 1, 2 and 4 in one call each.  One rule keeps a
         stack's errors those of its pairs: a stack that declines step 2,
@@ -440,6 +444,12 @@ class _FunctionBackedConnection(Connection):
                 raise
         if stack:
             return super()._apply_stack(a, b, tol)
+        if self._around_pd_b:
+            wb, qb = _eigh(b, "right operand")
+            if _is_pd(wb, tol, "right operand"):
+                return _congruence_apply(
+                    wb, qb, a, self._reflected.fn, tol, label="transformed left operand"
+                )
         # A pair with a singular left operand: clip its spectrum to [0, inf)
         # and take the decreasing limit over a joint shift of both operands.
         wc = np.maximum(w, 0.0)
@@ -486,13 +496,19 @@ class BuiltinConnection(_FunctionBackedConnection):
         self.weight = weight
         atoms = _builtin_atoms(kind, weight)
         if atoms is None:
-            # Geometric(a), 0 < a < 1, and the logarithmic mean have densities.
+            # Geometric(a), 0 < a < 1, and the logarithmic mean have densities;
+            # their transposes are geometric(1 - a) and the logarithmic mean.
             self._route_from_measure((), True)
-            fn = _log_mean if kind == "logarithmic" else lambda x: x**weight
-            self.repr_function = ReprFunction(fn, 0.0, 1.0)
+            if kind == "logarithmic":
+                self.repr_function = self._reflected = ReprFunction(_log_mean, 0.0, 1.0)
+            else:
+                self.repr_function = ReprFunction(lambda x: x**weight, 0.0, 1.0)
+                self._reflected = ReprFunction(lambda x: x ** (1.0 - weight), 0.0, 1.0)
         else:
-            route = self._route_from_measure(atoms, False)
-            self.repr_function = _atoms_repr_function(*route)
+            w0, w1, interior = self._route_from_measure(atoms, False)
+            self.repr_function = _atoms_repr_function(w0, w1, interior)
+            # The transpose's atoms are (1 - t, w), with w0 and w1 swapped.
+            self._reflected = _atoms_repr_function(w1, w0, [(1.0 - t, w) for t, w in interior])
         self._fn_array = self.repr_function.fn
 
     def __repr__(self) -> str:
@@ -519,77 +535,74 @@ class FunctionConnection(_FunctionBackedConnection):
         return f"FunctionConnection({self.repr_function!r})"
 
 
-class TransposeConnection(Connection):
-    """The transpose (A, B) -> B sigma A of an inner connection; its
-    representing function is g(x) = x * f(1/x).  Its value at 0 is
-    g(0) = lim f(y)/y as y -> inf, exact where the inner connection knows
-    that slope (builtins, measures and transposes), and otherwise taken by
-    ``ReprFunction.from_callable``.
+class TransposeConnection(_FunctionBackedConnection):
+    """The transpose (A, B) -> B sigma A of an inner connection: that of
+    its measure reflected by t -> 1 - t, with g(x) = x f(1/x) (Kubo and
+    Ando).  Where the package's evaluator runs the inner connection and its
+    ``_reflected`` g is known, f is g, the route is the inner one reflected,
+    (alpha, beta) to (beta, alpha) and atoms (t, w) to (1 - t, w), and the
+    evaluator runs on the caller's own (A, B), around B where only B is
+    positive definite.  A transpose of a transpose takes the inner route
+    and f as they are.  Of any other connection, a user function or one
+    with its own ``_apply_raw``, it is a ``_SwappedTranspose``, which runs
+    the inner evaluator on (B, A) and takes g as x f(1/x)."""
 
-    The inner connection's ``NotPSDError`` and ``EigenSolverError`` name its
-    own operands, the caller's swapped, so the transpose swaps "left" and
-    "right operand" back in their messages.  Where both operands fail, the
-    one named is the one the inner connection checks first, its left
-    operand: the caller's right operand, B."""
+    def __new__(cls, inner: Connection | None = None):
+        # inner is None only where ``copy`` makes an instance to fill in.
+        if cls is TransposeConnection and inner is not None and not (
+            _returns_symmetric(inner) and inner._reflected is not None
+        ):
+            cls = _SwappedTranspose
+        return super().__new__(cls)
 
     def __init__(self, inner: Connection):
         self.inner = inner
-
-        def g(x):
-            y = 1.0 / x
-            if y == math.inf:
-                raise ValueError(
-                    f"transposed representing function: 1/x overflows at x = {x!r}"
-                )
-            return x * inner.fn(y)
-
-        if inner._slope_at_infinity is None:
-            self.repr_function = ReprFunction.from_callable(g)
+        if type(inner) is TransposeConnection:
+            # Copied, not reflected twice: 1 - (1 - t) need not be t.
+            inner = inner.inner
+            self._affine, self._atoms = inner._affine, inner._atoms
+            self._around_pd_b, self._reflected = inner._around_pd_b, inner._reflected
+            self.repr_function, self._fn_array = inner.repr_function, inner._fn_array
+        elif inner._reflected is not None:
+            self._affine = inner._affine and inner._affine[::-1]
+            self._atoms = inner._atoms and tuple((1.0 - t, w) for t, w in inner._atoms)
+            # The transpose of g is f.
+            self.repr_function, self._reflected = inner._reflected, inner.repr_function
+            self._fn_array, self._around_pd_b = self.repr_function.fn, True
         else:
-            self.repr_function = ReprFunction(g, inner._slope_at_infinity, float(g(1.0)))
-        # g(y)/y = f(1/y) tends to f(0).
-        self._slope_at_infinity = float(inner.fn(0.0))
 
-    # A plain try, not a context manager, costs nothing on success.
-    def _apply_raw(self, a, b, tol):
-        try:
-            return self.inner._apply_raw(b, a, tol)
-        except (NotPSDError, EigenSolverError) as exc:
-            _swap_operand_names(exc)
-            raise
+            def g(x):
+                y = 1.0 / x
+                if y == math.inf:
+                    raise ValueError(
+                        f"transposed representing function: 1/x overflows at x = {x!r}"
+                    )
+                return x * inner.fn(y)
 
-    def _apply_stack(self, a, b, tol):
-        try:
-            return self.inner._apply_stack(b, a, tol)
-        except (NotPSDError, EigenSolverError) as exc:
-            _swap_operand_names(exc)
-            raise
+            self.repr_function = ReprFunction.from_callable(g)
+            self._reflected = ReprFunction.from_callable(inner.fn)
 
     def __repr__(self) -> str:
         return f"TransposeConnection({self.inner!r})"
 
 
-def _swap_operand_names(exc: Exception) -> None:
-    """Swap "left operand" and "right operand" in the message of exc, in
-    place, so that it keeps its type, attributes and traceback."""
-    message = re.sub(
-        "(left|right) operand",
-        lambda m: ("right" if m[1] == "left" else "left") + " operand",
-        exc.args[0],
-    )
-    exc.args = (message, *exc.args[1:])
+class _SwappedTranspose(TransposeConnection):
+    """A transpose that runs the inner connection's own ``_apply_raw`` on
+    (B, A), whose errors name the inner connection's operands."""
+
+    def _apply_raw(self, a, b, tol):
+        return self.inner._apply_raw(b, a, tol)
+
+    # Pair by pair, through the swap.
+    _apply_stack = Connection._apply_stack
 
 
 def _returns_symmetric(conn: Connection) -> bool:
     """Whether ``apply`` wraps the result of ``conn._apply_raw`` as it is:
-    whether, through any transposes that keep ``TransposeConnection``'s
-    swap, the evaluating connection's ``_apply_raw`` is the package's
-    evaluator.  Its every route ends in ``_sym`` or in alpha A + beta B of
-    stored symmetric operands, so its results are symmetric bit for bit,
-    and scaling by a power of two keeps that.  Any other result is
-    symmetrized."""
-    while type(conn)._apply_raw is TransposeConnection._apply_raw:
-        conn = conn.inner
+    whether that is the package's evaluator, whose every route ends in
+    ``_sym`` or in alpha A + beta B of stored symmetric operands.  Its
+    results are symmetric bit for bit, and scaling by a power of two keeps
+    that.  Any other result is symmetrized."""
     return type(conn)._apply_raw is _FunctionBackedConnection._apply_raw
 
 

@@ -147,7 +147,11 @@ class Tolerances:
     def __post_init__(self):
         for name in ("psd_slack", "eq_tol", "eps0", "eps_min"):
             value = getattr(self, name)
-            if not (_is_real(value) and 0 <= value < math.inf):
+            try:  # float() refuses an int beyond the largest double
+                ok = _is_real(value) and 0 <= float(value) < math.inf
+            except OverflowError:
+                ok = False
+            if not ok:
                 raise ValueError(
                     f"{name} must be finite and nonnegative, got {value!r}"
                 )
@@ -669,7 +673,10 @@ def matrix_from_dict(obj: dict) -> SymMatrix:
                 raise ValueError(
                     f"matrix data must be a flat list of numbers, got entry {x!r}"
                 )
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except OverflowError:
+        raise ValueError("matrix data has an entry beyond the largest double") from None
     if arr.size != dim * dim:
         raise ValueError(
             f"matrix data has {arr.size} entries, expected dim*dim = {dim * dim}"

@@ -265,7 +265,7 @@ class MeasureConnection(_FunctionBackedConnection):
         ws = np.concatenate([np.array([w for _, w in interior]), ws])
         us = 1.0 - ts
 
-        def f(x):
+        def f(x, w0=w0, w1=w1, ts=ts, us=us):
             # A Python float or a spectrum array.
             x = np.asarray(x)
             xs = x[..., None]
@@ -273,6 +273,10 @@ class MeasureConnection(_FunctionBackedConnection):
 
         self.repr_function = ReprFunction(f, w0, float(f(1.0)))
         self._fn_array = f
+        # The transpose's g(x) = x f(1/x) is this sum with w0 and w1 swapped
+        # and with t_i and 1 - t_i swapped: exact, with no 1/x.
+        g = functools.partial(f, w0=w1, w1=w0, ts=us, us=ts)
+        self._reflected = ReprFunction(g, w1, float(g(1.0)))
 
     def __repr__(self) -> str:
         return f"MeasureConnection({self.measure!r})"
@@ -346,10 +350,14 @@ def measure_from_dict(obj: dict) -> BorelMeasure:
     pairs = obj.get("atoms", ())
     if not isinstance(pairs, (list, tuple)):
         raise ValueError(f"measure atoms must be a list, got {type(pairs).__name__}")
-    for pair in pairs:
+    atoms = []
+    for i, pair in enumerate(pairs):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_real, pair)):
             raise ValueError(f"measure atom {pair!r} is not a [t, w] pair of numbers")
-    atoms = tuple((float(t), float(w)) for t, w in pairs)
+        try:
+            atoms.append((float(pair[0]), float(pair[1])))
+        except OverflowError:
+            raise ValueError(f"measure atom {i} has a number beyond the largest double") from None
     density_obj = obj.get("density")
     density = None
     if density_obj is not None:

@@ -330,6 +330,18 @@ class TestEval:
             f"error: matrix data must be a flat list of numbers, got entry {entry}\n"
         )
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_the_largest_double_exits_2(
+        self, capsys, matrix_files, tmp_path, sign
+    ):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"dim": 2, "data": [1, 0, 0, {sign}1{"0" * 400}]}}')
+        argv = ["eval", "--mean", "sum", "--A", matrix_files["pd"], "--B", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix data has an entry beyond the largest double\n"
+
     def test_whole_float_dim_loads(self, capsys, matrix_files, tmp_path):
         path = tmp_path / "eye.json"
         path.write_text('{"dim": 2.0, "data": [1.0, 0.0, 0.0, 1.0]}')
@@ -732,6 +744,21 @@ class TestMeasureEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "atoms, index",
+        [(f"[[0.5, 1{'0' * 400}]]", 0), (f"[[0, 1], [-1{'0' * 400}, 1]]", 1)],
+        ids=["weight", "location"],
+    )
+    def test_integer_beyond_the_largest_double_exits_2(self, capsys, tmp_path, atoms, index):
+        path = tmp_path / "mu.json"
+        path.write_text(f'{{"atoms": {atoms}}}')
+        assert main(["measure-eval", "--measure", str(path), "--x", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: measure atom {index} has a number beyond the largest double\n"
+        )
 
     def test_rejects_file_plus_inline(self, capsys, tmp_path):
         path = tmp_path / "mu.json"

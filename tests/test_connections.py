@@ -1,5 +1,6 @@
 """Tests for connections, representing functions, and classification."""
 
+import copy
 import math
 import traceback
 import warnings
@@ -366,8 +367,8 @@ def _fail_cholesky_near(monkeypatch, marker):
 
 
 class TestRouteAttributes:
-    """Each builtin's ``_affine``, ``_atoms`` and ``_slope_at_infinity``,
-    which follow from its measure."""
+    """Each builtin's ``_affine``, ``_atoms`` and the value at 0 of its
+    ``_reflected``, lim f(y)/y, which follow from its measure."""
 
     AFFINE_LEFT = ((1.0, 0.0), None, 0.0)
     AFFINE_RIGHT = ((0.0, 1.0), None, 1.0)
@@ -399,7 +400,7 @@ class TestRouteAttributes:
     @pytest.mark.parametrize("kind, weight", TABLE)
     def test_route_attributes(self, kind, weight):
         conn = make_builtin(kind, weight)
-        got = (conn._affine, conn._atoms, conn._slope_at_infinity)
+        got = (conn._affine, conn._atoms, conn._reflected.f_at_0)
         assert got == self.TABLE[kind, weight]
 
 
@@ -1319,6 +1320,10 @@ class TestArrayForm:
     }
     CONNECTIONS["arcsine"] = connection_from_measure(measure_of_builtin("geometric", 0.5))
     CONNECTIONS["three_atoms"] = connection_from_measure(_THREE_ATOMS)
+    # A transpose's g of a builtin or a measure is a closed form on arrays.
+    CONNECTIONS.update(
+        {f"transpose_{name}": transpose(conn) for name, conn in CONNECTIONS.items()}
+    )
 
     @pytest.mark.parametrize("conn", CONNECTIONS.values(), ids=CONNECTIONS.keys())
     def test_matches_scalar_fn(self, conn):
@@ -1437,13 +1442,109 @@ class TestTranspose:
             for x in AUDIT_GRID:
                 assert tt.fn(x) == pytest.approx(conn.fn(x), rel=1e-12, abs=1e-15), name
 
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_double_transpose_applies_bit_for_bit(self, dim):
+        # Reflecting twice gives back the connection's own route and f:
+        # harmonic(0.1)'s atom would not survive, as 1 - (1 - t) != t.
+        assert 1.0 - (1.0 - 0.1) != 0.1
+        rng = np.random.default_rng([26, dim])
+        a, b = (_well_conditioned_pd(dim, rng) for _ in range(2))
+        singular = _rank_deficient(dim, dim // 2, rng)
+        conns = standard_battery() + [
+            ("harmonic(0.1)", make_builtin("harmonic", 0.1)),
+            ("arcsine", connection_from_measure(measure_of_builtin("geometric", 0.5))),
+            ("two_atoms", connection_from_measure(_TWO_ATOMS)),
+            ("user_function", connection_from_function(math.sqrt)),
+        ]
+        for name, conn in conns:
+            twice = transpose(transpose(conn))
+            for x, y in ((a, b), (singular, b), (a, singular)):
+                x, y = SymMatrix(x), SymMatrix(y)
+                got = _outcome(lambda: apply(twice, x, y).data.view(np.uint64))
+                want = _outcome(lambda: apply(conn, x, y).data.view(np.uint64))
+                _assert_same_outcomes([got], [want])
+
+    @pytest.mark.parametrize("name", TestArrayForm.CONNECTIONS)
+    def test_reflected_function_is_x_f_of_reciprocal(self, name):
+        conn = TestArrayForm.CONNECTIONS[name]
+        g = transpose(conn)
+        for x in AUDIT_GRID + (1e-300, 1e300):
+            assert g.fn(x) == pytest.approx(x * conn.fn(1.0 / x), rel=1e-14), x
+
+    def test_transpose_of_harmonic_takes_the_reflected_atom_route(self, monkeypatch):
+        t = transpose(make_builtin("harmonic", 0.25))
+        assert (t._affine, t._atoms) == (None, ((0.75, 1.0),))
+        seen = []
+        atom_apply = connections._atom_apply
+
+        def recording(atoms, a, b):
+            seen.append(atoms)
+            return atom_apply(atoms, a, b)
+
+        monkeypatch.setattr(connections, "_atom_apply", recording)
+        rng = np.random.default_rng(260)
+        a, b = (_well_conditioned_pd(4, rng) for _ in range(2))
+        got = apply(t, SymMatrix(a), SymMatrix(b)).data
+        assert seen == [((0.75, 1.0),)]
+        want = _anderson_duffin(((0.25, 1.0),), b, a)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_every_transpose_keeps_its_type_and_inner(self):
+        # A connection with its own evaluator keeps the swap, through
+        # either constructor; a copy keeps the class it copies.
+        cases = [
+            (make_builtin("geometric", 0.25), False),
+            (connection_from_function(math.sqrt), True),
+            (_Product(), True),
+            (_OwnEvaluator(math.sqrt), True),
+        ]
+        for inner, swapped in cases:
+            for t in (transpose(inner), connections.TransposeConnection(inner)):
+                assert isinstance(t, connections.TransposeConnection)
+                assert isinstance(t, connections._SwappedTranspose) is swapped
+                assert t.inner is inner
+                clone = copy.copy(t)
+                assert type(clone) is type(t) and clone.inner is inner
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_singular_left_with_positive_definite_right_goes_around_b(self, dim):
+        # Where only B is positive definite, the congruence around B with
+        # f gives what the inner connection gives on (B, A), with no limit.
+        rng = np.random.default_rng([264, dim])
+        a = SymMatrix(_rank_deficient(dim, dim // 2, rng))
+        b = SymMatrix(_well_conditioned_pd(dim, rng))
+        for conn in (
+            make_builtin("geometric", 0.25),
+            make_builtin("logarithmic"),
+            connection_from_measure(measure_of_builtin("geometric", 0.5)),
+        ):
+            got = apply(transpose(conn), a, b).data
+            assert np.array_equal(got, apply(conn, b, a).data), conn
+
+    def test_transposed_user_function_runs_it_on_the_swapped_pair(self):
+        # A user f's g(x) = x f(1/x) has a probed value at 0 and raises
+        # below about 5.6e-309, so the transpose runs f itself on (B, A).
+        user, geometric = connection_from_function(math.sqrt), make_builtin("geometric", 0.5)
+        rng = np.random.default_rng(263)
+        a = SymMatrix(_well_conditioned_pd(4, rng))
+        b = SymMatrix(_rank_deficient(4, 2, rng))
+        tiny = SymMatrix.diagonal([1.0, 1e-310])
+        for x, y in ((a, b), (b, a), (SymMatrix.identity(2), tiny)):
+            got = apply(transpose(user), x, y).data
+            assert np.array_equal(got, apply(user, y, x).data)
+            assert np.abs(got - apply(geometric, x, y).data).max() <= 1e-5
+
     def test_subnormal_argument_never_gives_inf(self):
-        # g(x) = x * f(1/x) needs 1/x, which overflows below about 5.6e-309;
-        # g must then name x rather than return inf.  Just above, it is exact.
-        t = transpose(make_builtin("geometric", 0.25))
+        # A transposed user function's g(x) = x * f(1/x) needs 1/x, which
+        # overflows below about 5.6e-309; g must then name x rather than
+        # return inf.  Just above, it is exact.
+        t = transpose(connection_from_function(lambda x: x**0.25))
         with pytest.raises(ValueError, match="1e-310"):
             t.fn(1e-310)
         assert t.fn(1e-300) == pytest.approx(1e-300**0.75, rel=1e-12)
+        # A builtin's g is a closed form, x^(3/4) here, with no 1/x.
+        geometric = transpose(make_builtin("geometric", 0.25))
+        assert geometric.fn(1e-310) == pytest.approx(1e-310**0.75, rel=1e-12)
 
     def test_zero_limit(self):
         t = transpose(make_builtin("parallel_sum"))
@@ -1490,8 +1591,8 @@ class TestTranspose:
     def test_not_psd_error_names_the_callers_operand(self, kind, weight):
         conn = make_builtin(kind, weight)
         psd, bad = np.diag([2.0, 1.0]), np.diag([1.0, -1.0])
-        # Where both fail, the inner connection's left operand, B, is named.
-        cases = [(psd, bad, "right"), (bad, psd, "left"), (bad, bad, "right")]
+        # Where both fail, the caller's A is named, as for every connection.
+        cases = [(psd, bad, "right"), (bad, psd, "left"), (bad, bad, "left")]
         for t in (transpose(conn), transpose(transpose(transpose(conn)))):
             for a, b, named in cases:
                 stacks = np.array([psd, a]), np.array([psd, b])
@@ -1529,19 +1630,25 @@ class TestTranspose:
 
     def test_transformed_operand_is_swapped_too(self, monkeypatch):
         # The congruence's second eigendecomposition is of the transformed
-        # inner right operand, which is the caller's A.
+        # right operand: a transpose's congruence is around the caller's A.
+        self._assert_failed_eigh_names(monkeypatch, np.eye(2), 2, "transformed right")
+
+    def test_transformed_left_operand_around_b(self, monkeypatch):
+        # With A singular and B positive definite the congruence is around
+        # B, and the third eigendecomposition is of the transformed A.
+        self._assert_failed_eigh_names(monkeypatch, np.diag([1.0, 0.0]), 3, "transformed left")
+
+    @staticmethod
+    def _assert_failed_eigh_names(monkeypatch, a, call, named):
         seen = []
 
-        def second_call(x):
+        def failing_call(x):
             seen.append(x)
-            return len(seen) == 2
+            return len(seen) == call
 
-        _fail_solver(monkeypatch, "eigh", second_call, "Eigenvalues did not converge")
-        eye = SymMatrix.identity(2)
-        with pytest.raises(
-            EigenSolverError, match="^eigendecomposition failed for transformed left operand "
-        ):
-            apply(transpose(make_builtin("geometric", 0.5)), eye, eye)
+        _fail_solver(monkeypatch, "eigh", failing_call, "Eigenvalues did not converge")
+        with pytest.raises(EigenSolverError, match=f"^eigendecomposition failed for {named} operand "):
+            apply(transpose(make_builtin("geometric", 0.5)), SymMatrix(a), SymMatrix.identity(2))
 
 
 class TestClassification:
@@ -1831,8 +1938,10 @@ class TestResultWrapping:
             "own_evaluator": lambda: _OwnEvaluator(math.sqrt),
             "product": _Product,
         }
+        # A user function's transpose runs it on (B, A) through the swap,
+        # so its result is symmetrized like a foreign one.
         cases = [
-            (prefix + name, wrap(make()), name in own)
+            (prefix + name, wrap(make()), name in own and prefix + name != "transpose user_function")
             for name, make in {**own, **foreign}.items()
             for prefix, wrap in (("", lambda c: c), ("transpose ", transpose))
         ]

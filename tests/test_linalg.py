@@ -705,6 +705,15 @@ class TestTolerances:
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     Tolerances(**{name: value})
 
+    def test_int_beyond_the_largest_double_rejected(self):
+        # Such an int compares below inf, but no double holds it.
+        big = 10**400
+        for name in ("psd_slack", "eq_tol", "eps0", "eps_min"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+                Tolerances(**{name: big})
+        largest = Tolerances(eps0=sys.float_info.max)
+        assert largest.eps0 == sys.float_info.max
+
     def test_int_and_numpy_fields_accepted(self):
         tol = Tolerances(psd_slack=np.float64(1e-9), eq_tol=0, eps0=1, eps_min=np.float32(1e-3))
         assert (tol.psd_slack, tol.eq_tol, tol.eps0) == (1e-9, 0, 1)
