@@ -43,6 +43,7 @@ from .linalg import (
     _eigh,
     _eigvalsh,
     _eye,
+    _float,
     _fn_calculus_raw,
     _is_pd,
     _lapack,
@@ -204,19 +205,15 @@ def _builtin_atoms(kind: str, weight: float | None) -> tuple | None:
     return None
 
 
-def _atoms_repr_function(w0: float, w1: float, interior: list) -> ReprFunction:
-    """f = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) from what
-    ``_route_from_measure`` returns.  ``fn`` takes a float or a spectrum
-    array, so it is also the array form of f.  w (x / ...), not (w x) / ...,
-    keeps x / (1 + x) exact at the smallest subnormal x."""
-
-    def fn(x):
-        out = w0 + w1 * x
-        for t, w in interior:
-            out = out + w * (x / ((1.0 - t) * x + t))
-        return out
-
-    return ReprFunction(fn, w0, float(fn(1.0)))
+def _kernel_sum(x, w0, w1, ts, us, ws):
+    """f(x) = w0 + w1 x + sum_i w_i x / (u_i x + t_i), u_i = 1 - t_i, on a
+    float or a spectrum array: the representing function of a measure with
+    atoms w0 at t = 0 and w1 at t = 1 and interior atoms and quadrature
+    nodes (t_i, w_i).  (x / ...) @ w, not (w x) / ..., keeps x / (1 + x)
+    exact at the smallest subnormal x."""
+    x = np.asarray(x)
+    xs = x[..., None]
+    return w0 + w1 * x + (xs / (us * xs + ts)) @ ws
 
 
 class Connection(ABC):
@@ -344,7 +341,7 @@ class _FunctionBackedConnection(Connection):
     their transposes the array form is ``repr_function.fn`` itself.
 
     ``_affine`` holds (alpha, beta) when f is exactly alpha + beta x, and
-    ``_atoms`` the atoms of a measure of the atom route; ``_route_from_measure``
+    ``_atoms`` the atoms of a measure of the atom route; ``_from_measure``
     or a transpose sets both, and ``_apply_raw`` chooses the route from them.
     """
 
@@ -355,26 +352,32 @@ class _FunctionBackedConnection(Connection):
     # transpose does, so that it agrees with its inner connection on (B, A).
     _around_pd_b = False
 
-    def _route_from_measure(self, atoms: tuple, has_density: bool) -> tuple:
-        """Set ``_affine`` and ``_atoms`` from a
-        measure on [0, 1], given by its atoms (t, w) at distinct t and
-        whether it has a density; the one rule from a measure to its route.
+    def _from_measure(self, atoms: tuple, ts=(), ws=()) -> None:
+        """The one rule from a measure on [0, 1], given by its atoms (t, w)
+        at distinct t and its density's quadrature nodes ts and weights ws,
+        to its route, f, f's array form and the transpose's g.
 
-        With w0 and w1 the atoms at t = 0 and t = 1, f is
-        w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) over the atoms t_i
-        inside (0, 1) and the density.  With no mass inside (0, 1), f is
-        affine, (w0, w1).  Atoms only, with at most ``_ATOM_ROUTE_MAX_ATOMS``
-        inside (0, 1), take the atom route.  Returns (w0, w1, the atoms
-        inside (0, 1)).
+        With w0 and w1 the atoms at t = 0 and t = 1, f is ``_kernel_sum``
+        over the atoms inside (0, 1) and the nodes.  With no mass inside
+        (0, 1), f is affine, (w0, w1).  Atoms only, with at most
+        ``_ATOM_ROUTE_MAX_ATOMS`` inside (0, 1), take the atom route.
+        g(x) = x f(1/x) swaps w0 with w1 and t_i with 1 - t_i: exact.
         """
         ends = dict(atoms)
         w0, w1 = ends.get(0.0, 0.0), ends.get(1.0, 0.0)
         interior = [(t, w) for t, w in atoms if 0.0 < t < 1.0]
-        if not (interior or has_density):
+        if not (interior or len(ts)):
             self._affine = (w0, w1)
-        elif not has_density and len(interior) <= _ATOM_ROUTE_MAX_ATOMS:
+        elif not len(ts) and len(interior) <= _ATOM_ROUTE_MAX_ATOMS:
             self._atoms = atoms
-        return w0, w1, interior
+        ts = np.concatenate([np.array([t for t, _ in interior]), ts])
+        ws = np.concatenate([np.array([w for _, w in interior]), ws])
+        us = 1.0 - ts
+        f = functools.partial(_kernel_sum, w0=w0, w1=w1, ts=ts, us=us, ws=ws)
+        g = functools.partial(_kernel_sum, w0=w1, w1=w0, ts=us, us=ts, ws=ws)
+        self.repr_function = ReprFunction(f, w0, float(f(1.0)))
+        self._fn_array = f
+        self._reflected = ReprFunction(g, w1, float(g(1.0)))
 
     def _takes_atom_route(self, a, b, tol) -> bool:
         """Whether each pivot t A + (1 - t) B of an atom inside (0, 1) is
@@ -487,7 +490,7 @@ class BuiltinConnection(_FunctionBackedConnection):
         if kind in WEIGHTED_KINDS:
             if weight is None:
                 raise ValueError(f"builtin {kind!r} requires a weight in [0, 1]")
-            weight = float(weight)
+            weight = _float(weight)
             if not 0.0 <= weight <= 1.0:
                 raise ValueError(f"weight out of range [0, 1]: {weight}")
         else:
@@ -495,20 +498,16 @@ class BuiltinConnection(_FunctionBackedConnection):
         self.kind = kind
         self.weight = weight
         atoms = _builtin_atoms(kind, weight)
-        if atoms is None:
-            # Geometric(a), 0 < a < 1, and the logarithmic mean have densities;
-            # their transposes are geometric(1 - a) and the logarithmic mean.
-            self._route_from_measure((), True)
-            if kind == "logarithmic":
-                self.repr_function = self._reflected = ReprFunction(_log_mean, 0.0, 1.0)
-            else:
-                self.repr_function = ReprFunction(lambda x: x**weight, 0.0, 1.0)
-                self._reflected = ReprFunction(lambda x: x ** (1.0 - weight), 0.0, 1.0)
+        if atoms is not None:
+            self._from_measure(atoms)
+            return
+        # Geometric(a), 0 < a < 1, and the logarithmic mean have densities;
+        # their transposes are geometric(1 - a) and the logarithmic mean.
+        if kind == "logarithmic":
+            self.repr_function = self._reflected = ReprFunction(_log_mean, 0.0, 1.0)
         else:
-            w0, w1, interior = self._route_from_measure(atoms, False)
-            self.repr_function = _atoms_repr_function(w0, w1, interior)
-            # The transpose's atoms are (1 - t, w), with w0 and w1 swapped.
-            self._reflected = _atoms_repr_function(w1, w0, [(1.0 - t, w) for t, w in interior])
+            self.repr_function = ReprFunction(lambda x: x**weight, 0.0, 1.0)
+            self._reflected = ReprFunction(lambda x: x ** (1.0 - weight), 0.0, 1.0)
         self._fn_array = self.repr_function.fn
 
     def __repr__(self) -> str:

@@ -122,6 +122,15 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _float(value) -> float:
+    """float(value), and -inf or inf for an int beyond the largest double,
+    so that a range check refuses it as it refuses an inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances shared across the package.
@@ -147,11 +156,7 @@ class Tolerances:
     def __post_init__(self):
         for name in ("psd_slack", "eq_tol", "eps0", "eps_min"):
             value = getattr(self, name)
-            try:  # float() refuses an int beyond the largest double
-                ok = _is_real(value) and 0 <= float(value) < math.inf
-            except OverflowError:
-                ok = False
-            if not ok:
+            if not (_is_real(value) and 0 <= _float(value) < math.inf):
                 raise ValueError(
                     f"{name} must be finite and nonnegative, got {value!r}"
                 )
@@ -193,6 +198,17 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+def _float_entries(entries) -> np.ndarray:
+    """entries as a new float array, refusing an int beyond the largest
+    double as an inf entry is refused."""
+    try:
+        return np.array(entries, dtype=float)
+    except OverflowError:
+        raise ValueError(
+            "matrix entries must be finite, got an int beyond the largest double"
+        ) from None
+
+
 class SymMatrix:
     """A real symmetric matrix of dimension >= 1.
 
@@ -203,7 +219,7 @@ class SymMatrix:
     __slots__ = ("data",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        arr = _float_entries(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DimensionMismatchError(
                 f"expected a square matrix with dim >= 1, got shape {arr.shape}"
@@ -248,7 +264,7 @@ class SymMatrix:
 
     @classmethod
     def diagonal(cls, values) -> "SymMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
+        return cls(np.diag(_float_entries(values)))
 
     def shifted(self, eps: float) -> "SymMatrix":
         """Return self + eps * I."""

@@ -8,13 +8,13 @@ harmonic interpolants,
 with scalar kernel 1 !_t x = x / ((1-t) x + t).  The connection is
 evaluated through its representing function f(x) = integral of
 (1 !_t x) d mu(t), which atoms contribute exactly and a density through a
-precomputed quadrature plan.  ``MeasureConnection`` states f once; the
-scalar ``repr_fn_from_measure`` and matrix evaluation both use it, through
-the same function-backed evaluator as every other connection, so a matrix
-result is as accurate as the scalar quadrature.  A measure of at most two
-atoms inside (0, 1) and no density is evaluated as the sum of its atoms'
-weighted harmonic means when A or B is positive definite, by one linear
-solve each.
+precomputed quadrature plan.  ``_from_measure`` states f once, for
+measures and atom builtins alike; the scalar ``repr_fn_from_measure`` and
+matrix evaluation both use it, through the one function-backed evaluator,
+so a matrix result is as accurate as the scalar quadrature.  A measure of
+at most two atoms inside (0, 1) and no density is evaluated as the sum of
+its atoms' weighted harmonic means when A or B is positive definite, by
+one linear solve each.
 ``weighted_harmonic_kernel`` is the kernel on its own, for reference; no
 evaluation path calls it.  Measures are stored unnormalized: normalization
 (total mass 1) is exactly the property of being a mean, and connections
@@ -35,12 +35,11 @@ from typing import Callable
 import numpy as np
 
 from .connections import (
-    ReprFunction,
     _builtin_atoms,
     _FunctionBackedConnection,
     make_builtin,
 )
-from .linalg import _is_real, _is_whole
+from .linalg import _float, _is_real, _is_whole
 
 __all__ = [
     "BorelMeasure",
@@ -192,7 +191,7 @@ class BorelMeasure:
     density: Density | None = None
 
     def __post_init__(self):
-        cleaned = tuple((float(t), float(w)) for t, w in self.atoms)
+        cleaned = tuple((_float(t), _float(w)) for t, w in self.atoms)
         for t, w in cleaned:
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"atom location {t} outside [0, 1]")
@@ -251,32 +250,15 @@ class MeasureConnection(_FunctionBackedConnection):
     where w0 and w1 are the atoms at t = 0 and t = 1 and (t_i, w_i) are the
     interior atoms and the density's quadrature nodes.  By congruence
     invariance this equals the integral of (A !_t B) d mu(t) under the
-    same quadrature.  Its route follows from mu by the rule that builtins
-    share: affine w0 A + w1 B with no mass inside (0, 1), and for atoms
-    only, at most two inside (0, 1), one linear solve per atom.
+    same quadrature.  Its route, f and g follow from mu by the rule that
+    atom builtins share, ``_from_measure``: affine w0 A + w1 B with no mass
+    inside (0, 1), and for atoms only, at most two inside (0, 1), one
+    linear solve per atom.
     """
 
     def __init__(self, measure: BorelMeasure):
         self.measure = measure
-        has_density = measure.density is not None
-        w0, w1, interior = self._route_from_measure(measure.atoms, has_density)
-        ts, ws = measure.density_nodes()
-        ts = np.concatenate([np.array([t for t, _ in interior]), ts])
-        ws = np.concatenate([np.array([w for _, w in interior]), ws])
-        us = 1.0 - ts
-
-        def f(x, w0=w0, w1=w1, ts=ts, us=us):
-            # A Python float or a spectrum array.
-            x = np.asarray(x)
-            xs = x[..., None]
-            return w0 + w1 * x + (xs / (us * xs + ts)) @ ws
-
-        self.repr_function = ReprFunction(f, w0, float(f(1.0)))
-        self._fn_array = f
-        # The transpose's g(x) = x f(1/x) is this sum with w0 and w1 swapped
-        # and with t_i and 1 - t_i swapped: exact, with no 1/x.
-        g = functools.partial(f, w0=w1, w1=w0, ts=us, us=ts)
-        self._reflected = ReprFunction(g, w1, float(g(1.0)))
+        self._from_measure(measure.atoms, *measure.density_nodes())
 
     def __repr__(self) -> str:
         return f"MeasureConnection({self.measure!r})"
@@ -312,7 +294,7 @@ def measure_of_builtin(
     atoms = _builtin_atoms(kind, builtin.weight)
     if atoms is not None:
         return BorelMeasure(atoms=atoms)
-    if kind == "geometric" and abs(builtin.weight - 0.5) <= 1e-12:
+    if kind == "geometric" and builtin.weight == 0.5:
         return BorelMeasure(
             density=Density(arcsine_density, QuadraturePlan.transformed_arcsine(nodes))
         )

@@ -82,8 +82,9 @@ class TestBuiltinRepresentingFunctions:
             make_builtin("geometric")
 
     def test_weight_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            make_builtin("harmonic", 1.5)
+        for weight in (1.5, 10**400):
+            with pytest.raises(ValueError, match="out of range"):
+                make_builtin("harmonic", weight)
 
     def test_weight_ignored_for_unweighted(self):
         conn = make_builtin("logarithmic", 0.7)

@@ -71,6 +71,10 @@ class TestSymMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+        # An int beyond the largest double is refused as an inf is.
+        for make in (lambda: SymMatrix([[10**400]]), lambda: SymMatrix.diagonal([10**400])):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                make()
 
     def test_helpers(self):
         assert SymMatrix.identity(3).dim == 3

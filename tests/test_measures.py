@@ -101,9 +101,11 @@ class TestMeasureValidation:
 
     def test_infinite_mass(self):
         inf = float("inf")
-        for w in (inf, float("nan")):
+        for w in (inf, float("nan"), 10**400):
             with pytest.raises(ValueError, match="atom weight .* must be positive and finite"):
                 BorelMeasure(atoms=((0.5, w),))
+        with pytest.raises(ValueError, match="atom location inf outside"):
+            BorelMeasure(atoms=((10**400, 1.0),))
         with pytest.raises(ValueError, match="total mass inf .* must be finite"):
             BorelMeasure(atoms=((0.5, 1e308), (0.25, 1e308)))
         plan = QuadraturePlan.gauss_legendre(4)
@@ -379,6 +381,9 @@ class TestMeasureOfBuiltin:
             measure_of_builtin("geometric", 0.25)
         with pytest.raises(UnsupportedMeasureError):
             measure_of_builtin("logarithmic")
+        # The arcsine measure is geometric(1/2)'s only.
+        with pytest.raises(UnsupportedMeasureError):
+            measure_of_builtin("geometric", 0.5 + 1e-13)
         assert measure_of_builtin("sum") == BorelMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))
         assert measure_of_builtin("geometric", 0) == BorelMeasure(atoms=((0.0, 1.0),))
         assert measure_of_builtin("geometric", 1) == BorelMeasure(atoms=((1.0, 1.0),))
@@ -389,12 +394,26 @@ class TestMeasureOfBuiltin:
         ids=[kind if w is None else f"{kind}({w:g})" for kind, w in _ATOM_BUILTINS],
     )
     def test_trivial_builtins_match_their_measures(self, kind, weight):
-        # Each pair of connections shares its affine form or its atoms, so
-        # both take the same route at every dim and agree bit for bit.
+        # One rule builds both connections from the same atoms, so they share
+        # their route, f, its array form and g bit for bit, and agree bit for
+        # bit at every dim.
         builtin = make_builtin(kind, weight)
         conn = connection_from_measure(measure_of_builtin(kind, weight))
-        for x in AUDIT_GRID:
-            assert conn.fn(x) == pytest.approx(builtin.fn(x), rel=1e-12, abs=1e-12), x
+        assert (conn._affine, conn._atoms) == (builtin._affine, builtin._atoms)
+        points = np.array(sorted(AUDIT_GRID) + [0.0, 5e-324, 1e-310])
+        for got, want in [
+            (conn.repr_function, builtin.repr_function),
+            (conn._reflected, builtin._reflected),
+        ]:
+            assert got.f_at_0.hex() == want.f_at_0.hex()
+            assert got.f_at_1.hex() == want.f_at_1.hex()
+            for x in points.tolist():
+                assert got(x).hex() == want(x).hex(), x
+        for got, want in [
+            (conn._fn_array, builtin._fn_array),
+            (conn._reflected.fn, builtin._reflected.fn),
+        ]:
+            assert np.array_equal(got(points).view(np.uint64), want(points).view(np.uint64))
         for dim in (1, 2, 8, 16, 33):
             rng = np.random.default_rng([350, dim])
             a, b = random_pd(dim, rng), random_pd(dim, rng)
