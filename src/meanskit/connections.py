@@ -134,9 +134,9 @@ class ReprFunction:
     """A scalar representing function f: [0, inf) -> [0, inf).
 
     ``f_at_0`` is the value at 0 by continuity; for kernels like the
-    logarithmic mean the raw formula is 0/0 there.  ``f_at_1`` decides
-    whether the connection is a mean.  Calling it is the one place that
-    checks x against the domain.
+    logarithmic mean the raw formula is 0/0 there.  ``f_at_1`` is the
+    stored value f(1).  Calling it is the one place that checks x against
+    the domain.
     """
 
     fn: Callable[[float], float]
@@ -144,6 +144,7 @@ class ReprFunction:
     f_at_1: float
 
     def __call__(self, x: float) -> float:
+        x = _float(x)
         if not 0.0 <= x < math.inf:
             raise ValueError(f"representing functions are defined on [0, inf), got {x}")
         if x == 0:
@@ -634,10 +635,13 @@ def apply(
     per atom, when A or B is positive definite, at every dim; rank-deficient
     A with positive-definite B is then exact, with no limit.  Otherwise
     numerically positive-definite A takes the congruence formula and
-    singular A the decreasing epsilon-limit.  Measure connections take the
-    same routes with their quadrature-built f.  The result is PSD within
-    slack, and for dim 1 equals the scalar a * f(b/a) (for a = 0, b times
-    lim f(y)/y on the atom route, and the epsilon-limit otherwise).
+    singular A the decreasing epsilon-limit, except in a transpose of a
+    builtin or a measure: there singular A with positive-definite B takes
+    the congruence around B with the inner connection's f.  Measure
+    connections take the same routes with their quadrature-built f.  The
+    result is PSD within slack, and for dim 1 equals the scalar a * f(b/a)
+    (for a = 0, b times lim f(y)/y on the atom route and around B, and the
+    epsilon-limit otherwise).
     """
     return conn.apply(A, B, tol)
 
@@ -650,7 +654,7 @@ def repr_fn_eval(conn: Connection, x: float, tol: Tolerances = DEFAULT_TOL) -> f
     tolerance changes its value.  The tolerance flags of the CLI's
     ``function`` subcommand are validated but do not change its table.
     """
-    return float(conn.fn(float(x)))
+    return float(conn.fn(_float(x)))
 
 
 def is_mean(conn: Connection, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -9,8 +9,11 @@ this module is safe to call concurrently.
 
 Every LAPACK call of the package goes through ``_lapack``: the symmetric
 eigensolvers, the Cholesky certificate and the atom route's linear solve.
-It calls the gufuncs that ``numpy.linalg`` itself calls, with the same
-float64 signatures, and skips only that module's per-call checks and
+Two calls do not: ``verify._non_comparable_pair`` draws a rotation with
+``np.linalg.qr``, and ``measures._leggauss`` takes its rule from
+``np.polynomial.legendre.leggauss``, which solves an eigenvalue problem.
+``_lapack`` calls the gufuncs that ``numpy.linalg`` itself calls, with the
+same float64 signatures, and skips only that module's per-call checks and
 conversions, so results are bit for bit those of ``numpy.linalg``.  On a
 failure, or on input the gufunc does not take, the public ``numpy.linalg``
 function runs instead and raises numpy's own error.
@@ -27,14 +30,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar
 from numpy.linalg import _umath_linalg
-
-try:
-    # numpy 2 keeps the floating-point error state in this context variable,
-    # the one np.errstate sets and resets; numpy 1.x has no such variable.
-    from numpy._core._ufunc_config import _extobj_contextvar
-except ImportError:
-    _extobj_contextvar = None
 
 __all__ = [
     "ASYMMETRY_WARN_REL",
@@ -199,14 +196,22 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _float_entries(entries) -> np.ndarray:
-    """entries as a new float array, refusing an int beyond the largest
-    double as an inf entry is refused."""
+    """entries as a new float array, each int beyond the largest double read
+    by ``_float`` as the inf it exceeds."""
     try:
         return np.array(entries, dtype=float)
     except OverflowError:
-        raise ValueError(
-            "matrix entries must be finite, got an int beyond the largest double"
-        ) from None
+        objects = np.array(entries, dtype=object)
+        return np.array(np.frompyfunc(_float, 1, 1)(objects), dtype=float)
+
+
+def _finite_scalar(value) -> float:
+    """``_float(value)``, refusing inf and NaN: scaling a matrix by such a
+    value, or shifting it, would make every entry non-finite."""
+    x = _float(value)
+    if not math.isfinite(x):
+        raise ValueError("matrix entries must be finite")
+    return x
 
 
 class SymMatrix:
@@ -268,7 +273,7 @@ class SymMatrix:
 
     def shifted(self, eps: float) -> "SymMatrix":
         """Return self + eps * I."""
-        return SymMatrix(self.data + eps * np.eye(self.dim))
+        return SymMatrix(self.data + _finite_scalar(eps) * np.eye(self.dim))
 
     def tolist(self) -> list[list[float]]:
         return self.data.tolist()
@@ -286,12 +291,12 @@ class SymMatrix:
         return SymMatrix(self.data - other.data)
 
     def __mul__(self, scalar) -> "SymMatrix":
-        return SymMatrix(self.data * float(scalar))
+        return SymMatrix(self.data * _finite_scalar(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "SymMatrix":
-        return SymMatrix(self.data / float(scalar))
+        return SymMatrix(self.data / _float(scalar))
 
     def __neg__(self) -> "SymMatrix":
         return SymMatrix(-self.data)
@@ -335,14 +340,12 @@ _GUFUNCS = {
 
 # numpy.linalg's error state, where LAPACK's failure flag raises and every
 # other flag is ignored, built once for ``_lapack``: entering it is one set
-# and one reset of numpy's context variable, not a fresh np.errstate.  It
-# keeps the buffer size and error callback of the moment of import; no flag
-# is in "call" mode, and the buffer size, which only chunks the loop over a
-# stack, changes no result.  None on numpy 1.x.
-_LINALG_ERRSTATE = None
-if _extobj_contextvar is not None:
-    with np.errstate(all="ignore", invalid="raise"):
-        _LINALG_ERRSTATE = _extobj_contextvar.get()
+# and one reset of numpy's context variable, the one np.errstate sets, not a
+# fresh np.errstate.  It keeps the buffer size and error callback of the
+# moment of import; no flag is in "call" mode, and the buffer size, which
+# only chunks the loop over a stack, changes no result.
+with np.errstate(all="ignore", invalid="raise"):
+    _LINALG_ERRSTATE = _extobj_contextvar.get()
 
 
 def _lapack(name: str, *args, rerun_on_failure: bool = True):
@@ -351,25 +354,20 @@ def _lapack(name: str, *args, rerun_on_failure: bool = True):
 
     The gufunc runs on float64 arrays only (``casting="no"``) and in the
     error state numpy.linalg uses, where LAPACK's failure flag raises and
-    every other flag is ignored: ``_LINALG_ERRSTATE``, or on numpy 1.x a
-    fresh ``np.errstate``.  The caller's state, which numpy keeps per
-    thread, is back in place on return and on a raise.  Input the gufunc
-    refuses, such as a 1-D or non-square array or another dtype, and a
-    failure, such as a matrix that is not positive definite for
-    ``cholesky``, run the public function instead, which raises numpy's own
-    error.  With ``rerun_on_failure=False`` a failure raises a bare
+    every other flag is ignored, ``_LINALG_ERRSTATE``.  The caller's state,
+    which numpy keeps per thread, is back in place on return and on a raise.
+    Input the gufunc refuses, such as a 1-D or non-square array or another
+    dtype, and a failure, such as a matrix that is not positive definite
+    for ``cholesky``, run the public function instead, which raises numpy's
+    own error.  With ``rerun_on_failure=False`` a failure raises a bare
     ``LinAlgError`` at once, for a caller to whom a failure is an answer and
     a second factorization would be waste.
     """
     gufunc, signature = _GUFUNCS[name]
-    # numpy.linalg.solve reads a b of one dimension fewer than a as a stack
-    # of vectors (numpy 1.x at every ndim, numpy 2 when b is 1-D), where the
-    # gufunc reads matrices, so such a b goes to the public function.
+    # numpy.linalg.solve reads a 1-D b as a vector, where the gufunc reads
+    # matrices, so a b whose ndim differs from a's goes to the public function.
     if name != "solve" or np.ndim(args[0]) == np.ndim(args[1]):
         try:
-            if _LINALG_ERRSTATE is None:
-                with np.errstate(all="ignore", invalid="raise"):
-                    return gufunc(*args, signature=signature, casting="no")
             token = _extobj_contextvar.set(_LINALG_ERRSTATE)
             try:
                 return gufunc(*args, signature=signature, casting="no")

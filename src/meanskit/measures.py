@@ -39,7 +39,7 @@ from .connections import (
     _FunctionBackedConnection,
     make_builtin,
 )
-from .linalg import _float, _is_real, _is_whole
+from .linalg import _float, _float_entries, _is_real, _is_whole
 
 __all__ = [
     "BorelMeasure",
@@ -108,8 +108,8 @@ class QuadraturePlan:
     absorbs_density: bool = False
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+        nodes = _float_entries(self.nodes)
+        weights = _float_entries(self.weights)
         if nodes.ndim != 1 or nodes.size < 1 or nodes.shape != weights.shape:
             raise ValueError("plan needs matching 1-d nodes and weights, n >= 1")
         if np.any(nodes <= 0.0) or np.any(nodes >= 1.0):
@@ -157,7 +157,7 @@ class QuadraturePlan:
 
     @classmethod
     def explicit(cls, nodes, weights) -> "QuadraturePlan":
-        return cls("explicit", np.asarray(nodes, float), np.asarray(weights, float))
+        return cls("explicit", nodes, weights)
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ class BorelMeasure:
         if plan.absorbs_density:
             return plan.nodes, plan.weights
         rho = self.density.rho
-        w = plan.weights * np.array([float(rho(float(t))) for t in plan.nodes])
+        w = plan.weights * np.array([_float(rho(float(t))) for t in plan.nodes])
         return plan.nodes, w
 
 
@@ -272,7 +272,7 @@ def connection_from_measure(mu: BorelMeasure) -> MeasureConnection:
 def repr_fn_from_measure(mu: BorelMeasure, x: float) -> float:
     """f(x) = integral of (1 !_t x) d mu(t), atoms plus quadrature: the
     representing function of ``connection_from_measure(mu)``, bit for bit."""
-    return connection_from_measure(mu).fn(float(x))
+    return connection_from_measure(mu).fn(x)
 
 
 def measure_of_builtin(

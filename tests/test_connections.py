@@ -125,15 +125,18 @@ class TestBuiltinRepresentingFunctions:
         sum_ = make_builtin("sum")
         conns = (
             sum_,
+            make_builtin("geometric", 0.5),
+            make_builtin("harmonic", 0.5),
             connection_from_function(lambda x: 1.0 + x),
             connection_from_measure(BorelMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))),
             transpose(sum_),
             transpose(transpose(sum_)),
         )
-        for x in (math.nan, math.inf, -math.inf, -1.0):
-            with pytest.raises(ValueError, match=r"defined on \[0, inf\)"):
-                repr_fn_eval(sum_, x)
+        # An int beyond the largest double is read as the inf it exceeds.
+        for x in (math.nan, math.inf, -math.inf, -1.0, 10**400, -(10**400)):
             for conn in conns:
+                with pytest.raises(ValueError, match=r"defined on \[0, inf\)"):
+                    repr_fn_eval(conn, x)
                 with pytest.raises(ValueError, match=r"defined on \[0, inf\)"):
                     conn.fn(x)
 

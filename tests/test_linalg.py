@@ -71,10 +71,21 @@ class TestSymMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
-        # An int beyond the largest double is refused as an inf is.
-        for make in (lambda: SymMatrix([[10**400]]), lambda: SymMatrix.diagonal([10**400])):
-            with pytest.raises(ValueError, match="matrix entries must be finite"):
-                make()
+        # An int beyond the largest double is refused as an inf is, and a
+        # scale or shift by either is refused before it can warn.
+        eye = SymMatrix.identity(2)
+        for big in (math.inf, 10**400):
+            for make in (
+                lambda: SymMatrix([[big]]),
+                lambda: SymMatrix.diagonal([big]),
+                lambda: eye * big,
+                lambda: big * eye,
+                lambda: eye.shifted(big),
+            ):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="matrix entries must be finite"):
+                        make()
 
     def test_helpers(self):
         assert SymMatrix.identity(3).dim == 3
@@ -91,6 +102,8 @@ class TestSymMatrix:
         a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose((a * 2).data, 2 * a.data)
         np.testing.assert_allclose((a / 2).data, a.data / 2)
+        for big in (math.inf, 10**400):
+            assert np.array_equal((a / big).data, np.zeros((2, 2)))
         np.testing.assert_allclose((a - a).data, np.zeros((2, 2)))
 
     def test_large_finite_entries_stay_finite(self):
@@ -221,8 +234,8 @@ class TestLapack:
             ("cholesky", (np.stack([np.eye(2), -np.eye(2)]),)),
             ("solve", (np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))),
             ("solve", (np.zeros((2, 3, 3)), np.ones((2, 3, 1)))),
-            # A stack of singular pivots with a 2-D b, as many pivots as b
-            # has columns, so numpy 1.x and 2.x both read b as valid.
+            # A stack of singular pivots with a 2-D b, which the public
+            # function reads as one matrix for every pivot.
             ("solve", (np.zeros((3, 3, 3)), np.eye(3))),
         ],
     )
@@ -261,8 +274,8 @@ class TestLapack:
         ids=["singular", "nonsingular"],
     )
     def test_solve_with_one_dim_fewer_in_b_goes_to_numpy(self, monkeypatch, a):
-        # numpy 1.x reads this b as vectors and numpy 2 as matrices; either
-        # way, the gufunc is not called and the answer is numpy's.
+        # A b whose ndim differs from a's goes to the public function, so
+        # the gufunc is not called and the answer is numpy's.
         b = np.arange(9.0).reshape(3, 3)
         try:
             want = np.linalg.solve(a, b)
@@ -315,16 +328,6 @@ class TestLapack:
             assert str(got) == prefix + rest
 
 
-@pytest.fixture(params=["prebuilt", "np.errstate"])
-def errstate_path(request, monkeypatch):
-    """Run a test on both ways into numpy.linalg's error state: the state
-    that ``linalg`` builds at import, and a fresh ``np.errstate`` per call,
-    which is what numpy 1.x gets, having no state to prebuild."""
-    if request.param == "np.errstate":
-        monkeypatch.setattr(linalg, "_LINALG_ERRSTATE", None)
-
-
-@pytest.mark.usefixtures("errstate_path")
 class TestLapackErrorState:
     """``linalg._lapack`` calls LAPACK in numpy.linalg's error state and
     leaves the caller's state as it found it."""
@@ -340,8 +343,10 @@ class TestLapackErrorState:
             lambda: linalg._lapack("eigh", TestLapackErrorState.SPD),
             lambda: linalg._lapack("cholesky", -np.eye(3)),
             lambda: linalg._lapack("cholesky", -np.eye(3), rerun_on_failure=False),
+            # The gufunc refuses a 1-D array, and the public function raises.
+            lambda: linalg._lapack("eigvalsh", np.ones(3)),
         ],
-        ids=["success", "failure", "failure-no-rerun"],
+        ids=["success", "failure", "failure-no-rerun", "refused-input"],
     )
     def test_callers_error_state_is_restored(self, call):
         for state in ({}, {"all": "warn", "under": "raise"}, {"all": "ignore"}):

@@ -109,8 +109,12 @@ class TestMeasureValidation:
         with pytest.raises(ValueError, match="total mass inf .* must be finite"):
             BorelMeasure(atoms=((0.5, 1e308), (0.25, 1e308)))
         plan = QuadraturePlan.gauss_legendre(4)
-        with pytest.raises(ValueError, match="total mass inf .* must be finite"):
-            BorelMeasure(density=Density(lambda t: inf, plan))
+        for big in (inf, 10**400):
+            with pytest.raises(ValueError, match="total mass inf .* must be finite"):
+                BorelMeasure(density=Density(lambda t: big, plan))
+            big_plan = QuadraturePlan.explicit([0.5], [big])
+            with pytest.raises(ValueError, match="total mass inf .* must be finite"):
+                BorelMeasure(density=Density(lambda t: 1.0, big_plan))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="total mass inf .* must be finite"):
