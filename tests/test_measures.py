@@ -112,13 +112,16 @@ class TestMeasureValidation:
         for big in (inf, 10**400):
             with pytest.raises(ValueError, match="total mass inf .* must be finite"):
                 BorelMeasure(density=Density(lambda t: big, plan))
-            big_plan = QuadraturePlan.explicit([0.5], [big])
-            with pytest.raises(ValueError, match="total mass inf .* must be finite"):
-                BorelMeasure(density=Density(lambda t: 1.0, big_plan))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="total mass inf .* must be finite"):
                 BorelMeasure(atoms=((0.0, 1e308),), density=Density(lambda t: 1e308, plan))
+
+    @pytest.mark.parametrize("big", [math.inf, 10**400], ids=["inf", "int-beyond-double"])
+    def test_unbounded_plan_weight_gives_infinite_mass(self, big):
+        plan = QuadraturePlan.explicit([0.5], [big])
+        with pytest.raises(ValueError, match="total mass inf .* must be finite"):
+            BorelMeasure(density=Density(lambda t: 1.0, plan))
 
     def test_duplicate_locations(self):
         with pytest.raises(ValueError):
