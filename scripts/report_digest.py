@@ -27,10 +27,10 @@ The ``apply/<name>@16,33`` lines come next: the same five pair kinds at
 dims 16 and 33, above APPLY_DIMS, for the weighted harmonic means, the
 parallel sum and atom measures, which are evaluated by linear solves at
 every dim.  Then the
-``apply/<name>@margin`` lines, for an affine connection and one of the atom
-route, on pairs with one operand's smallest eigenvalue put on both sides
-of the margin of the Cholesky positive-definiteness certificate, at dims
-2, 16 and 33.  Then come the ``axioms/<name>@16,33`` and
+``apply/<name>@margin`` lines, for an affine connection and one with an
+interior atom, both of the atom route, on pairs with one operand's
+smallest eigenvalue put on both sides of the margin of the Cholesky
+positive-definiteness certificate, at dims 2, 16 and 33.  Then come the ``axioms/<name>@16,33`` and
 ``continuity/<name>@16,33`` lines, the digests of those two suites at
 dims 16 and 33 and ATOM_ROUTE_TRIALS trials, for the connections of the
 atom route: the suite lines above them reach dims 1-8 only.  They are

@@ -7,16 +7,16 @@ above.  Each connection is encoded by a scalar representing function f via
     A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}
 
 for invertible A, extended to singular A by the decreasing limit over
-A + eps*I.  Connections whose f is affine, alpha + beta x, are evaluated as
-alpha A + beta B instead, exactly for every PSD pair.  Connections whose
-measure is a few atoms, f = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i)
-(the weighted harmonic means, the parallel sum, and atom measures with at
-most two atoms inside (0, 1)), are evaluated as the sum of weighted
-harmonic means w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B, one
-linear solve per atom, when A or B is positive definite, at every dim.
-That route needs no limit for a singular operand.  Both of these routes
-check their operands with one Cholesky factorization where it certifies
-them positive definite, and with their eigenvalues otherwise.  Builtins,
+A + eps*I.  Connections whose measure is a few atoms,
+f = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) (the affine kinds, the
+weighted harmonic means, the parallel sum, and atom measures with at most
+two atoms inside (0, 1)), are evaluated as the sum of weighted harmonic
+means w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B, one linear
+solve per atom inside (0, 1), when A or B is positive definite, at every
+dim; with no atom inside (0, 1) that is alpha A + beta B, exact for every
+PSD pair.  That route needs no limit for a singular operand.  It checks
+its operands with one Cholesky factorization where that certifies them
+positive definite, and with their eigenvalues otherwise.  Builtins,
 measures, user functions and the reflected transposes of builtins and
 measures all share this one evaluator.  Connection values are immutable
 and freely shareable across threads; ``apply`` is reentrant.
@@ -317,22 +317,16 @@ def _operand_spectra(a, b, tol):
 
 
 def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sum of w (A !_t B) over the atoms (t, w), for operands of shape
-    (..., n, n): w A at t = 0, w B at t = 1, and the weighted harmonic mean
-    w A (t A + (1 - t) B)^{-1} B inside (0, 1), by one linear solve per atom
-    (Anderson and Duffin's parallel sum; Kubo and Ando).  It needs each
-    pivot t A + (1 - t) B positive definite, and then no limit for a
-    singular operand."""
-    out = 0.0
-    for t, w in atoms:
-        if t == 0.0:
-            term = a
-        elif t == 1.0:
-            term = b
-        else:
-            term = a @ _lapack("solve", t * a + (1.0 - t) * b, b)
-        out = out + w * term
-    return _sym(out)
+    """w0 A + w1 B plus w A (t A + (1 - t) B)^{-1} B, one linear solve, per
+    interior atom (t, w) of the record (w0, w1, interior), for operands of
+    shape (..., n, n) (Anderson and Duffin's parallel sum; Kubo and Ando).
+    It needs each pivot positive definite, and then no limit for a singular
+    operand.  Only a solve needs ``_sym``; w0 A + w1 B is symmetric."""
+    w0, w1, interior = atoms
+    out = w0 * a + w1 * b
+    for t, w in interior:
+        out = out + w * (a @ _lapack("solve", t * a + (1.0 - t) * b, b))
+    return _sym(out) if interior else out
 
 
 class _FunctionBackedConnection(Connection):
@@ -341,12 +335,12 @@ class _FunctionBackedConnection(Connection):
     maps a spectrum array to the values of f.  For builtins, measures and
     their transposes the array form is ``repr_function.fn`` itself.
 
-    ``_affine`` holds (alpha, beta) when f is exactly alpha + beta x, and
-    ``_atoms`` the atoms of a measure of the atom route; ``_from_measure``
-    or a transpose sets both, and ``_apply_raw`` chooses the route from them.
+    ``_atoms`` holds the record (w0, w1, interior) of a measure of the atom
+    route: its atoms at t = 0 and t = 1 and the tuple of its atoms (t, w)
+    inside (0, 1).  ``_from_measure`` or a transpose sets it, and
+    ``_apply_raw`` chooses the route from it.
     """
 
-    _affine = None
     _atoms = None
     # Whether a pair whose A is not positive definite but whose B is takes
     # the congruence around B with ``_reflected`` in place of the limit; a
@@ -359,18 +353,16 @@ class _FunctionBackedConnection(Connection):
         to its route, f, f's array form and the transpose's g.
 
         With w0 and w1 the atoms at t = 0 and t = 1, f is ``_kernel_sum``
-        over the atoms inside (0, 1) and the nodes.  With no mass inside
-        (0, 1), f is affine, (w0, w1).  Atoms only, with at most
-        ``_ATOM_ROUTE_MAX_ATOMS`` inside (0, 1), take the atom route.
-        g(x) = x f(1/x) swaps w0 with w1 and t_i with 1 - t_i: exact.
+        over the atoms inside (0, 1) and the nodes.  Atoms only, with at
+        most ``_ATOM_ROUTE_MAX_ATOMS`` inside (0, 1), take the atom route,
+        the affine f = w0 + w1 x with none among them.  g(x) = x f(1/x)
+        swaps w0 with w1 and t_i with 1 - t_i: exact.
         """
         ends = dict(atoms)
         w0, w1 = ends.get(0.0, 0.0), ends.get(1.0, 0.0)
-        interior = [(t, w) for t, w in atoms if 0.0 < t < 1.0]
-        if not (interior or len(ts)):
-            self._affine = (w0, w1)
-        elif not len(ts) and len(interior) <= _ATOM_ROUTE_MAX_ATOMS:
-            self._atoms = atoms
+        interior = tuple((t, w) for t, w in atoms if 0.0 < t < 1.0)
+        if not len(ts) and len(interior) <= _ATOM_ROUTE_MAX_ATOMS:
+            self._atoms = (w0, w1, interior)
         ts = np.concatenate([np.array([t for t, _ in interior]), ts])
         ws = np.concatenate([np.array([w for _, w in interior]), ws])
         us = 1.0 - ts
@@ -381,8 +373,8 @@ class _FunctionBackedConnection(Connection):
         self._reflected = ReprFunction(g, w1, float(g(1.0)))
 
     def _takes_atom_route(self, a, b, tol) -> bool:
-        """Whether each pivot t A + (1 - t) B of an atom inside (0, 1) is
-        positive definite, for (..., n, n) operands that
+        """Whether each pivot t A + (1 - t) B of an interior atom, if any,
+        is positive definite, for (..., n, n) operands that
         ``_operand_spectra`` checks to be PSD.  Operands that
         ``_certified_pd`` vouches for pass without spectra: their smallest
         eigenvalues exceed twice the slack.  Otherwise ``_is_pd`` decides
@@ -400,25 +392,23 @@ class _FunctionBackedConnection(Connection):
         return all(
             _is_pd(t * x + (1.0 - t) * y, tol)
             for x, y in zip(wa, wb)
-            for t, _ in self._atoms
-            if 0.0 < t < 1.0
+            for t, _ in self._atoms[2]
         )
 
     def _apply_raw(self, a, b, tol):
         """A sigma B for one pair of (n, n) operands or each pair of two
         (k, n, n) stacks.  The route is decided here, in this order:
 
-        1. affine f: alpha A + beta B, once ``_operand_spectra`` has
-           checked both operands; exact for every PSD pair;
-        2. ``_atom_apply`` when ``_takes_atom_route``, at every dim;
-        3. A's eigendecomposition, and ``_is_pd`` on its spectrum;
-        4. positive-definite A: the congruence around A;
-        5. with ``_around_pd_b``, positive-definite B: the congruence around
+        1. ``_atom_apply`` when ``_takes_atom_route``, at every dim; with no
+           interior atom, alpha A + beta B, exact for every PSD pair;
+        2. A's eigendecomposition, and ``_is_pd`` on its spectrum;
+        3. positive-definite A: the congruence around A;
+        4. with ``_around_pd_b``, positive-definite B: the congruence around
            B with ``_reflected``;
-        6. any other pair: the decreasing epsilon-limit of the congruence.
+        5. any other pair: the decreasing epsilon-limit of the congruence.
 
-        A stack takes steps 1, 2 and 4 in one call each.  One rule keeps a
-        stack's errors those of its pairs: a stack that declines step 2,
+        A stack takes steps 1 and 3 in one call each.  One rule keeps a
+        stack's errors those of its pairs: a stack that declines step 1,
         has a left operand that is not positive definite, or raises
         anything on the way, is evaluated again pair by pair through
         ``_apply_raw``, and so raises what its first failing pair raises
@@ -427,10 +417,6 @@ class _FunctionBackedConnection(Connection):
         """
         stack = a.ndim > 2
         try:
-            if self._affine is not None:
-                _operand_spectra(a, b, tol)
-                alpha, beta = self._affine
-                return alpha * a + beta * b
             if self._atoms is not None and self._takes_atom_route(a, b, tol):
                 return _atom_apply(self._atoms, a, b)
             if not (stack and self._atoms is not None):
@@ -479,8 +465,8 @@ class BuiltinConnection(_FunctionBackedConnection):
     Its route and, where ``_builtin_atoms`` gives its measure, its f follow
     from its measure, as for a measure connection: the kinds whose measure
     has no mass inside (0, 1) (left/right trivial, arithmetic, sum, zero,
-    and geometric or harmonic at weight 0 or 1) are applied as
-    alpha A + beta B, exact for singular operands.
+    and geometric or harmonic at weight 0 or 1) take the atom route with
+    no interior atom, alpha A + beta B, exact for singular operands.
     """
 
     def __init__(self, kind: str, weight: float | None = None):
@@ -540,10 +526,10 @@ class TransposeConnection(_FunctionBackedConnection):
     its measure reflected by t -> 1 - t, with g(x) = x f(1/x) (Kubo and
     Ando).  Where the package's evaluator runs the inner connection and its
     ``_reflected`` g is known, f is g, the route is the inner one reflected,
-    (alpha, beta) to (beta, alpha) and atoms (t, w) to (1 - t, w), and the
-    evaluator runs on the caller's own (A, B), around B where only B is
-    positive definite.  A transpose of a transpose takes the inner route
-    and f as they are.  Of any other connection, a user function or one
+    the atom record (w0, w1, ((t, w), ...)) to (w1, w0, ((1 - t, w), ...)),
+    and the evaluator runs on the caller's own (A, B), around B where only
+    B is positive definite.  A transpose of a transpose takes the inner
+    route and f as they are.  Of any other connection, a user function or one
     with its own ``_apply_raw``, it is a ``_SwappedTranspose``, which runs
     the inner evaluator on (B, A) and takes g as x f(1/x)."""
 
@@ -560,12 +546,13 @@ class TransposeConnection(_FunctionBackedConnection):
         if type(inner) is TransposeConnection:
             # Copied, not reflected twice: 1 - (1 - t) need not be t.
             inner = inner.inner
-            self._affine, self._atoms = inner._affine, inner._atoms
+            self._atoms = inner._atoms
             self._around_pd_b, self._reflected = inner._around_pd_b, inner._reflected
             self.repr_function, self._fn_array = inner.repr_function, inner._fn_array
         elif inner._reflected is not None:
-            self._affine = inner._affine and inner._affine[::-1]
-            self._atoms = inner._atoms and tuple((1.0 - t, w) for t, w in inner._atoms)
+            if inner._atoms is not None:
+                w0, w1, interior = inner._atoms
+                self._atoms = (w1, w0, tuple((1.0 - t, w) for t, w in interior))
             # The transpose of g is f.
             self.repr_function, self._reflected = inner._reflected, inner.repr_function
             self._fn_array, self._around_pd_b = self.repr_function.fn, True
@@ -600,9 +587,9 @@ class _SwappedTranspose(TransposeConnection):
 def _returns_symmetric(conn: Connection) -> bool:
     """Whether ``apply`` wraps the result of ``conn._apply_raw`` as it is:
     whether that is the package's evaluator, whose every route ends in
-    ``_sym`` or in alpha A + beta B of stored symmetric operands.  Its
-    results are symmetric bit for bit, and scaling by a power of two keeps
-    that.  Any other result is symmetrized."""
+    ``_sym`` or, with no interior atom, in w0 A + w1 B of stored symmetric
+    operands.  Its results are symmetric bit for bit, and scaling by a power
+    of two keeps that.  Any other result is symmetrized."""
     return type(conn)._apply_raw is _FunctionBackedConnection._apply_raw
 
 
@@ -627,13 +614,13 @@ def apply(
 ) -> SymMatrix:
     """Evaluate A sigma B.
 
-    A connection with affine f = alpha + beta x returns alpha A + beta B,
-    exact for singular operands too.  The weighted harmonic means (weight
-    inside (0, 1)), the parallel sum and atom measures with at most two
-    atoms inside (0, 1) return the sum of weighted harmonic means
+    Connections whose measure is atoms, at most two inside (0, 1) (the
+    affine kinds, the weighted harmonic means, the parallel sum and such
+    atom measures), return the sum of weighted harmonic means
     w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B, one linear solve
-    per atom, when A or B is positive definite, at every dim; rank-deficient
-    A with positive-definite B is then exact, with no limit.  Otherwise
+    per interior atom, when A or B is positive definite, at every dim;
+    rank-deficient A with positive-definite B is then exact, with no limit,
+    and with no interior atom every PSD pair.  Otherwise
     numerically positive-definite A takes the congruence formula and
     singular A the decreasing epsilon-limit, except in a transpose of a
     builtin or a measure: there singular A with positive-definite B takes

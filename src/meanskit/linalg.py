@@ -271,32 +271,43 @@ class SymMatrix:
     def diagonal(cls, values) -> "SymMatrix":
         return cls(np.diag(_float_entries(values)))
 
-    def shifted(self, eps: float) -> "SymMatrix":
-        """Return self + eps * I."""
-        return SymMatrix(self.data + _finite_scalar(eps) * np.eye(self.dim))
-
     def tolist(self) -> list[list[float]]:
         return self.data.tolist()
+
+    # An entry of the arithmetic below that overflows or divides by zero is
+    # not finite, which construction refuses; numpy would warn first.
+
+    def shifted(self, eps: float) -> "SymMatrix":
+        """Return self + eps * I."""
+        eps = _finite_scalar(eps)
+        with np.errstate(all="ignore"):
+            return SymMatrix(self.data + eps * np.eye(self.dim))
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         if not isinstance(other, SymMatrix):
             return NotImplemented
         _check_same_dim(self.data, other.data)
-        return SymMatrix(self.data + other.data)
+        with np.errstate(all="ignore"):
+            return SymMatrix(self.data + other.data)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         if not isinstance(other, SymMatrix):
             return NotImplemented
         _check_same_dim(self.data, other.data)
-        return SymMatrix(self.data - other.data)
+        with np.errstate(all="ignore"):
+            return SymMatrix(self.data - other.data)
 
     def __mul__(self, scalar) -> "SymMatrix":
-        return SymMatrix(self.data * _finite_scalar(scalar))
+        scalar = _finite_scalar(scalar)
+        with np.errstate(all="ignore"):
+            return SymMatrix(self.data * scalar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "SymMatrix":
-        return SymMatrix(self.data / _float(scalar))
+        scalar = _float(scalar)
+        with np.errstate(all="ignore"):
+            return SymMatrix(self.data / scalar)
 
     def __neg__(self) -> "SymMatrix":
         return SymMatrix(-self.data)
@@ -356,7 +367,8 @@ def _lapack(name: str, *args, rerun_on_failure: bool = True):
     error state numpy.linalg uses, where LAPACK's failure flag raises and
     every other flag is ignored, ``_LINALG_ERRSTATE``.  The caller's state,
     which numpy keeps per thread, is back in place on return and on a raise.
-    Input the gufunc refuses, such as a 1-D or non-square array or another
+    Input the gufunc refuses, such as a 1-D or non-square array (a 1-D b,
+    which ``numpy.linalg.solve`` reads as a vector, among them) or another
     dtype, and a failure, such as a matrix that is not positive definite
     for ``cholesky``, run the public function instead, which raises numpy's
     own error.  With ``rerun_on_failure=False`` a failure raises a bare
@@ -364,20 +376,17 @@ def _lapack(name: str, *args, rerun_on_failure: bool = True):
     a second factorization would be waste.
     """
     gufunc, signature = _GUFUNCS[name]
-    # numpy.linalg.solve reads a 1-D b as a vector, where the gufunc reads
-    # matrices, so a b whose ndim differs from a's goes to the public function.
-    if name != "solve" or np.ndim(args[0]) == np.ndim(args[1]):
+    try:
+        token = _extobj_contextvar.set(_LINALG_ERRSTATE)
         try:
-            token = _extobj_contextvar.set(_LINALG_ERRSTATE)
-            try:
-                return gufunc(*args, signature=signature, casting="no")
-            finally:
-                _extobj_contextvar.reset(token)
-        except FloatingPointError as exc:
-            if not rerun_on_failure:
-                raise np.linalg.LinAlgError(str(exc)) from None
-        except (TypeError, ValueError):
-            pass
+            return gufunc(*args, signature=signature, casting="no")
+        finally:
+            _extobj_contextvar.reset(token)
+    except FloatingPointError as exc:
+        if not rerun_on_failure:
+            raise np.linalg.LinAlgError(str(exc)) from None
+    except (TypeError, ValueError):
+        pass
     return getattr(np.linalg, name)(*args)
 
 

@@ -251,9 +251,9 @@ class MeasureConnection(_FunctionBackedConnection):
     interior atoms and the density's quadrature nodes.  By congruence
     invariance this equals the integral of (A !_t B) d mu(t) under the
     same quadrature.  Its route, f and g follow from mu by the rule that
-    atom builtins share, ``_from_measure``: affine w0 A + w1 B with no mass
-    inside (0, 1), and for atoms only, at most two inside (0, 1), one
-    linear solve per atom.
+    atom builtins share, ``_from_measure``: for atoms only, at most two
+    inside (0, 1), w0 A + w1 B and one linear solve per interior atom, so
+    affine w0 A + w1 B with no mass inside (0, 1).
     """
 
     def __init__(self, measure: BorelMeasure):

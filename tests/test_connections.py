@@ -371,23 +371,24 @@ def _fail_cholesky_near(monkeypatch, marker):
 
 
 class TestRouteAttributes:
-    """Each builtin's ``_affine``, ``_atoms`` and the value at 0 of its
-    ``_reflected``, lim f(y)/y, which follow from its measure."""
+    """Each builtin's atom-route record ``_atoms`` = (w0, w1, interior) and
+    the value at 0 of its ``_reflected``, lim f(y)/y, which follow from its
+    measure."""
 
-    AFFINE_LEFT = ((1.0, 0.0), None, 0.0)
-    AFFINE_RIGHT = ((0.0, 1.0), None, 1.0)
-    CURVED = (None, None, 0.0)
+    AFFINE_LEFT = ((1.0, 0.0, ()), 0.0)
+    AFFINE_RIGHT = ((0.0, 1.0, ()), 1.0)
+    CURVED = (None, 0.0)
     TABLE = {
         ("left_trivial", None): AFFINE_LEFT,
         ("right_trivial", None): AFFINE_RIGHT,
         ("logarithmic", None): CURVED,
-        ("parallel_sum", None): (None, ((0.5, 0.5),), 0.0),
-        ("sum", None): ((1.0, 1.0), None, 1.0),
-        ("zero", None): ((0.0, 0.0), None, 0.0),
+        ("parallel_sum", None): ((0.0, 0.0, ((0.5, 0.5),)), 0.0),
+        ("sum", None): ((1.0, 1.0, ()), 1.0),
+        ("zero", None): ((0.0, 0.0, ()), 0.0),
         ("arithmetic", 0.0): AFFINE_LEFT,
-        ("arithmetic", 0.25): ((0.75, 0.25), None, 0.25),
-        ("arithmetic", 0.5): ((0.5, 0.5), None, 0.5),
-        ("arithmetic", 0.75): ((0.25, 0.75), None, 0.75),
+        ("arithmetic", 0.25): ((0.75, 0.25, ()), 0.25),
+        ("arithmetic", 0.5): ((0.5, 0.5, ()), 0.5),
+        ("arithmetic", 0.75): ((0.25, 0.75, ()), 0.75),
         ("arithmetic", 1.0): AFFINE_RIGHT,
         ("geometric", 0.0): AFFINE_LEFT,
         ("geometric", 0.25): CURVED,
@@ -395,17 +396,25 @@ class TestRouteAttributes:
         ("geometric", 0.75): CURVED,
         ("geometric", 1.0): AFFINE_RIGHT,
         ("harmonic", 0.0): AFFINE_LEFT,
-        ("harmonic", 0.25): (None, ((0.25, 1.0),), 0.0),
-        ("harmonic", 0.5): (None, ((0.5, 1.0),), 0.0),
-        ("harmonic", 0.75): (None, ((0.75, 1.0),), 0.0),
+        ("harmonic", 0.25): ((0.0, 0.0, ((0.25, 1.0),)), 0.0),
+        ("harmonic", 0.5): ((0.0, 0.0, ((0.5, 1.0),)), 0.0),
+        ("harmonic", 0.75): ((0.0, 0.0, ((0.75, 1.0),)), 0.0),
         ("harmonic", 1.0): AFFINE_RIGHT,
     }
 
     @pytest.mark.parametrize("kind, weight", TABLE)
     def test_route_attributes(self, kind, weight):
         conn = make_builtin(kind, weight)
-        got = (conn._affine, conn._atoms, conn._reflected.f_at_0)
+        got = (conn._atoms, conn._reflected.f_at_0)
         assert got == self.TABLE[kind, weight]
+
+
+def _coefficients(conn):
+    """(alpha, beta) of a connection whose f is alpha + beta x, read from
+    its atom-route record with no interior atom, and None otherwise."""
+    if conn._atoms is None or conn._atoms[2]:
+        return None
+    return conn._atoms[:2]
 
 
 class TestAffineKinds:
@@ -469,6 +478,22 @@ class TestAffineKinds:
         # The right operand is never solved once the left one fails.
         assert raised == []
 
+    def test_huge_result_is_not_symmetrized(self):
+        # (X + X^T) / 2 would overflow on 2e308; w0 A + w1 B needs no
+        # symmetrization.
+        conn = connection_from_measure(BorelMeasure(atoms=((0.0, 1e308),)))
+        got = apply(conn, SymMatrix.identity(3), SymMatrix.identity(3)).data
+        assert np.array_equal(got, 1e308 * np.eye(3))
+
+    @pytest.mark.parametrize("weight", [0.0, 0.25, 0.5, 1.0])
+    def test_signed_zeros_are_those_of_alpha_a_plus_beta_b(self, weight):
+        a = np.array([[2.0, -0.0, 0.0], [-0.0, 1.0, -0.0], [0.0, -0.0, 3.0]])
+        b = np.array([[1.0, -0.0, -0.0], [-0.0, 4.0, 0.0], [-0.0, 0.0, 2.0]])
+        got = apply(make_builtin("arithmetic", weight), SymMatrix(a), SymMatrix(b)).data
+        want = (1.0 - weight) * a + weight * b
+        assert np.signbit(want).any()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_coefficients_match_representing_function(self):
         curved = {("logarithmic", None), ("parallel_sum", None)}
         curved |= {(kind, w) for kind in ("geometric", "harmonic") for w in (0.25, 0.5)}
@@ -476,7 +501,7 @@ class TestAffineKinds:
         for kind in BUILTIN_KINDS:
             for weight in (0.0, 0.25, 0.5, 1.0) if kind in WEIGHTED_KINDS else (None,):
                 conn = make_builtin(kind, weight)
-                assert (conn._affine is None) is ((kind, weight) in curved), conn
+                assert (_coefficients(conn) is None) is ((kind, weight) in curved), conn
                 conns.append(conn)
         conns += [
             connection_from_measure(BorelMeasure(atoms=((0.0, 0.3), (1.0, 0.7)))),
@@ -484,9 +509,9 @@ class TestAffineKinds:
             connection_from_measure(BorelMeasure()),
         ]
         for conn in conns:
-            if conn._affine is None:
+            if _coefficients(conn) is None:
                 continue
-            alpha, beta = conn._affine
+            alpha, beta = _coefficients(conn)
             for x in AUDIT_GRID:
                 assert alpha + beta * x == pytest.approx(conn.fn(x), rel=1e-15), conn
 
@@ -498,7 +523,7 @@ class TestAffineKinds:
             connection_from_measure(BorelMeasure(atoms=((0.0, 0.5), (0.25, 0.5)))),
             connection_from_measure(arcsine),
         ):
-            assert conn._affine is None, conn
+            assert _coefficients(conn) is None, conn
 
 
 class _RawOnly(Connection):
@@ -877,6 +902,19 @@ class TestAtomRoute:
         assert str(both.value) == str(alone.value)
         with pytest.raises(EigenSolverError, match="right operand"):
             apply(conn, SymMatrix(np.eye(n)), SymMatrix(b))
+
+    def test_order_of_end_atoms_does_not_matter(self):
+        # The ends are summed first, w0 A + w1 B, in the record's order.
+        listed = connection_from_measure(_THREE_ATOMS)
+        reordered = connection_from_measure(
+            BorelMeasure(atoms=((1.0, 0.25), (0.5, 0.5), (0.0, 0.25)))
+        )
+        for dim in range(1, 34):
+            for seed in range(5):
+                rng = np.random.default_rng([339, dim, seed])
+                a, b = random_pd(dim, rng), random_pd(dim, rng)
+                got, want = (apply(c, a, b).data.view(np.uint64) for c in (reordered, listed))
+                assert np.array_equal(got, want), dim
 
     def test_three_interior_atoms_keep_the_congruence(self, monkeypatch):
         calls = _record_atom_route(monkeypatch)
@@ -1477,7 +1515,7 @@ class TestTranspose:
 
     def test_transpose_of_harmonic_takes_the_reflected_atom_route(self, monkeypatch):
         t = transpose(make_builtin("harmonic", 0.25))
-        assert (t._affine, t._atoms) == (None, ((0.75, 1.0),))
+        assert t._atoms == (0.0, 0.0, ((0.75, 1.0),))
         seen = []
         atom_apply = connections._atom_apply
 
@@ -1489,7 +1527,7 @@ class TestTranspose:
         rng = np.random.default_rng(260)
         a, b = (_well_conditioned_pd(4, rng) for _ in range(2))
         got = apply(t, SymMatrix(a), SymMatrix(b)).data
-        assert seen == [((0.75, 1.0),)]
+        assert seen == [(0.0, 0.0, ((0.75, 1.0),))]
         want = _anderson_duffin(((0.25, 1.0),), b, a)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
