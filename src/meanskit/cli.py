@@ -30,6 +30,7 @@ from .connections import (
 )
 from .linalg import SymMatrix, Tolerances, _is_whole, load_matrix
 from .measures import (
+    DEFAULT_QUADRATURE_NODES,
     BorelMeasure,
     connection_from_measure,
     load_measure,
@@ -370,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", default=None, help="path to a measure file (JSON)")
     p.add_argument("--atoms", default=None, help='inline atoms "t:w,t:w"')
     p.add_argument("--density", default=None, choices=("arcsine",), help="built-in density")
-    p.add_argument("--n", type=int, default=256, help="quadrature nodes for the density")
+    p.add_argument(
+        "--n", type=int, default=DEFAULT_QUADRATURE_NODES, help="quadrature nodes for the density"
+    )
     p.add_argument("--A", default=None, help="path to the left matrix (JSON)")
     p.add_argument("--B", default=None, help="path to the right matrix (JSON)")
     p.add_argument("--x", type=float, default=None, help="scalar mode: evaluate f(x)")

@@ -739,6 +739,8 @@ def repr_fn_audit(target, grid=AUDIT_GRID) -> dict:
     """
     f = target.fn if isinstance(target, Connection) else target
     xs = sorted(float(x) for x in grid)
+    if not xs:
+        raise ValueError("grid must hold at least one point")
     values = [float(f(x)) for x in xs]
     min_value = min(values)
     min_increment = min(

@@ -14,9 +14,9 @@ Two calls do not: ``verify._non_comparable_pair`` draws a rotation with
 ``np.polynomial.legendre.leggauss``, which solves an eigenvalue problem.
 ``_lapack`` calls the gufuncs that ``numpy.linalg`` itself calls, with the
 same float64 signatures, and skips only that module's per-call checks and
-conversions, so results are bit for bit those of ``numpy.linalg``.  On a
-failure, or on input the gufunc does not take, the public ``numpy.linalg``
-function runs instead and raises numpy's own error.
+conversions: results are bit for bit numpy.linalg's, and so are its errors.
+The public helpers, ``frobenius`` aside, read a raw array as ``SymMatrix(A)``
+does, so malformed input never reaches LAPACK.
 """
 
 from __future__ import annotations
@@ -325,9 +325,8 @@ def _is_whole(value) -> bool:
 
 
 def _as_array(A) -> np.ndarray:
-    if isinstance(A, SymMatrix):
-        return A.data
-    return np.asarray(A, dtype=float)
+    """A's stored entries, a raw array read as ``SymMatrix(A)`` reads it."""
+    return (A if isinstance(A, SymMatrix) else SymMatrix(A)).data
 
 
 def _eigen_error(
@@ -340,12 +339,12 @@ def _eigen_error(
 
 
 # The gufuncs that numpy.linalg's functions of these names call, with the
-# signature each passes for float64 input.
+# signature each passes for float64 input and its LinAlgError's message.
 _GUFUNCS = {
-    "eigh": (_umath_linalg.eigh_lo, "d->dd"),
-    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d"),
-    "cholesky": (_umath_linalg.cholesky_lo, "d->d"),
-    "solve": (_umath_linalg.solve, "dd->d"),
+    "eigh": (_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge"),
+    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge"),
+    "cholesky": (_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite"),
+    "solve": (_umath_linalg.solve, "dd->d", "Singular matrix"),
 }
 
 
@@ -359,35 +358,23 @@ with np.errstate(all="ignore", invalid="raise"):
     _LINALG_ERRSTATE = _extobj_contextvar.get()
 
 
-def _lapack(name: str, *args, rerun_on_failure: bool = True):
+def _lapack(name: str, *args):
     """``numpy.linalg.<name>(*args)`` for ``name`` in ``_GUFUNCS``, by one
     call of its gufunc, without numpy.linalg's per-call wrapper.
 
-    The gufunc runs on float64 arrays only (``casting="no"``) and in the
-    error state numpy.linalg uses, where LAPACK's failure flag raises and
-    every other flag is ignored, ``_LINALG_ERRSTATE``.  The caller's state,
-    which numpy keeps per thread, is back in place on return and on a raise.
-    Input the gufunc refuses, such as a 1-D or non-square array (a 1-D b,
-    which ``numpy.linalg.solve`` reads as a vector, among them) or another
-    dtype, and a failure, such as a matrix that is not positive definite
-    for ``cholesky``, run the public function instead, which raises numpy's
-    own error.  With ``rerun_on_failure=False`` a failure raises a bare
-    ``LinAlgError`` at once, for a caller to whom a failure is an answer and
-    a second factorization would be waste.
+    It runs in numpy.linalg's error state, ``_LINALG_ERRSTATE``, restores the
+    caller's per-thread state on return and on a raise, and on a failure
+    raises numpy.linalg's ``LinAlgError``.  Real input of another dtype runs
+    in float64; a 1-D or non-square array raises the gufunc's ``ValueError``.
     """
-    gufunc, signature = _GUFUNCS[name]
+    gufunc, signature, failure = _GUFUNCS[name]
+    token = _extobj_contextvar.set(_LINALG_ERRSTATE)
     try:
-        token = _extobj_contextvar.set(_LINALG_ERRSTATE)
-        try:
-            return gufunc(*args, signature=signature, casting="no")
-        finally:
-            _extobj_contextvar.reset(token)
-    except FloatingPointError as exc:
-        if not rerun_on_failure:
-            raise np.linalg.LinAlgError(str(exc)) from None
-    except (TypeError, ValueError):
-        pass
-    return getattr(np.linalg, name)(*args)
+        return gufunc(*args, signature=signature)
+    except FloatingPointError:
+        raise np.linalg.LinAlgError(failure) from None
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _eigh(a: np.ndarray, label: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -474,36 +461,37 @@ def _certified_pd(x: np.ndarray, tol: Tolerances) -> bool:
     if not shift < math.inf:
         return False
     try:
-        _lapack("cholesky", x - shift * _eye(n), rerun_on_failure=False)
+        _lapack("cholesky", x - shift * _eye(n))
     except np.linalg.LinAlgError:
         return False
     return True
 
 
 def frobenius(A) -> float:
-    """Frobenius norm of a SymMatrix or array."""
-    return float(np.linalg.norm(_as_array(A)))
+    """Frobenius norm of a SymMatrix, or of any array as it is given."""
+    a = A.data if isinstance(A, SymMatrix) else np.asarray(A, dtype=float)
+    return float(np.linalg.norm(a))
 
 
 def opnorm(A) -> float:
-    """Spectral norm (largest absolute eigenvalue) of a symmetric matrix."""
+    """Spectral norm (largest absolute eigenvalue) of A, read as SymMatrix."""
     w = _eigvalsh(_as_array(A))
     return max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def spectrum(A: SymMatrix) -> np.ndarray:
-    """All eigenvalues of A with multiplicity, ascending."""
+    """All eigenvalues of A, read as SymMatrix, with multiplicity, ascending."""
     return _eigvalsh(_as_array(A))
 
 
 def is_psd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue clears -psd_slack * max(1, ||A||_2)."""
+    """Whether A, read as SymMatrix, is PSD within psd_slack * max(1, ||A||_2)."""
     w = _eigvalsh(_as_array(A))
     return bool(w[0] >= -tol.psd_slack * _spectral_scale(w))
 
 
 def loewner_leq(A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Loewner order test A <= B, i.e. B - A positive semidefinite."""
+    """Loewner order test A <= B, each read as SymMatrix: B - A is PSD."""
     a, b = _as_array(A), _as_array(B)
     _check_same_dim(a, b)
     return is_psd(b - a, tol)
@@ -562,7 +550,8 @@ def fn_calculus(
     A : SymMatrix
         PSD matrix within slack; eigenvalues in [-psd_slack * scale, 0)
         are clipped to 0 before f is applied, so roundoff from congruence
-        chains cannot poison square roots and logarithms.
+        chains cannot poison square roots and logarithms.  An array is read
+        as ``SymMatrix(A)``.
     tol : Tolerances
 
     Returns
@@ -582,12 +571,12 @@ def fn_calculus(
 
 
 def sqrt_psd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
-    """Principal square root of a PSD matrix."""
+    """Principal square root of a PSD matrix A, read as SymMatrix."""
     return fn_calculus(math.sqrt, A, tol)
 
 
 def inv_pd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
-    """Inverse of a positive-definite matrix.
+    """Inverse of a positive-definite matrix A, read as SymMatrix.
 
     Raises
     ------
@@ -606,7 +595,7 @@ def inv_pd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
 
 
 def congruence(C: SymMatrix, X: SymMatrix) -> SymMatrix:
-    """Congruence transform C X C."""
+    """Congruence transform C X C, each read as SymMatrix."""
     c, x = _as_array(C), _as_array(X)
     _check_same_dim(c, x)
     return SymMatrix(c @ x @ c)
@@ -651,6 +640,7 @@ def regularize_limit(
     square-root rate exhaust the schedule first; they are accepted if the
     final step is small on the sqrt(eps_min) scale, otherwise
     ``NonConvergenceError`` carries the last iterates and their distance.
+    An iterate g(eps) that is an array is read as SymMatrix.
     """
     return SymMatrix(_regularize_raw(lambda e: _as_array(g(e)), tol))
 

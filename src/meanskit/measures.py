@@ -207,15 +207,19 @@ class BorelMeasure:
 
     def density_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (nodes, weights) for the density part; the density is
-        folded into the weights unless the plan already absorbs it."""
+        folded into the weights unless the plan already absorbs it; a
+        negative finite value of rho at a node is refused."""
         if self.density is None:
             return np.empty(0), np.empty(0)
         plan = self.density.plan
         if plan.absorbs_density:
             return plan.nodes, plan.weights
         rho = self.density.rho
-        w = plan.weights * np.array([_float(rho(float(t))) for t in plan.nodes])
-        return plan.nodes, w
+        values = np.array([_float(rho(float(t))) for t in plan.nodes])
+        for t, v in zip(plan.nodes, values):
+            if -math.inf < v < 0.0:
+                raise ValueError(f"density value {v} at node t = {t} must be nonnegative")
+        return plan.nodes, plan.weights * values
 
 
 def total_mass(mu: BorelMeasure) -> float:

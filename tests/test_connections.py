@@ -101,6 +101,10 @@ class TestBuiltinRepresentingFunctions:
             assert audit["min_increment"] >= -DEFAULT_TOL.eq_tol, name
             assert audit["min_concavity_gap"] >= -DEFAULT_TOL.eq_tol, name
 
+    def test_audit_refuses_an_empty_grid(self):
+        with pytest.raises(ValueError, match="grid must hold at least one point"):
+            repr_fn_audit(make_builtin("geometric", 0.5), grid=())
+
     def test_f_at_one_matches_eval(self):
         for name, conn in standard_battery():
             assert conn.repr_function.f_at_1 == pytest.approx(conn.fn(1.0)), name
@@ -339,11 +343,11 @@ def _fail_solver(monkeypatch, solver, fails, message):
     lapack = linalg._lapack
     raised = []
 
-    def flaky(name, x, *rest, **kwargs):
+    def flaky(name, x, *rest):
         if name == solver and fails(x):
             raised.append(x)
             raise np.linalg.LinAlgError(message)
-        return lapack(name, x, *rest, **kwargs)
+        return lapack(name, x, *rest)
 
     monkeypatch.setattr(linalg, "_lapack", flaky)
     return raised
@@ -758,10 +762,10 @@ def _record_solvers(monkeypatch):
     calls = []
     lapack = linalg._lapack
 
-    def recording(name, *args, **kwargs):
+    def recording(name, *args):
         if name in ("cholesky", "eigh", "eigvalsh"):
             calls.append(name)
-        return lapack(name, *args, **kwargs)
+        return lapack(name, *args)
 
     monkeypatch.setattr(linalg, "_lapack", recording)
     return calls

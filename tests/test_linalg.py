@@ -181,10 +181,10 @@ class TestEigenSolverErrors:
         # An eigensolver that fails on any item whose (0, 0) entry is negative.
         lapack = linalg._lapack
 
-        def failing(name, a, *rest, **kwargs):
+        def failing(name, a, *rest):
             if name == "eigh" and np.any(np.asarray(a)[..., 0, 0] < 0):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return lapack(name, a, *rest, **kwargs)
+            return lapack(name, a, *rest)
 
         monkeypatch.setattr(linalg, "_lapack", failing)
 
@@ -270,25 +270,30 @@ class TestLapack:
     @pytest.mark.parametrize(
         "name, args",
         [
+            ("eigvalsh", (np.array([[2, 1], [1, 2]]),)),
+            ("eigh", (np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.float32),)),
+            ("cholesky", (np.array([[2, 1], [1, 2]], dtype=np.float32),)),
+            ("solve", (np.array([[2, 1], [1, 3]]), np.ones((2, 1), dtype=np.float32))),
+        ],
+    )
+    def test_other_real_dtypes_run_in_float64(self, name, args):
+        got = linalg._lapack(name, *args)
+        want = linalg._lapack(name, *(np.asarray(x, dtype=float) for x in args))
+        for x, y in zip(got, want) if name == "eigh" else [(got, want)]:
+            assert x.dtype == np.float64 and np.array_equal(x, y)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
             ("eigvalsh", (np.ones(3),)),
             ("eigh", (np.ones((2, 3)),)),
-            ("cholesky", (np.ones((2, 2), dtype=np.float32),)),
-            ("eigvalsh", (np.array([[2, 1], [1, 2]]),)),
+            ("cholesky", (np.ones((3, 2)),)),
             ("solve", (np.eye(2), np.ones(2))),
             ("solve", (np.eye(2), np.ones((3, 3)))),
         ],
     )
-    def test_input_the_gufunc_refuses_goes_to_numpy(self, name, args):
-        public = getattr(np.linalg, name)
-        try:
-            want = public(*args)
-        except Exception as exc:
-            got = _raised(lambda: linalg._lapack(name, *args))
-            assert type(got) is type(exc) and str(got) == str(exc)
-        else:
-            got = linalg._lapack(name, *args)
-            assert np.asarray(got).dtype == np.asarray(want).dtype
-            assert np.array_equal(got, want)
+    def test_wrong_shape_raises_the_gufuncs_error(self, name, args):
+        assert type(_raised(lambda: linalg._lapack(name, *args))) is ValueError
 
     @pytest.mark.parametrize(
         "a",
@@ -310,10 +315,12 @@ class TestLapack:
         else:
             assert np.array_equal(linalg._lapack("solve", a, b), want)
 
-    def test_failed_certificate_factors_once(self, monkeypatch):
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """Counts of the calls of name's gufunc and of numpy.linalg.<name>."""
         counts = {"gufunc": 0, "public": 0}
-        gufunc, signature = linalg._GUFUNCS["cholesky"]
-        public = np.linalg.cholesky
+        gufunc, *rest = linalg._GUFUNCS[name]
+        public = getattr(np.linalg, name)
 
         def counting_gufunc(*args, **kwargs):
             counts["gufunc"] += 1
@@ -323,27 +330,79 @@ class TestLapack:
             counts["public"] += 1
             return public(*args, **kwargs)
 
-        monkeypatch.setitem(linalg._GUFUNCS, "cholesky", (counting_gufunc, signature))
-        monkeypatch.setattr(np.linalg, "cholesky", counting_public)
+        monkeypatch.setitem(linalg._GUFUNCS, name, (counting_gufunc, *rest))
+        monkeypatch.setattr(np.linalg, name, counting_public)
+        return counts
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [("cholesky", (-np.eye(3),)), ("solve", (np.ones((2, 2)), np.eye(2)))],
+    )
+    def test_failure_factors_once(self, monkeypatch, name, args):
+        counts = self._count_calls(monkeypatch, name)
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._lapack(name, *args)
+        assert counts == {"gufunc": 1, "public": 0}
+
+    def test_failed_certificate_factors_once(self, monkeypatch):
+        counts = self._count_calls(monkeypatch, "cholesky")
         assert not _certified_pd(np.diag([1.0, -1.0]), DEFAULT_TOL)
         assert counts == {"gufunc": 1, "public": 0}
         assert _certified_pd(np.eye(2), DEFAULT_TOL)
         assert counts == {"gufunc": 2, "public": 0}
 
-    @pytest.mark.parametrize("fn", [opnorm, spectrum, is_psd])
-    def test_malformed_input_keeps_its_error(self, fn):
-        # The messages these raised before the gufuncs were called directly.
-        prefix = "eigendecomposition failed for matrix (dim 3, entries "
-        cases = [
-            (np.ones(3), "[1.0, 1.0, 1.0]): 1-dimensional array given. "
-             "Array must be at least two-dimensional"),
-            (np.ones((2, 3)), "[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]): "
-             "Last 2 dimensions of the array must be square"),
-        ]
-        for x, rest in cases:
-            got = _raised(lambda: fn(x))
-            assert type(got) is EigenSolverError
-            assert str(got) == prefix + rest
+
+# Each public helper that factorizes, called on one raw array.
+_HELPERS = {
+    "spectrum": spectrum,
+    "opnorm": opnorm,
+    "is_psd": is_psd,
+    "loewner_leq": lambda x: loewner_leq(x, x),
+    "fn_calculus": lambda x: fn_calculus(math.log1p, x),
+    "sqrt_psd": sqrt_psd,
+    "inv_pd": inv_pd,
+    "congruence": lambda x: congruence(x, x),
+    "regularize_limit": lambda x: regularize_limit(lambda eps: x),
+}
+
+
+def _outcome(call):
+    """What call() returns, as an array or a Python value, or the type and
+    message of what it raises."""
+    try:
+        out = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.data if isinstance(out, SymMatrix) else out
+
+
+class TestRawArrays:
+    """The public helpers read a raw array as ``SymMatrix`` construction
+    does."""
+
+    @pytest.mark.parametrize("helper", _HELPERS.values(), ids=_HELPERS.keys())
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.ones(3),
+            np.ones((2, 3)),
+            np.stack([np.eye(2)] * 3),
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[math.inf, 0.0], [0.0, 1.0]],
+        ],
+        ids=["1-d", "non-square", "stacked", "nan", "inf"],
+    )
+    def test_malformed_array_raises_what_construction_raises(self, helper, x):
+        want = _raised(lambda: SymMatrix(x))
+        got = _raised(lambda: helper(x))
+        assert type(got) is type(want) and str(got) == str(want)
+
+    @pytest.mark.parametrize("helper", _HELPERS.values(), ids=_HELPERS.keys())
+    def test_asymmetric_array_is_averaged(self, helper):
+        x = [[1.0, 5.0], [0.0, 1.0]]
+        got, want = _outcome(lambda: helper(x)), _outcome(lambda: helper(SymMatrix(x)))
+        assert type(got) is type(want)
+        assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
 class TestLapackErrorState:
@@ -360,11 +419,10 @@ class TestLapackErrorState:
         [
             lambda: linalg._lapack("eigh", TestLapackErrorState.SPD),
             lambda: linalg._lapack("cholesky", -np.eye(3)),
-            lambda: linalg._lapack("cholesky", -np.eye(3), rerun_on_failure=False),
-            # The gufunc refuses a 1-D array, and the public function raises.
+            # The gufunc refuses a 1-D array with a ValueError.
             lambda: linalg._lapack("eigvalsh", np.ones(3)),
         ],
-        ids=["success", "failure", "failure-no-rerun", "refused-input"],
+        ids=["success", "failure", "refused-input"],
     )
     def test_callers_error_state_is_restored(self, call):
         for state in ({}, {"all": "warn", "under": "raise"}, {"all": "ignore"}):
@@ -372,7 +430,7 @@ class TestLapackErrorState:
                 before = np.geterr()
                 try:
                     call()
-                except np.linalg.LinAlgError:
+                except (np.linalg.LinAlgError, ValueError):
                     pass
                 assert np.geterr() == before
 
@@ -425,7 +483,7 @@ class TestLapackErrorState:
             for _ in range(2000):
                 linalg._lapack("eigh", self.SPD)
                 try:
-                    linalg._lapack("cholesky", -np.eye(2), rerun_on_failure=False)
+                    linalg._lapack("cholesky", -np.eye(2))
                 except np.linalg.LinAlgError:
                     pass
                 else:

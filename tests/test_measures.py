@@ -123,6 +123,19 @@ class TestMeasureValidation:
         with pytest.raises(ValueError, match="total mass inf .* must be finite"):
             BorelMeasure(density=Density(lambda t: 1.0, plan))
 
+    @pytest.mark.parametrize(
+        "rho", [lambda t: -1.0, lambda t: t - 0.5], ids=["negative", "negative-below-half"]
+    )
+    def test_negative_density_is_refused(self, rho):
+        plan = QuadraturePlan.gauss_legendre(8)
+        t = next(t for t in plan.nodes if rho(t) < 0.0)
+        with pytest.raises(ValueError, match=rf"density value {rho(t)} at node t = {t} "):
+            BorelMeasure(density=Density(rho, plan))
+
+    def test_zero_density_is_legal(self):
+        mu = BorelMeasure(density=Density(lambda t: 0.0, QuadraturePlan.gauss_legendre(8)))
+        assert total_mass(mu) == 0.0
+
     def test_duplicate_locations(self):
         with pytest.raises(ValueError):
             BorelMeasure(atoms=((0.5, 1.0), (0.5, 2.0)))

@@ -613,12 +613,12 @@ def test_continuity_solver_failure_names_the_item_alone(monkeypatch):
     def fail(x):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def lapack(name, x, *rest, **kwargs):
+    def lapack(name, x, *rest):
         if name == "eigvalsh":
             seen.append(np.array(x))
             if x.ndim > 2 or sum(s.ndim == 2 for s in seen) == 3:
                 fail(x)
-        return real(name, x, *rest, **kwargs)
+        return real(name, x, *rest)
 
     monkeypatch.setattr(linalg, "_lapack", lapack)
     report = check_continuity_from_above(
@@ -626,7 +626,7 @@ def test_continuity_solver_failure_names_the_item_alone(monkeypatch):
     )
     stacks = [s for s in seen if s.ndim > 2]
     assert len(stacks) == 1 and np.array_equal(seen[-1], stacks[0][2])
-    monkeypatch.setattr(linalg, "_lapack", lambda name, x, *rest, **kwargs: fail(x))
+    monkeypatch.setattr(linalg, "_lapack", lambda name, x, *rest: fail(x))
     with pytest.raises(EigenSolverError) as alone:
         _eigvalsh(stacks[0][2])
     assert report.violations == 1
