@@ -318,8 +318,9 @@ def cmd_counterexamples(args) -> int:
 def _add_tolerance_flags(sp) -> None:
     sp.add_argument("--psd-slack", type=float, default=None, help="PSD eigenvalue slack")
     sp.add_argument("--eq-tol", type=float, default=None, help="relative equality tolerance")
-    sp.add_argument("--eps0", type=float, default=None, help="initial regularization shift")
-    sp.add_argument("--eps-min", type=float, default=None, help="smallest regularization shift")
+    note = " of regularize_limit; changes no output, as apply takes no limit"
+    sp.add_argument("--eps0", type=float, default=None, help="initial shift" + note)
+    sp.add_argument("--eps-min", type=float, default=None, help="smallest shift" + note)
 
 
 def _add_mean_flags(sp) -> None:

@@ -6,20 +6,18 @@ above.  Each connection is encoded by a scalar representing function f via
 
     A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}
 
-for invertible A, extended to singular A by the decreasing limit over
-A + eps*I.  Connections whose measure is a few atoms,
-f = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) (the affine kinds, the
-weighted harmonic means, the parallel sum, and atom measures with at most
-two atoms inside (0, 1)), are evaluated as the sum of weighted harmonic
-means w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B, one linear
-solve per atom inside (0, 1), when A or B is positive definite, at every
-dim; with no atom inside (0, 1) that is alpha A + beta B, exact for every
-PSD pair.  That route needs no limit for a singular operand.  It checks
-its operands with one Cholesky factorization where that certifies them
-positive definite, and with their eigenvalues otherwise.  Builtins,
-measures, user functions and the reflected transposes of builtins and
-measures all share this one evaluator.  Connection values are immutable
-and freely shareable across threads; ``apply`` is reentrant.
+for invertible A, and on every PSD pair by the form of Pusz and Woronowicz
+around S = A + B = X X^T, X h(C) X^T with C = X^+ A X^+^T and
+h(c) = c f((1 - c)/c), which needs no limit.  Connections whose measure is
+a few atoms, f = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) (the affine
+kinds, the weighted harmonic means, the parallel sum, and atom measures
+with at most two atoms inside (0, 1)), are evaluated as the sum of
+weighted harmonic means w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B
+when A or B is positive definite; with no atom inside (0, 1) that is
+alpha A + beta B, exact for every PSD pair.  Builtins, measures, user
+functions and the reflected transposes of builtins and measures all share
+this one evaluator.  Connection values are immutable and freely shareable
+across threads; ``apply`` is reentrant.
 """
 
 from __future__ import annotations
@@ -42,13 +40,10 @@ from .linalg import (
     _check_spectra,
     _eigh,
     _eigvalsh,
-    _eye,
     _float,
-    _fn_calculus_raw,
     _is_pd,
     _lapack,
     _per_eigenvalue,
-    _regularize_raw,
     _sym,
 )
 
@@ -84,13 +79,13 @@ AUDIT_GRID = tuple(2.0**k for k in range(-10, 11))
 _ZERO_PROBE = 1e-12
 
 # The atom route (``_atom_apply``) is taken, at every dim, only for
-# measures with few enough atoms that its solves beat the congruence's two
+# measures with few enough atoms that its solves beat two
 # eigendecompositions.  At dim 128 on a 2-CPU x86_64 machine (numpy 2.4,
 # OpenBLAS, one thread), with its operands checked by the Cholesky
-# certificate, it costs 0.42x the congruence with one atom inside (0, 1),
-# 0.67x with two, 0.92x with three and 1.18x with four (medians of 60
-# interleaved pairs of calls, in CPU time).  Three would gain 8% at most,
-# and no benchmark workload has three, so the limit stays.
+# certificate, it cost 0.42x the congruence around A, which the step around
+# A + B replaced, with one atom inside (0, 1), 0.67x with two, 0.92x with
+# three and 1.18x with four (medians of 60 interleaved pairs of calls, in
+# CPU time).  Three would gain 8% at most, so the limit stays.
 _ATOM_ROUTE_MAX_ATOMS = 2
 
 # Operands whose squared entries sum to more than this (or overflow) are
@@ -98,6 +93,9 @@ _ATOM_ROUTE_MAX_ATOMS = 2
 # (cA) sigma (cB) = c (A sigma B) for c > 0.  Below it nothing is scaled,
 # and every entry and Frobenius norm is at most 2**500.
 _SCALE_ABOVE = 2.0**1000
+
+# An eigenvalue at most n times this times its spectrum's largest is 0.
+_RANK_FACTOR = 8.0 * float(np.finfo(float).eps)
 
 BUILTIN_KINDS = (
     "left_trivial",
@@ -165,6 +163,21 @@ class ReprFunction:
         return cls(fn=fn, f_at_0=f_at_0, f_at_1=float(fn(1.0)))
 
 
+def _reflect(fn: Callable[[float], float]) -> ReprFunction:
+    """g(x) = x fn(1/x), the representing function of the transpose, with
+    its value at 0, lim fn(y)/y, probed by ``ReprFunction.from_callable``."""
+
+    def g(x):
+        y = 1.0 / x
+        if y == math.inf:
+            raise ValueError(
+                f"transposed representing function: 1/x overflows at x = {x!r}"
+            )
+        return x * fn(y)
+
+    return ReprFunction.from_callable(g)
+
+
 def _log_mean(x):
     # (x - 1)/log x on a float or an array, and 0 at x = 0.  The 0/0 at
     # x = 1 is bridged with the series for u/log(1+u), since direct division
@@ -173,7 +186,7 @@ def _log_mean(x):
     x = np.asarray(x)
     u = x - 1.0
     series = np.abs(u) < 1e-4
-    if not series.any() and x.min() > 0.0:
+    if not series.any() and (x > 0.0).all():
         return u / np.log(x)
     direct = ~series & (x > 0.0)
     value = np.zeros_like(x)
@@ -271,30 +284,6 @@ class Connection(ABC):
         return self.apply(A, B, tol)
 
 
-def _congruence_apply(
-    w: np.ndarray,
-    q: np.ndarray,
-    b: np.ndarray,
-    fn: Callable[[np.ndarray], np.ndarray],
-    tol: Tolerances,
-    on_clip: Callable[[], None] | None = None,
-    label: str = "transformed right operand",
-) -> np.ndarray:
-    """A sigma B from the eigendecomposition A = Q diag(w) Q^T of
-    positive-definite A, for operands of shape (..., n, n); ``fn`` is the
-    array form of f.  It uses the factor X = Q diag(sqrt w) of A = X X^T in
-    place of A^{1/2}: A sigma B = X f(M) X^T with M = X^{-1} B X^{-T} =
-    (Q diag r)^T B (Q diag r), r = 1/sqrt(w).  M is scaled by multiplying,
-    never dividing, so tiny quotients b/a stay representable.  Four n x n
-    products, and no A^{1/2} or A^{-1/2} is formed.  ``on_clip`` runs when
-    M has a negative eigenvalue, before M's spectrum, named ``label``, is
-    checked."""
-    sw = np.sqrt(w)[..., None, :]
-    qr = q * (1.0 / sw)
-    m = _sym(qr.swapaxes(-1, -2) @ b @ qr)
-    return _fn_calculus_raw(fn, m, tol, label=label, outer=q * sw, on_clip=on_clip)
-
-
 def _checked_spectrum(x, tol, label):
     """The ascending spectrum of the operand x, or of each item of a
     (k, n, n) stack, once it is checked PSD; a solver failure and a
@@ -342,10 +331,6 @@ class _FunctionBackedConnection(Connection):
     """
 
     _atoms = None
-    # Whether a pair whose A is not positive definite but whose B is takes
-    # the congruence around B with ``_reflected`` in place of the limit; a
-    # transpose does, so that it agrees with its inner connection on (B, A).
-    _around_pd_b = False
 
     def _from_measure(self, atoms: tuple, ts=(), ws=()) -> None:
         """The one rule from a measure on [0, 1], given by its atoms (t, w)
@@ -395,62 +380,94 @@ class _FunctionBackedConnection(Connection):
             for t, _ in self._atoms[2]
         )
 
+    def _h(self, c, d):
+        """h = c f(d/c) from f's array form, for c > 0 in C's spectrum and d
+        in I - C's; a failure of f names the points d/c."""
+        x = d / c
+        try:
+            return c * self._fn_array(x)
+        except Exception as exc:
+            raise ValueError(
+                f"scalar function evaluation failed on the spectrum {x.tolist()}: {exc}"
+            ) from exc
+
+    def _around_sum(self, a, b, tol):
+        """A sigma B = X h(C) X^T around S = A + B = X X^T (module
+        docstring) for (..., n, n) operands, or None for a stack with a pair
+        that needs its operands' spectra.  A null direction of S
+        (``_RANK_FACTOR``) gets 0 in X and X^+.  1 - c is read from B as
+        v^T X^+ B X^+^T v for C's eigenvector v, so it does not cancel near
+        c = 1.  Where S is regular and C's spectrum lies more than
+        8 n eps cond(S) inside (0, 1), C vouches that A = X C X^T and
+        B = X (I - C) X^T are PSD.  Otherwise A, then B, is checked, and C's
+        dim ker A least eigenvalues go to 0, its dim ker B - dim ker S
+        greatest to 1, and h(0) is lim f(y)/y."""
+        n, stack = a.shape[-1], a.ndim > 2
+        omega, q = _eigh(a + b, "sum of the operands")
+        lo, cut = omega[..., 0], _RANK_FACTOR * n * omega[..., -1]
+        # One pair's tests give numpy bools, whose bool() is far cheaper.
+        regular = bool((lo > cut).all() if stack else lo > cut)
+        if regular:
+            root = np.sqrt(omega)[..., None, :]
+            x, xt = q * root, q / root
+        elif stack:
+            return None
+        else:
+            null = omega <= cut
+            root = np.sqrt(np.where(null, 1.0, omega))
+            x, xt = q * np.where(null, 0.0, root), q * np.where(null, 0.0, 1.0 / root)
+        # LAPACK reads one triangle of C.
+        c, v = _eigh(xt.swapaxes(-1, -2) @ a @ xt, "transformed left operand")
+        w = xt @ v
+        d = np.add.reduce(w * (b @ w), axis=-2)
+        # For regular S, 8 n eps cond(S) is cut / lo; d falls as c rises.
+        vouched = np.minimum(c[..., 0], d[..., -1]) * lo > cut
+        if regular and (vouched.all() if stack else vouched):
+            h = self._h(c, d)
+        elif stack:
+            return None
+        else:
+            wa = _checked_spectrum(a, tol, "left operand")
+            wb = _checked_spectrum(b, tol, "right operand")
+            k_a, k_b = (int(np.count_nonzero(e <= _RANK_FACTOR * n * e[-1])) for e in (wa, wb))
+            k_b -= int(np.count_nonzero(omega <= cut))
+            c, d = np.clip(c, 0.0, 1.0), np.maximum(d, 0.0)
+            ones = n - min(max(k_b, 0), n - k_a)
+            c[:k_a], c[ones:], d[ones:] = 0.0, 1.0, 0.0
+            live = c > 0.0
+            # h(0) is the transpose's g(0); a user f's comes from a probe.
+            h = np.full(n, 0.0 if live.all() else (self._reflected or _reflect(self.fn)).f_at_0)
+            h[live] = self._h(c[live], d[live])
+        y = x @ v
+        return _sym((y * h[..., None, :]) @ y.swapaxes(-1, -2))
+
     def _apply_raw(self, a, b, tol):
         """A sigma B for one pair of (n, n) operands or each pair of two
         (k, n, n) stacks.  The route is decided here, in this order:
 
         1. ``_atom_apply`` when ``_takes_atom_route``, at every dim; with no
            interior atom, alpha A + beta B, exact for every PSD pair;
-        2. A's eigendecomposition, and ``_is_pd`` on its spectrum;
-        3. positive-definite A: the congruence around A;
-        4. with ``_around_pd_b``, positive-definite B: the congruence around
-           B with ``_reflected``;
-        5. any other pair: the decreasing epsilon-limit of the congruence.
+        2. any other pair: ``_around_sum``, the step around S = A + B.
 
-        A stack takes steps 1 and 3 in one call each.  One rule keeps a
-        stack's errors those of its pairs: a stack that declines step 1,
-        has a left operand that is not positive definite, or raises
-        anything on the way, is evaluated again pair by pair through
-        ``_apply_raw``, and so raises what its first failing pair raises
-        alone.  The congruence checks B's own spectrum before it clips the
-        transformed right operand.
+        A stack takes either step in one call.  One rule keeps a stack's
+        errors those of its pairs: a stack with a pair whose operands'
+        spectra step 2 needs, or that raises anything on the way, is
+        evaluated again pair by pair through ``_apply_raw``, and so raises
+        what its first failing pair raises alone.
         """
         stack = a.ndim > 2
         try:
             if self._atoms is not None and self._takes_atom_route(a, b, tol):
                 return _atom_apply(self._atoms, a, b)
-            if not (stack and self._atoms is not None):
-                w, q = _eigh(a, "left operand")
-                pd = _is_pd(w, tol, "left operand")
-                if pd.all() if stack else pd:
-                    return _congruence_apply(
-                        w, q, b, self._fn_array, tol,
-                        lambda: _checked_spectrum(b, tol, "right operand"),
-                    )
+            out = self._around_sum(a, b, tol)
+            if out is not None:
+                return out
         except Exception:
             # A stack's pairs run again below, and the first failing one
             # raises its own error, so no list of error types is kept here.
             if not stack:
                 raise
-        if stack:
-            return super()._apply_stack(a, b, tol)
-        if self._around_pd_b:
-            wb, qb = _eigh(b, "right operand")
-            if _is_pd(wb, tol, "right operand"):
-                return _congruence_apply(
-                    wb, qb, a, self._reflected.fn, tol, label="transformed left operand"
-                )
-        # A pair with a singular left operand: clip its spectrum to [0, inf)
-        # and take the decreasing limit over a joint shift of both operands.
-        wc = np.maximum(w, 0.0)
-        eye = _eye(a.shape[0])
-        fn = self._fn_array
-        # B is checked once, however many steps clip.
-        check = functools.cache(lambda: _checked_spectrum(b, tol, "right operand"))
-        return _regularize_raw(
-            lambda eps: _congruence_apply(wc + eps, q, b + eps * eye, fn, tol, check),
-            tol,
-        )
+        return super()._apply_stack(a, b, tol)
 
     # One body serves pairs and stacks.  The second name stays because
     # per-call wrappers of ``_apply_raw``, such as the benchmark's tracer,
@@ -527,11 +544,11 @@ class TransposeConnection(_FunctionBackedConnection):
     Ando).  Where the package's evaluator runs the inner connection and its
     ``_reflected`` g is known, f is g, the route is the inner one reflected,
     the atom record (w0, w1, ((t, w), ...)) to (w1, w0, ((1 - t, w), ...)),
-    and the evaluator runs on the caller's own (A, B), around B where only
-    B is positive definite.  A transpose of a transpose takes the inner
-    route and f as they are.  Of any other connection, a user function or one
-    with its own ``_apply_raw``, it is a ``_SwappedTranspose``, which runs
-    the inner evaluator on (B, A) and takes g as x f(1/x)."""
+    and the evaluator runs on the caller's own (A, B).  A transpose of a
+    transpose takes the inner route and f as they are.  Of any other
+    connection, a user function or one with its own ``_apply_raw``, it is a
+    ``_SwappedTranspose``, which runs the inner evaluator on (B, A) and
+    takes g as x f(1/x)."""
 
     def __new__(cls, inner: Connection | None = None):
         # inner is None only where ``copy`` makes an instance to fill in.
@@ -547,7 +564,7 @@ class TransposeConnection(_FunctionBackedConnection):
             # Copied, not reflected twice: 1 - (1 - t) need not be t.
             inner = inner.inner
             self._atoms = inner._atoms
-            self._around_pd_b, self._reflected = inner._around_pd_b, inner._reflected
+            self._reflected = inner._reflected
             self.repr_function, self._fn_array = inner.repr_function, inner._fn_array
         elif inner._reflected is not None:
             if inner._atoms is not None:
@@ -555,18 +572,9 @@ class TransposeConnection(_FunctionBackedConnection):
                 self._atoms = (w1, w0, tuple((1.0 - t, w) for t, w in interior))
             # The transpose of g is f.
             self.repr_function, self._reflected = inner._reflected, inner.repr_function
-            self._fn_array, self._around_pd_b = self.repr_function.fn, True
+            self._fn_array = self.repr_function.fn
         else:
-
-            def g(x):
-                y = 1.0 / x
-                if y == math.inf:
-                    raise ValueError(
-                        f"transposed representing function: 1/x overflows at x = {x!r}"
-                    )
-                return x * inner.fn(y)
-
-            self.repr_function = ReprFunction.from_callable(g)
+            self.repr_function = _reflect(inner.fn)
             self._reflected = ReprFunction.from_callable(inner.fn)
 
     def __repr__(self) -> str:
@@ -618,17 +626,13 @@ def apply(
     affine kinds, the weighted harmonic means, the parallel sum and such
     atom measures), return the sum of weighted harmonic means
     w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B, one linear solve
-    per interior atom, when A or B is positive definite, at every dim;
-    rank-deficient A with positive-definite B is then exact, with no limit,
-    and with no interior atom every PSD pair.  Otherwise
-    numerically positive-definite A takes the congruence formula and
-    singular A the decreasing epsilon-limit, except in a transpose of a
-    builtin or a measure: there singular A with positive-definite B takes
-    the congruence around B with the inner connection's f.  Measure
+    per interior atom, when A or B is positive definite, at every dim, and
+    with no interior atom for every PSD pair.  Every other pair takes the
+    form of Pusz and Woronowicz around A + B, X h(C) X^T, with the kernels
+    of A, B and A + B counted exactly; no pair takes a limit.  Measure
     connections take the same routes with their quadrature-built f.  The
-    result is PSD within slack, and for dim 1 equals the scalar a * f(b/a)
-    (for a = 0, b times lim f(y)/y on the atom route and around B, and the
-    epsilon-limit otherwise).
+    result is PSD within slack, and for dim 1 equals the scalar a * f(b/a),
+    and b lim f(y)/y for a = 0.
     """
     return conn.apply(A, B, tol)
 

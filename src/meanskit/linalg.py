@@ -140,9 +140,9 @@ class Tolerances:
     eq_tol : float
         Relative Frobenius tolerance for equality tests.
     eps0 : float
-        Starting value of the regularization shift.
+        Starting value of ``regularize_limit``'s shift.
     eps_min : float
-        Smallest shift tried before the regularized limit gives up.
+        Smallest shift tried before ``regularize_limit`` gives up.
     """
 
     psd_slack: float = 1e-9
@@ -181,7 +181,7 @@ _shared_eye = functools.lru_cache(maxsize=16)(_read_only_eye)
 
 def _eye(n: int) -> np.ndarray:
     """np.eye(n), read-only, and for small n one array shared by every call:
-    the shifts of the certificate, the limit route and the suites reuse it."""
+    the shifts of the certificate and the suites reuse it."""
     return _shared_eye(n) if n <= _SHARED_EYE_MAX_DIM else _read_only_eye(n)
 
 
@@ -425,13 +425,10 @@ def _check_spectra(w: np.ndarray, tol: Tolerances, label: str):
     return scales.reshape(w.shape[:-1])
 
 
-def _is_pd(w: np.ndarray, tol: Tolerances, label: str | None = None):
+def _is_pd(w: np.ndarray, tol: Tolerances) -> bool:
     """Whether an ascending spectrum's smallest eigenvalue is above
-    psd_slack * max(1, spectral norm).  With a ``label``, w is first checked
-    by ``_check_spectra``, and a stack of shape (..., n) gives a mask."""
-    scale = _spectral_scale(w) if label is None else _check_spectra(w, tol, label)
-    # w[0] keeps one spectrum's test a comparison of numpy scalars, not arrays.
-    return (w[0] if w.ndim == 1 else w[..., 0]) > tol.psd_slack * scale
+    psd_slack * max(1, spectral norm)."""
+    return bool(w[0] > tol.psd_slack * _spectral_scale(w))
 
 
 def _certified_pd(x: np.ndarray, tol: Tolerances) -> bool:
@@ -491,10 +488,14 @@ def is_psd(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def loewner_leq(A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Loewner order test A <= B, each read as SymMatrix: B - A is PSD."""
+    """Loewner order test A <= B, each read as SymMatrix: B - A is PSD.  A
+    difference beyond the largest double is refused as construction
+    refuses a non-finite entry."""
     a, b = _as_array(A), _as_array(B)
     _check_same_dim(a, b)
-    return is_psd(b - a, tol)
+    with np.errstate(over="ignore"):
+        diff = b - a  # symmetric bit for bit, as a and b are
+    return is_psd(SymMatrix._of_symmetric(diff), tol)
 
 
 def _per_eigenvalue(
@@ -506,24 +507,12 @@ def _per_eigenvalue(
 
 
 def _fn_calculus_raw(
-    fn: Callable[[np.ndarray], np.ndarray],
-    m: np.ndarray,
-    tol: Tolerances,
-    label: str = "matrix",
-    outer: np.ndarray | None = None,
-    on_clip: Callable[[], None] | None = None,
+    fn: Callable[[np.ndarray], np.ndarray], m: np.ndarray, tol: Tolerances
 ) -> np.ndarray:
     """f(m) for symmetric m of shape (..., n, n).  ``fn`` is the array form
-    of f: it maps the clipped spectra, shape (..., n), to their values.
-    With ``outer``, of the same shape, the result is outer f(m) outer^T,
-    formed from (outer U) f(lambda) (outer U)^T with m = U diag(lambda) U^T.
-    ``on_clip``, if given, is called when a spectrum has an eigenvalue
-    below 0, before the spectra are checked and clipped; it may raise."""
-    w, q = _eigh(m, label)
-    # w[0] keeps one spectrum's test a comparison of numpy scalars.
-    if on_clip is not None and (w[0] if w.ndim == 1 else w[..., 0].min()) < 0.0:
-        on_clip()
-    _check_spectra(w, tol, label)
+    of f: it maps the clipped spectra, shape (..., n), to their values."""
+    w, q = _eigh(m)
+    _check_spectra(w, tol, "matrix")
     w = np.maximum(w, 0.0)
     try:
         fw = fn(w)
@@ -533,8 +522,6 @@ def _fn_calculus_raw(
         raise ValueError(
             f"scalar function evaluation failed on the spectrum {w.tolist()}: {exc}"
         ) from exc
-    if outer is not None:
-        q = outer @ q
     return _sym((q * fw[..., None, :]) @ q.swapaxes(-1, -2))
 
 

@@ -206,9 +206,14 @@ class BorelMeasure:
             raise ValueError(f"total mass {mass} of the atoms and density must be finite")
 
     def density_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Effective (nodes, weights) for the density part; the density is
-        folded into the weights unless the plan already absorbs it; a
-        negative finite value of rho at a node is refused."""
+        """Effective (nodes, weights) for the density part, read-only; the
+        density is folded into the weights unless the plan already absorbs
+        it; a negative finite value of rho at a node is refused.  They are
+        computed once per measure, so rho runs once per node."""
+        return self._nodes
+
+    @functools.cached_property
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
         if self.density is None:
             return np.empty(0), np.empty(0)
         plan = self.density.plan
@@ -219,7 +224,9 @@ class BorelMeasure:
         for t, v in zip(plan.nodes, values):
             if -math.inf < v < 0.0:
                 raise ValueError(f"density value {v} at node t = {t} must be nonnegative")
-        return plan.nodes, plan.weights * values
+        weights = plan.weights * values
+        weights.flags.writeable = False
+        return plan.nodes, weights
 
 
 def total_mass(mu: BorelMeasure) -> float:

@@ -25,7 +25,7 @@ from .connections import (
     is_mean,
     make_builtin,
 )
-from .linalg import DEFAULT_TOL, EigenSolverError, SymMatrix, Tolerances, opnorm
+from .linalg import DEFAULT_TOL, EigenSolverError, SymMatrix, Tolerances
 from .linalg import _eigvalsh, _eye, _is_whole, _sym
 
 __all__ = [
@@ -53,9 +53,8 @@ __all__ = [
 REMARK_A = SymMatrix([[1.0, 0.0], [0.0, 0.0]])
 REMARK_B = SymMatrix([[0.0, 0.0], [0.0, 1.0]])
 
-# The geometric mean of the pair above vanishes only in the epsilon-limit,
-# which converges at a square-root rate; assertions about it use this
-# tolerance instead of eq_tol.
+# Tolerance of the corpus's vanishing checks; ``apply`` gives both
+# vanishing values as exactly 0.
 COUNTEREXAMPLE_TOL = 1e-5
 
 # Base conditioning shift for the continuity suite: the n = 40 convergence
@@ -449,7 +448,8 @@ def check_betweenness(conn: Connection, cfg: TrialConfig = TrialConfig()) -> Rep
 
         def evaluate():
             x = conn._apply_raw(a, b, tol)
-            norm_a, norm_b, norm_x = opnorm(a), opnorm(b), opnorm(x)
+            # Spectral norms of the arrays as the Loewner margins read them.
+            norm_a, norm_b, norm_x = (float(max(-e[0], e[-1])) for e in map(_eigvalsh, (a, b, x)))
             slack = tol.eq_tol * max(1.0, norm_b)
             checks = [
                 ("left_betweenness", _loewner_margin(a, x, tol)),
@@ -609,8 +609,8 @@ def run_counterexamples(tol: Tolerances = DEFAULT_TOL) -> Report:
         order equivalences need invertibility.
 
     All three must reproduce; a violation means the corpus broke.  The
-    vanishing checks use COUNTEREXAMPLE_TOL, since the epsilon-limit
-    converges at a square-root rate.
+    vanishing checks use COUNTEREXAMPLE_TOL, though the step around A + B
+    gives both values as exactly 0.
     """
     geo = make_builtin("geometric", 0.5)
     rec = _SuiteRecorder("counterexamples", 0)

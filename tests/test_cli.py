@@ -370,7 +370,7 @@ class TestEval:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_exits_2(self, capsys, matrix_files, value):
-        # A NaN slack would route every left operand to the epsilon-limit.
+        # A NaN slack would let every operand pass the PSD check.
         for matrix in ("pd", "indef"):
             code = main(
                 [

@@ -33,7 +33,6 @@ from meanskit.linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     EigenSolverError,
-    NonConvergenceError,
     NotPSDError,
     SingularMatrixError,
     SymMatrix,
@@ -246,12 +245,12 @@ class TestApply:
         out = apply(conn, SymMatrix.zeros(2), b)
         assert frobenius(out - b) <= 1e-6
 
-    def test_singular_left_operand_routes_through_limit(self):
-        # a genuinely nonlinear kernel takes the epsilon route on singular A
+    def test_singular_left_operand_gives_the_slope_at_infinity(self):
+        # 0 sigma B = (lim f(y)/y) B, which is 0 for the geometric mean.
         conn = make_builtin("geometric", 0.5)
         b = SymMatrix([[2.0, 0.5], [0.5, 1.0]])
         out = apply(conn, SymMatrix.zeros(2), b)
-        assert frobenius(out) <= 1e-5  # 0 # B = 0 at square-root rate
+        assert np.array_equal(out.data, np.zeros((2, 2)))
 
 
 def _rotation(n, rng):
@@ -290,12 +289,11 @@ class TestConditioning:
 
     @pytest.mark.parametrize("dim", range(2, 9))
     @pytest.mark.parametrize("half", [False, True])
-    def test_singular_left_pd_right_limit(self, dim, half):
+    def test_singular_left_pd_right(self, dim, half):
         # For rank-deficient A and PD B, A sigma B = B^{1/2} g(M) B^{1/2} with
         # M = B^{-1/2} A B^{-1/2} and g(x) = x f(1/x).  The dim - rank null
         # directions of M get g(0) = lim f(y)/y, which is 0 for each
-        # connection here.  The logarithmic mean is left out: its limit
-        # converges only like 1/|log eps| (ROADMAP item 1).
+        # connection here.
         rank = (dim + 1) // 2 if half else dim - 1
         rng = np.random.default_rng([321, dim, rank])
         u = _rotation(dim, rng)
@@ -313,13 +311,14 @@ class TestConditioning:
             make_builtin("geometric", 0.5),
             make_builtin("harmonic", 0.5),
             make_builtin("parallel_sum"),
+            make_builtin("logarithmic"),
             connection_from_measure(measure_of_builtin("geometric", 0.5)),
         ]
         for conn in conns:
             g = np.array([x * conn.fn(1.0 / x) if x > 0.0 else 0.0 for x in lam])
             want = root @ (v * g) @ v.T @ root
             got = apply(conn, SymMatrix(a), SymMatrix(b)).data
-            assert np.linalg.norm(got - want) <= 1e-5 * max(1.0, np.linalg.norm(want)), conn
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), conn
 
 
 def _rank_deficient_pairs():
@@ -575,18 +574,13 @@ def _sqrt_up_to_3(x):
     return math.sqrt(x)
 
 
-# A limit that gives up after its first step, so that a pair whose left
-# operand is singular raises NonConvergenceError.
-_ONE_STEP_LIMIT = Tolerances(eps_min=6e-3)
-
-
 def _first_failure_cases():
     """(id, connection, a, b): stacks whose first failing pair raises
     something other than what a check of the whole stack would meet first."""
     eye = np.eye(2)
     geometric = make_builtin("geometric", 0.5)
-    # Pair 0's B is PSD within slack, but its transformed right operand is
-    # not; pair 1's B is not PSD.
+    # Pair 0's B is PSD within slack, and its value is diag(0, 1); pair 1's
+    # B is not PSD.
     clip_a = np.stack([np.diag([1e-6, 1.0]), eye])
     clip_b = np.stack([np.diag([-5e-10, 1.0]), np.diag([1.0, -1.0])])
     # f raises on pair 1's spectrum, and pair 2's B is not PSD.
@@ -598,19 +592,19 @@ def _first_failure_cases():
     # Pair 0's B is not PSD, and pair 1's A is not.
     bad = np.diag([1.0, -1.0])
     order_a, order_b = np.stack([eye, bad]), np.stack([bad, eye])
-    # Pair 0 declines the atom route (its pivot is singular), and its limit
-    # gives up; pair 1's B is not PSD.
+    # Pair 0 declines the atom route (its pivot is singular) and takes the
+    # step around A + B; pair 1's B is not PSD.
     corner = np.diag([1.0, 0.0])
-    limit_a, limit_b = np.stack([corner, eye]), np.stack([corner, bad])
+    declined_a, declined_b = np.stack([corner, eye]), np.stack([corner, bad])
     function = connection_from_function(_sqrt_up_to_3)
     return [
-        ("congruence", geometric, clip_a, clip_b),
+        ("around_sum", geometric, clip_a, clip_b),
         ("measure", connection_from_measure(measure_of_builtin("geometric", 0.5)), clip_a, clip_b),
         ("transpose", transpose(geometric), clip_b, clip_a),
         ("function_before_psd_check", function, f_a, f_b),
         ("function_on_one_pair", function, f_a, f_only),
         ("affine", make_builtin("arithmetic", 0.5), order_a, order_b),
-        ("atom_route_declined", make_builtin("harmonic", 0.5), limit_a, limit_b),
+        ("atom_route_declined", make_builtin("harmonic", 0.5), declined_a, declined_b),
     ]
 
 
@@ -623,12 +617,14 @@ class TestStackedEvaluation:
         a, b = _pd_stack(30, dim, [320, dim])
         _assert_items_match_pairs(conn, a, b, conn._apply_stack(a, b, DEFAULT_TOL))
 
-    def test_singular_left_item_takes_its_own_limit(self):
+    def test_singular_left_item_takes_its_own_route(self):
         conn = make_builtin("harmonic", 0.5)
         a, b = _pd_stack(6, 2, 321)
         a[2] = [[1.0, 0.0], [0.0, 0.0]]
         out = conn._apply_stack(a, b, DEFAULT_TOL)
         assert np.array_equal(out[2], conn._apply_raw(a[2], b[2], DEFAULT_TOL))
+        want = _anderson_duffin(((0.5, 1.0),), a[2], b[2])
+        assert np.linalg.norm(out[2] - want) <= 1e-12 * np.linalg.norm(want)
         _assert_items_match_pairs(conn, a, b, out)
 
     @pytest.mark.parametrize("kind", ["geometric", "arithmetic"])
@@ -665,8 +661,8 @@ class TestStackedEvaluation:
             conn._apply_stack(a, b, DEFAULT_TOL)
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value) == (
-            "scalar function evaluation failed on the spectrum [1.0, 5.0]: "
-            "out of domain"
+            "scalar function evaluation failed on the spectrum "
+            "[4.999999999999999, 1.0]: out of domain"
         )
 
     @pytest.mark.parametrize(
@@ -676,9 +672,9 @@ class TestStackedEvaluation:
     def test_stack_raises_what_its_first_failing_pair_raises(self, conn, a, b):
         with pytest.raises(Exception) as alone:
             for x, y in zip(a, b):
-                conn._apply_raw(x, y, _ONE_STEP_LIMIT)
+                conn._apply_raw(x, y, DEFAULT_TOL)
         with pytest.raises(Exception) as stacked:
-            conn._apply_stack(a, b, _ONE_STEP_LIMIT)
+            conn._apply_stack(a, b, DEFAULT_TOL)
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
 
@@ -751,9 +747,53 @@ def _record_atom_route(monkeypatch):
     return calls
 
 
-def _congruence(conn, a, b):
-    w, q = np.linalg.eigh(a)
-    return connections._congruence_apply(w, q, b, conn._fn_array, DEFAULT_TOL)
+def _record_around_sum(monkeypatch):
+    """Record the operand shapes of every evaluation by the step around
+    A + B."""
+    calls = []
+    around_sum = connections._FunctionBackedConnection._around_sum
+
+    def recording(self, a, b, tol):
+        calls.append(a.shape)
+        return around_sum(self, a, b, tol)
+
+    monkeypatch.setattr(connections._FunctionBackedConnection, "_around_sum", recording)
+    return calls
+
+
+def _around_pd(fn, p, x, null=0):
+    """P^{1/2} fn(M) P^{1/2} for positive-definite P and PSD X, with
+    M = P^{-1/2} X P^{-1/2} and the ``null`` smallest eigenvalues of M,
+    those of X's kernel, set to 0: P sigma X for the array form fn of f,
+    and X sigma P for fn(y) = y f(1/y)."""
+    w, q = np.linalg.eigh(p)
+    root, inv_root = (q * np.sqrt(w)) @ q.T, (q / np.sqrt(w)) @ q.T
+    m, u = np.linalg.eigh(inv_root @ x @ inv_root)
+    m[:null] = 0.0
+    out = root @ (u * fn(np.maximum(m, 0.0))) @ u.T @ root
+    return (out + out.T) / 2.0
+
+
+def _geometric_around_sum(alpha, a, b, null_a=0, null_b=0):
+    """A #_alpha B = S^{1/2} C^{1 - alpha} (I - C)^alpha S^{1/2} for positive
+    definite S = A + B and C = S^{-1/2} A S^{-1/2}, which commutes with
+    I - C, with the ``null_a`` smallest eigenvalues of C set to 0 and the
+    ``null_b`` largest to 1: the dims of A's and B's kernels.  Unlike a
+    congruence around A or B, it keeps its accuracy where both are ill
+    conditioned and their sum is not."""
+    w, q = np.linalg.eigh(a + b)
+    root, inv_root = (q * np.sqrt(w)) @ q.T, (q / np.sqrt(w)) @ q.T
+    c, u = np.linalg.eigh(inv_root @ a @ inv_root)
+    c = np.clip(c, 0.0, 1.0)
+    c[:null_a] = 0.0
+    c[len(c) - null_b:] = 1.0
+    out = root @ (u * (c ** (1.0 - alpha) * (1.0 - c) ** alpha)) @ u.T @ root
+    return (out + out.T) / 2.0
+
+
+def _scalar_form(conn):
+    """f's array form, one call of ``conn.fn`` per point."""
+    return lambda m: np.array([conn.fn(v) for v in m])
 
 
 def _record_solvers(monkeypatch):
@@ -800,8 +840,8 @@ class TestAtomRoute:
     @pytest.mark.parametrize("name", _ATOM_ROUTE)
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 64])
     def test_rank_deficient_left_is_exact(self, monkeypatch, dim, name, transposed):
-        # No epsilon-limit: the pivot t A + (1 - t) B is positive definite.
-        limits = _record_limits(monkeypatch)
+        # The atom route: the pivot t A + (1 - t) B is positive definite.
+        around = _record_around_sum(monkeypatch)
         conn, atoms = _ATOM_ROUTE[name]
         for rank in (dim - 1, (dim + 1) // 2):
             rng = np.random.default_rng([331, dim, rank])
@@ -813,13 +853,13 @@ class TestAtomRoute:
                 got = apply(conn, SymMatrix(a), SymMatrix(b)).data
                 want = _anderson_duffin(atoms, a, b)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), rank
-        assert limits == []
+        assert around == []
 
     @pytest.mark.parametrize("name", _ATOM_ROUTE)
     def test_rank_deficient_right_is_exact(self, monkeypatch, name):
         # A positive-definite A with a singular B: the pivot is positive
-        # definite, so no limit and no congruence around A.
-        limits = _record_limits(monkeypatch)
+        # definite, so the pair takes the atom route.
+        around = _record_around_sum(monkeypatch)
         conn, atoms = _ATOM_ROUTE[name]
         for dim in range(2, 16):
             for rank in (dim - 1, (dim + 1) // 2):
@@ -828,7 +868,7 @@ class TestAtomRoute:
                 got = apply(conn, SymMatrix(a), SymMatrix(b)).data
                 want = _anderson_duffin(atoms, a, b)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (dim, rank)
-        assert limits == []
+        assert around == []
 
     @pytest.mark.parametrize("name", _ATOM_ROUTE)
     def test_positive_definite_left_takes_the_atom_route_at_every_dim(
@@ -920,24 +960,25 @@ class TestAtomRoute:
                 got, want = (apply(c, a, b).data.view(np.uint64) for c in (reordered, listed))
                 assert np.array_equal(got, want), dim
 
-    def test_three_interior_atoms_keep_the_congruence(self, monkeypatch):
+    def test_three_interior_atoms_take_the_step_around_the_sum(self, monkeypatch):
         calls = _record_atom_route(monkeypatch)
-        conn = connection_from_measure(
-            BorelMeasure(atoms=((0.25, 0.25), (0.5, 0.5), (0.75, 0.25)))
-        )
+        mu = BorelMeasure(atoms=((0.25, 0.25), (0.5, 0.5), (0.75, 0.25)))
+        conn = connection_from_measure(mu)
         assert conn._atoms is None
         a, b = _pd_stack(1, 32, 335)
         got = apply(conn, SymMatrix(a[0]), SymMatrix(b[0])).data
-        assert np.array_equal(got, SymMatrix(_congruence(conn, a[0], b[0])).data)
+        want = _anderson_duffin(mu.atoms, a[0], b[0])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert calls == []
 
     @pytest.mark.parametrize("n", [2, 8, 16])
-    def test_near_singular_pivot_keeps_the_limit(self, monkeypatch, n):
+    def test_near_singular_pivot_takes_the_step_around_the_sum(self, monkeypatch, n):
         # A's eigenvalue -1.01e-11 is inside the PSD slack, and B's
         # smallest, 1e-9 (1 + 1e-7), just clears the positive-definite
         # threshold; along that direction the pivot 0.99 A + 0.01 B has the
         # eigenvalue 1e-18.  Solving with it would amplify A's slack
-        # eigenvalue, so the route declines the pair.
+        # eigenvalue, so the atom route declines the pair, and the step
+        # around A + B counts that eigenvalue as 0.
         calls = _record_atom_route(monkeypatch)
         u = _rotation(n, np.random.default_rng(336))
         wa, wb = np.ones(n), np.ones(n)
@@ -946,7 +987,7 @@ class TestAtomRoute:
         got = apply(make_builtin("harmonic", 0.99), SymMatrix(a), SymMatrix(b)).data
         clipped = np.maximum(wa, 0.0)
         want = (u * (clipped * wb / (0.99 * clipped + 0.01 * wb))) @ u.T
-        assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert calls == []
 
 
@@ -985,7 +1026,7 @@ def _outcome(call):
     """The result of call(), or the type and text of what it raised."""
     try:
         return call()
-    except (NotPSDError, EigenSolverError, NonConvergenceError) as exc:
+    except (NotPSDError, EigenSolverError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -999,36 +1040,54 @@ def _assert_same_outcomes(got, want):
 
 
 class TestRoutingTable:
-    """A stack of three pairs of one kind gives its pairs' results, and
-    takes their routes: one atom-route call for the whole stack when every
-    pair takes that route, and otherwise the pairs' own calls."""
+    """A stack of three pairs of one kind gives its pairs' results bit for
+    bit, and takes their routes: one atom-route call for the whole stack
+    when every pair takes that route; for a connection without atoms, one
+    stacked step around A + B, which hands a stack with a singular operand
+    to the pairs' own calls; and otherwise the pairs' own calls.  Each
+    result matches its oracle."""
 
+    # Each connection with its atoms, or None for geometric(1/4).
     CONNS = {
-        "arithmetic(0.25)": make_builtin("arithmetic", 0.25),
-        "harmonic(0.75)": make_builtin("harmonic", 0.75),
-        "two_atoms": connection_from_measure(_TWO_ATOMS),
-        "geometric(0.25)": make_builtin("geometric", 0.25),
+        "arithmetic(0.25)": (make_builtin("arithmetic", 0.25), ((0.0, 0.75), (1.0, 0.25))),
+        "harmonic(0.75)": (make_builtin("harmonic", 0.75), ((0.75, 1.0),)),
+        "two_atoms": (connection_from_measure(_TWO_ATOMS), _TWO_ATOMS.atoms),
+        "geometric(0.25)": (make_builtin("geometric", 0.25), None),
     }
 
     @staticmethod
     def _record(monkeypatch):
         calls = []
-        for name in ("_atom_apply", "_regularize_raw"):
-            original = getattr(connections, name)
+        atom_apply = connections._atom_apply
+        around_sum = connections._FunctionBackedConnection._around_sum
 
-            def recording(*args, _name=name, _original=original):
-                # _atom_apply(atoms, a, b) and _regularize_raw(g, tol).
-                calls.append((_name, args[1].shape if len(args) == 3 else None))
-                return _original(*args)
+        def atom(atoms, a, b):
+            calls.append(("atom", a.shape))
+            return atom_apply(atoms, a, b)
 
-            monkeypatch.setattr(connections, name, recording)
+        def around(self, a, b, tol):
+            calls.append(("around_sum", a.shape))
+            return around_sum(self, a, b, tol)
+
+        monkeypatch.setattr(connections, "_atom_apply", atom)
+        monkeypatch.setattr(connections._FunctionBackedConnection, "_around_sum", around)
         return calls
+
+    @staticmethod
+    def _oracle(atoms, kind, a, b):
+        if atoms is not None:
+            return _anderson_duffin(atoms, a, b)
+        null = a.shape[0] - a.shape[0] // 2
+        return _geometric_around_sum(
+            0.25, a, b, null if kind == "singular_left" else 0,
+            null if kind == "singular_right" else 0,
+        )
 
     @pytest.mark.parametrize("kind", ["pd", "singular_left", "singular_right"])
     @pytest.mark.parametrize("dim", [2, 8, 16, 33])
     @pytest.mark.parametrize("name", CONNS)
     def test_stack_takes_its_pairs_routes(self, monkeypatch, name, dim, kind):
-        conn = self.CONNS[name]
+        conn, atoms = self.CONNS[name]
         calls = self._record(monkeypatch)
         rng = np.random.default_rng([338, dim])
         a, b = _pd_stack(3, dim, [339, dim])
@@ -1037,23 +1096,17 @@ class TestRoutingTable:
                 a[i] = _rank_deficient(dim, dim // 2, rng)
             elif kind == "singular_right":
                 b[i] = _rank_deficient(dim, dim // 2, rng)
-        # The pairs in order, up to the first that raises, as a stack that
-        # goes pair by pair evaluates them.
-        want = []
-        for x, y in zip(a, b):
-            want.append(_outcome(lambda: conn._apply_raw(x, y, DEFAULT_TOL)))
-            if isinstance(want[-1], str):
-                break
+        want = [conn._apply_raw(x, y, DEFAULT_TOL) for x, y in zip(a, b)]
+        for x, y, z in zip(a, b, want):
+            oracle = self._oracle(atoms, kind, x, y)
+            assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
         pair_calls = list(calls)
         calls.clear()
-        got = _outcome(lambda: conn._apply_stack(a, b, DEFAULT_TOL))
-        if isinstance(want[-1], str):
-            assert got == want[-1]
-        else:
-            _assert_same_outcomes(list(got), want)
-        atom_pairs = pair_calls == [("_atom_apply", a.shape[1:])] * 3
-        if atom_pairs:
-            assert calls == [("_atom_apply", a.shape)]
+        _assert_same_outcomes(list(conn._apply_stack(a, b, DEFAULT_TOL)), want)
+        if atoms is None:
+            assert calls == [("around_sum", a.shape)] + (pair_calls if kind != "pd" else [])
+        elif pair_calls == [("atom", a.shape[1:])] * 3:
+            assert calls == [("atom", a.shape)]
         else:
             assert calls == pair_calls
 
@@ -1199,9 +1252,9 @@ class TestOperandSpectra:
 
 
 class TestRightOperandOnTheCongruence:
-    """When the transformed right operand has eigenvalues to clip, B's own
-    spectrum is checked, so a B outside the cone is refused even where the
-    transformed one is inside the slack."""
+    """Where C = X^+ A X^+^T of the step around S = A + B cannot vouch for
+    the operands, an eigenvalue of C near 1 or beyond it among them, B's own
+    spectrum is checked, so a B outside the cone is refused by name."""
 
     A = np.diag([1e6, 1.0])
     B = np.diag([-1e-3, 1.0])
@@ -1216,20 +1269,19 @@ class TestRightOperandOnTheCongruence:
             geo._apply_stack(np.stack([self.A, self.A]), np.stack([np.eye(2), self.B]), DEFAULT_TOL)
         assert str(stacked.value) == str(info.value)
 
-    def test_limit_route_checks_b(self):
+    def test_singular_left_checks_b(self):
         with pytest.raises(NotPSDError, match="right operand") as info:
             apply(make_builtin("geometric", 0.5), SymMatrix.diagonal([1e6, 0.0]), SymMatrix(self.B))
         assert info.value.min_eigenvalue == -1e-3
 
-    @pytest.mark.parametrize("case", ["pair", "stack", "limit"])
+    @pytest.mark.parametrize("case", ["pair", "stack", "singular_left"])
     def test_b_beyond_the_slack_is_blamed_by_name(self, case):
-        # Here the transformed right operand fails its own check as well;
-        # B's check still comes first, on every route of the congruence.
+        # For a PD or a singular A, in a pair or a stack, B is named.
         geo = make_builtin("geometric", 0.5)
         b = np.diag([-1.0, 1.0])
         with pytest.raises(NotPSDError) as own:
             _psd_scale(np.linalg.eigvalsh(b), DEFAULT_TOL, "right operand")
-        a = np.diag([1.0, 0.0]) if case == "limit" else np.array([[2.0, 0.5], [0.5, 1.0]])
+        a = np.diag([1.0, 0.0]) if case == "singular_left" else np.array([[2.0, 0.5], [0.5, 1.0]])
         with pytest.raises(NotPSDError) as info:
             if case == "stack":
                 geo._apply_stack(np.stack([a, a]), np.stack([np.eye(2), b]), DEFAULT_TOL)
@@ -1248,29 +1300,30 @@ class TestRightOperandOnTheCongruence:
         )
         rng = np.random.default_rng(332)
         geo = make_builtin("geometric", 0.5)
+
+        def assert_value(a, b, null):
+            got = apply(geo, SymMatrix(a), SymMatrix(b)).data
+            want = _geometric_around_sum(0.5, a, b, 0, null)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
         for n in (2, 8):
-            a, b = random_pd(n, rng).data, random_pd(n, rng).data
-            assert np.array_equal(apply(geo, SymMatrix(a), SymMatrix(b)).data, _congruence(geo, a, b))
-        # Positive-definite pairs have nothing to clip and skip the check.
+            assert_value(random_pd(n, rng).data, random_pd(n, rng).data, 0)
+        # C vouches for positive-definite pairs, which skip the check.
         assert checked == []
         for n in (2, 8):
             a = random_pd(n, rng).data
             g = rng.standard_normal((n, n - 1))
-            b = g @ g.T
-            assert np.array_equal(apply(geo, SymMatrix(a), SymMatrix(b)).data, _congruence(geo, a, b))
+            assert_value(a, g @ g.T, 1)
 
 
-def _record_limits(monkeypatch):
-    """Record every epsilon-limit that ``apply`` takes."""
-    calls = []
-    regularize = connections._regularize_raw
-
-    def recording(g, tol):
-        calls.append(tol)
-        return regularize(g, tol)
-
-    monkeypatch.setattr(connections, "_regularize_raw", recording)
-    return calls
+def _geometric_mean_2x2(a, b):
+    """A # B for positive-definite 2 x 2 A and B in closed form:
+    sqrt(alpha beta) M / sqrt(det M) with M = A / alpha + B / beta, alpha =
+    sqrt(det A) and beta = sqrt(det B) (Bhatia, Positive Definite Matrices,
+    Prop. 4.1.12)."""
+    alpha, beta = np.sqrt(np.linalg.det(a)), np.sqrt(np.linalg.det(b))
+    m = a / alpha + b / beta
+    return np.sqrt(alpha * beta) * m / np.sqrt(np.linalg.det(m))
 
 
 class TestPositiveDefiniteThreshold:
@@ -1284,15 +1337,13 @@ class TestPositiveDefiniteThreshold:
     BELOW = SymMatrix.diagonal([-2.0 * SLACK, 1.0])
     B = SymMatrix([[2.0, 0.5], [0.5, 1.0]])
 
-    def test_on_threshold_takes_the_limit(self, monkeypatch):
-        calls = _record_limits(monkeypatch)
-        apply(make_builtin("geometric", 0.5), self.ON, self.B)
-        assert calls == [DEFAULT_TOL]
-
-    def test_above_threshold_takes_the_congruence(self, monkeypatch):
-        calls = _record_limits(monkeypatch)
-        apply(make_builtin("geometric", 0.5), self.ABOVE, self.B)
-        assert calls == []
+    @pytest.mark.parametrize("a", ["ON", "ABOVE"])
+    def test_geometric_mean_matches_the_closed_form(self, a):
+        # On the threshold and above it, A is positive definite.
+        a = getattr(self, a)
+        got = apply(make_builtin("geometric", 0.5), a, self.B).data
+        want = _geometric_mean_2x2(a.data, self.B.data)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_on_threshold_is_singular(self):
         with pytest.raises(SingularMatrixError):
@@ -1313,9 +1364,8 @@ class TestPositiveDefiniteThreshold:
 
     @pytest.mark.parametrize("kind", ["geometric", "logarithmic"])
     def test_mixed_stack_raises_its_first_failing_item(self, kind):
-        # Item 1 takes the limit: geometric(1/2) converges, and the first
-        # failure is item 3's right operand; the logarithmic limit raises
-        # NonConvergenceError first.
+        # Item 1, on the threshold, has a value for both kinds, and the
+        # first failure is item 3's right operand.
         conn = make_builtin(kind, 0.5 if kind == "geometric" else None)
         a, b = _pd_stack(5, 2, 324)
         a[1] = self.ON.data
@@ -1410,8 +1460,8 @@ def _closed_form(kind, weight):
 class TestBuiltinFunctionsFromAtoms:
     """Every builtin's f, its array form and its values at 0 and 1 are the
     closed forms' bit for bit, where f is built from the builtin's atoms.
-    -0.0 is not a point: calling f at 0 returns ``f_at_0``, and the
-    congruence clips spectra to [0, inf) with ``np.maximum(w, 0.0)``."""
+    -0.0 is not a point: calling f at 0 returns ``f_at_0``, and the step
+    around A + B evaluates f only at points d / c with c > 0 and d >= 0."""
 
     POINTS = np.concatenate(
         [
@@ -1553,19 +1603,22 @@ class TestTranspose:
                 assert type(clone) is type(t) and clone.inner is inner
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 8])
-    def test_singular_left_with_positive_definite_right_goes_around_b(self, dim):
-        # Where only B is positive definite, the congruence around B with
-        # f gives what the inner connection gives on (B, A), with no limit.
+    def test_singular_left_with_positive_definite_right_is_the_inner_on_the_swap(self, dim):
+        # Where only B is positive definite, A sigma^T B = B sigma A =
+        # B^{1/2} f(B^{-1/2} A B^{-1/2}) B^{1/2}, with A's kernel exactly 0.
         rng = np.random.default_rng([264, dim])
-        a = SymMatrix(_rank_deficient(dim, dim // 2, rng))
-        b = SymMatrix(_well_conditioned_pd(dim, rng))
+        a = _rank_deficient(dim, dim // 2, rng)
+        b = _well_conditioned_pd(dim, rng)
         for conn in (
             make_builtin("geometric", 0.25),
             make_builtin("logarithmic"),
             connection_from_measure(measure_of_builtin("geometric", 0.5)),
         ):
-            got = apply(transpose(conn), a, b).data
-            assert np.array_equal(got, apply(conn, b, a).data), conn
+            got = apply(transpose(conn), SymMatrix(a), SymMatrix(b)).data
+            want = _around_pd(_scalar_form(conn), b, a, dim - dim // 2)
+            swapped = apply(conn, SymMatrix(b), SymMatrix(a)).data
+            for value in (want, swapped):
+                assert np.linalg.norm(got - value) <= 1e-12 * np.linalg.norm(want), conn
 
     def test_transposed_user_function_runs_it_on_the_swapped_pair(self):
         # A user f's g(x) = x f(1/x) has a probed value at 0 and raises
@@ -1632,7 +1685,7 @@ class TestTranspose:
     @pytest.mark.parametrize(
         "kind,weight",
         [("geometric", 0.5), ("harmonic", 0.25), ("arithmetic", 0.3)],
-        ids=["congruence", "atom", "affine"],
+        ids=["around_sum", "atom", "affine"],
     )
     def test_not_psd_error_names_the_callers_operand(self, kind, weight):
         conn = make_builtin(kind, weight)
@@ -1674,15 +1727,15 @@ class TestTranspose:
         with pytest.raises(EigenSolverError, match=failed.format("left")):
             apply(t, marked, eye)
 
-    def test_transformed_operand_is_swapped_too(self, monkeypatch):
-        # The congruence's second eigendecomposition is of the transformed
-        # right operand: a transpose's congruence is around the caller's A.
-        self._assert_failed_eigh_names(monkeypatch, np.eye(2), 2, "transformed right")
+    def test_first_eigendecomposition_is_of_the_sum(self, monkeypatch):
+        self._assert_failed_eigh_names(monkeypatch, np.eye(2), 1, "sum of the operands")
 
-    def test_transformed_left_operand_around_b(self, monkeypatch):
-        # With A singular and B positive definite the congruence is around
-        # B, and the third eigendecomposition is of the transformed A.
-        self._assert_failed_eigh_names(monkeypatch, np.diag([1.0, 0.0]), 3, "transformed left")
+    def test_transformed_operand_is_the_callers_left(self, monkeypatch):
+        # The second eigendecomposition is of C = X^+ A X^+^T, with the
+        # caller's singular A: a transpose runs on the caller's (A, B).
+        self._assert_failed_eigh_names(
+            monkeypatch, np.diag([1.0, 0.0]), 2, "transformed left operand"
+        )
 
     @staticmethod
     def _assert_failed_eigh_names(monkeypatch, a, call, named):
@@ -1693,7 +1746,7 @@ class TestTranspose:
             return len(seen) == call
 
         _fail_solver(monkeypatch, "eigh", failing_call, "Eigenvalues did not converge")
-        with pytest.raises(EigenSolverError, match=f"^eigendecomposition failed for {named} operand "):
+        with pytest.raises(EigenSolverError, match=f"^eigendecomposition failed for {named} "):
             apply(transpose(make_builtin("geometric", 0.5)), SymMatrix(a), SymMatrix.identity(2))
 
 
@@ -1835,9 +1888,9 @@ def test_scalar_geometric_consistency(a, b, alpha):
 
 
 def test_scalar_geometric_subnormal_quotient_error():
-    # Known inaccuracy: the congruence rounds b / a = 2.5e-324 up to the
-    # smallest subnormal 5e-324, so the result is 2^alpha (about 1.1%) above
-    # the exact a^(1-alpha) b^alpha.
+    # Known inaccuracy: the step around A + B rounds b / (a + b) = 2.5e-324
+    # up to the smallest subnormal 5e-324, so the result is 2^alpha (about
+    # 1.1%) above the exact a^(1-alpha) b^alpha.
     a, b, alpha = 2.0, 5e-324, 1 / 64
     got = apply(make_builtin("geometric", alpha), SymMatrix([[a]]), SymMatrix([[b]])).data[0, 0]
     exact = a ** (1 - alpha) * b**alpha
@@ -1897,8 +1950,8 @@ def _route_cases(dim):
         ("affine", make_builtin("arithmetic", 0.25), a, b, None),
         ("affine_zero", make_builtin("zero"), a, b, None),
         ("atom", make_builtin("harmonic", 0.5), a, b, "atom"),
-        ("congruence", geometric, a, b, None),
-        ("limit", geometric, singular, b, "limit"),
+        ("around_sum", geometric, a, b, "around_sum"),
+        ("around_sum_singular", geometric, singular, b, "around_sum"),
         ("scaled", geometric, a * 1e300, b * 1e300, None),
         ("scaled_atom", make_builtin("parallel_sum"), a * 1e300, b * 1e300, "atom"),
         ("transpose", transpose(make_builtin("geometric", 0.25)), a, b, None),
@@ -1942,7 +1995,7 @@ class TestResultWrapping:
     ):
         recorders = {
             "atom": _record_atom_route(monkeypatch),
-            "limit": _record_limits(monkeypatch),
+            "around_sum": _record_around_sum(monkeypatch),
         }
         for route, conn, a, b, recorder in _route_cases(dim):
             seen = {name: len(calls) for name, calls in recorders.items()}

@@ -97,8 +97,9 @@ class TestSymMatrix:
             lambda: SymMatrix([[1.7e308]]).shifted(1.7e308),
             lambda: SymMatrix([[1.7e308]]) + SymMatrix([[1.7e308]]),
             lambda: SymMatrix([[1.7e308]]) - SymMatrix([[-1.7e308]]),
+            lambda: loewner_leq(SymMatrix([[1e308]]), SymMatrix([[-1e308]])),
         ],
-        ids=["divide-by-zero", "scale", "shift", "add", "subtract"],
+        ids=["divide-by-zero", "scale", "shift", "add", "subtract", "loewner-difference"],
     )
     def test_arithmetic_beyond_the_largest_double_is_refused_without_warning(self, op):
         with warnings.catch_warnings():
@@ -211,7 +212,8 @@ class TestEigenSolverErrors:
             conn._apply_stack(a, b, DEFAULT_TOL)
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
-        assert "(dim 2, entries [[-4.0, 0.0], [0.0, 4.0]])" in str(stacked.value)
+        # The failing eigenvalue solve is that of A + B.
+        assert "(dim 2, entries [[-3.0, 0.0], [0.0, 5.0]])" in str(stacked.value)
 
 
 def _raised(call):

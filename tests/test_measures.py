@@ -132,6 +132,19 @@ class TestMeasureValidation:
         with pytest.raises(ValueError, match=rf"density value {rho(t)} at node t = {t} "):
             BorelMeasure(density=Density(rho, plan))
 
+    def test_density_runs_once_per_plan_node(self):
+        calls = []
+
+        def rho(t):
+            calls.append(t)
+            return 1.0
+
+        mu = BorelMeasure(density=Density(rho, QuadraturePlan.gauss_legendre(64)))
+        conn = connection_from_measure(mu)
+        total_mass(mu)
+        conn.fn(2.0)
+        assert len(calls) == 64
+
     def test_zero_density_is_legal(self):
         mu = BorelMeasure(density=Density(lambda t: 0.0, QuadraturePlan.gauss_legendre(8)))
         assert total_mass(mu) == 0.0
