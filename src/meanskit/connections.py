@@ -6,18 +6,19 @@ above.  Each connection is encoded by a scalar representing function f via
 
     A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}
 
-for invertible A, and on every PSD pair by the form of Pusz and Woronowicz
-around S = A + B = X X^T, X h(C) X^T with C = X^+ A X^+^T and
-h(c) = c f((1 - c)/c), which needs no limit.  Connections whose measure is
-a few atoms, f = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) (the affine
-kinds, the weighted harmonic means, the parallel sum, and atom measures
-with at most two atoms inside (0, 1)), are evaluated as the sum of
-weighted harmonic means w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B
-when A or B is positive definite; with no atom inside (0, 1) that is
-alpha A + beta B, exact for every PSD pair.  Builtins, measures, user
-functions and the reflected transposes of builtins and measures all share
-this one evaluator.  Connection values are immutable and freely shareable
-across threads; ``apply`` is reentrant.
+for invertible A.  f is held as its perspective H(c, d) = c f(d/c), with
+H(1, x) = f(x) and H(0, d) = d lim f(y)/y, and every PSD pair is evaluated
+by the form of Pusz and Woronowicz around S = A + B = X X^T,
+X H(C, I - C) X^T with C = X^+ A X^+^T, which needs no limit; a transpose
+swaps H's arguments.  Connections whose measure is a few atoms,
+f = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i) (the affine kinds, the
+weighted harmonic means, the parallel sum, and atom measures with at most
+two atoms inside (0, 1)), are evaluated as the sum of weighted harmonic
+means w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B when A or B is
+positive definite; with no atom inside (0, 1) that is alpha A + beta B,
+exact for every PSD pair.  Builtins, measures, user functions and their
+transposes all share this one evaluator.  Connection values are immutable
+and freely shareable across threads; ``apply`` is reentrant.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .linalg import (
     _float,
     _is_pd,
     _lapack,
-    _per_eigenvalue,
     _sym,
 )
 
@@ -75,7 +75,8 @@ AUDIT_GRID = tuple(2.0**k for k in range(-10, 11))
 
 # Probe at which ``ReprFunction.from_callable`` takes the value "at 0 by
 # continuity" of a callable that raises at 0 or is not finite there, such
-# as a 0/0 kernel or the transpose of a user function.
+# as a 0/0 kernel.  The perspective of a function known only as f takes
+# H(0, d) = d lim f(y)/y at y = 1 / _ZERO_PROBE.
 _ZERO_PROBE = 1e-12
 
 # The atom route (``_atom_apply``) is taken, at every dim, only for
@@ -163,19 +164,34 @@ class ReprFunction:
         return cls(fn=fn, f_at_0=f_at_0, f_at_1=float(fn(1.0)))
 
 
-def _reflect(fn: Callable[[float], float]) -> ReprFunction:
-    """g(x) = x fn(1/x), the representing function of the transpose, with
-    its value at 0, lim fn(y)/y, probed by ``ReprFunction.from_callable``."""
+def _quotient_perspective(f: ReprFunction) -> Callable:
+    """H(c, d) = c f(d/c) of a function known only as f, in Python floats
+    with one call of f per point where c > 0, and H(0, d) = d lim f(y)/y,
+    probed at y = 1 / _ZERO_PROBE.  A quotient d/c beyond the largest double
+    raises and names those c; a failure of f names the points d/c."""
 
-    def g(x):
-        y = 1.0 / x
-        if y == math.inf:
+    def h(c, d):
+        c, d = np.asarray(c, float), np.asarray(d, float)
+        if c.shape != d.shape:
+            c, d = np.broadcast_arrays(c, d)
+        cs, ds = c.ravel().tolist(), d.ravel().tolist()
+        ys = [y / x if x > 0.0 else 0.0 for x, y in zip(cs, ds)]
+        if math.inf in ys:
+            at = [x for x, y in zip(cs, ys) if y == math.inf]
+            raise ValueError(f"representing function: d/c overflows in c f(d/c) at c = {at}")
+        try:
+            values = [x * f(y) for x, y in zip(cs, ys)]
+        except Exception as exc:
             raise ValueError(
-                f"transposed representing function: 1/x overflows at x = {x!r}"
-            )
-        return x * fn(y)
+                f"scalar function evaluation failed on the spectrum {ys}: {exc}"
+            ) from exc
+        if 0.0 in cs:
+            # f(0) stood in at c = 0, where H(0, d) = d lim f(y)/y.
+            lim = _ZERO_PROBE * f(1.0 / _ZERO_PROBE)
+            values = [v if x > 0.0 else y * lim for v, x, y in zip(values, cs, ds)]
+        return np.array(values).reshape(c.shape)
 
-    return ReprFunction.from_callable(g)
+    return h
 
 
 def _log_mean(x):
@@ -194,6 +210,19 @@ def _log_mean(x):
     value[series] = 1.0 / (1.0 + us * (-0.5 + us * (1.0 / 3.0 - 0.25 * us)))
     value[direct] = u[direct] / np.log(x[direct])
     return value
+
+
+def _log_mean_perspective(c, d):
+    """H(c, d) = c L(d/c) = d L(c/d) of the logarithmic mean, L = _log_mean:
+    the first where d/c is finite, so that H(1, x) = L(x) bit for bit, and
+    the second elsewhere, where c/d is below 2**-1000 or 0/0, which L takes
+    to 0.  (d - c)/(log d - log c) would cancel near c = d."""
+    c, d = np.asarray(c), np.asarray(d)
+    if (d * 2.0**-1000 < c).all():
+        return c * _log_mean(d / c)
+    with np.errstate(all="ignore"):
+        q = d / c
+        return np.where(np.isfinite(q), c * _log_mean(q), d * _log_mean(c / d))
 
 
 def _builtin_atoms(kind: str, weight: float | None) -> tuple | None:
@@ -219,26 +248,20 @@ def _builtin_atoms(kind: str, weight: float | None) -> tuple | None:
     return None
 
 
-def _kernel_sum(x, w0, w1, ts, us, ws):
-    """f(x) = w0 + w1 x + sum_i w_i x / (u_i x + t_i), u_i = 1 - t_i, on a
-    float or a spectrum array: the representing function of a measure with
-    atoms w0 at t = 0 and w1 at t = 1 and interior atoms and quadrature
-    nodes (t_i, w_i).  (x / ...) @ w, not (w x) / ..., keeps x / (1 + x)
+def _kernel_sum(c, d, w0, w1, ts, us, ws):
+    """H(c, d) = w0 c + w1 d + sum_i w_i c d / (t_i c + u_i d), u_i = 1 - t_i,
+    ends first, on floats or arrays: the perspective of a measure with atoms
+    w0 at t = 0 and w1 at t = 1 and interior atoms and quadrature nodes
+    (t_i, w_i).  (c d / ...) @ w, not (w c d) / ..., keeps x / (1 + x)
     exact at the smallest subnormal x."""
-    x = np.asarray(x)
-    xs = x[..., None]
-    return w0 + w1 * x + (xs / (us * xs + ts)) @ ws
+    c, d = np.asarray(c), np.asarray(d)
+    cs, ds = c[..., None], d[..., None]
+    return w0 * c + w1 * d + ((cs * ds) / (ts * cs + us * ds)) @ ws
 
 
 class Connection(ABC):
     """A binary operation on PSD matrices encoded by its representing
     function."""
-
-    # The transpose's representing function g(x) = x f(1/x) where it is
-    # known exactly, else None.  Its value at 0 is lim f(y)/y as y -> inf;
-    # where the package's evaluator runs the connection, its ``fn`` is also
-    # g's array form.
-    _reflected = None
 
     def fn(self, x: float) -> float:
         """Value of the representing function at x >= 0."""
@@ -306,102 +329,91 @@ def _operand_spectra(a, b, tol):
 
 
 def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w0 A + w1 B plus w A (t A + (1 - t) B)^{-1} B, one linear solve, per
-    interior atom (t, w) of the record (w0, w1, interior), for operands of
-    shape (..., n, n) (Anderson and Duffin's parallel sum; Kubo and Ando).
-    It needs each pivot positive definite, and then no limit for a singular
-    operand.  Only a solve needs ``_sym``; w0 A + w1 B is symmetric."""
+    """w0 A + w1 B plus w A (t A + u B)^{-1} B, one linear solve, per
+    interior atom (t, u = 1 - t, w) of the record (w0, w1, interior), for
+    operands of shape (..., n, n) (Anderson and Duffin's parallel sum; Kubo
+    and Ando).  It needs each pivot positive definite, and then no limit
+    for a singular operand.  Only a solve needs ``_sym``; w0 A + w1 B is
+    symmetric."""
     w0, w1, interior = atoms
     out = w0 * a + w1 * b
-    for t, w in interior:
-        out = out + w * (a @ _lapack("solve", t * a + (1.0 - t) * b, b))
+    for t, u, w in interior:
+        out = out + w * (a @ _lapack("solve", t * a + u * b, b))
     return _sym(out) if interior else out
 
 
 class _FunctionBackedConnection(Connection):
     """Shared apply machinery for connections given by a representing
-    function ``repr_function`` and its array form ``_fn_array``, which
-    maps a spectrum array to the values of f.  For builtins, measures and
-    their transposes the array form is ``repr_function.fn`` itself.
+    function f, held as its perspective ``_perspective`` (module docstring)
+    on floats or arrays c, d >= 0.
 
     ``_atoms`` holds the record (w0, w1, interior) of a measure of the atom
-    route: its atoms at t = 0 and t = 1 and the tuple of its atoms (t, w)
-    inside (0, 1).  ``_from_measure`` or a transpose sets it, and
-    ``_apply_raw`` chooses the route from it.
+    route: its atoms at t = 0 and t = 1 and the tuple of its atoms
+    (t, u = 1 - t, w) inside (0, 1).  ``_from_measure`` or a transpose sets
+    it, and ``_apply_raw`` chooses the route from it.
     """
 
     _atoms = None
 
+    def _take_perspective(self, h, f: ReprFunction | None = None) -> None:
+        """Hold the perspective h and, as ``repr_function``, a user's own f
+        or else H(1, .) with its values at 0 and 1."""
+        self._perspective = h
+        self.repr_function = f or ReprFunction(
+            functools.partial(h, 1.0), float(h(1.0, 0.0)), float(h(1.0, 1.0))
+        )
+
     def _from_measure(self, atoms: tuple, ts=(), ws=()) -> None:
         """The one rule from a measure on [0, 1], given by its atoms (t, w)
         at distinct t and its density's quadrature nodes ts and weights ws,
-        to its route, f, f's array form and the transpose's g.
+        to its route and perspective.
 
-        With w0 and w1 the atoms at t = 0 and t = 1, f is ``_kernel_sum``
+        With w0 and w1 the atoms at t = 0 and t = 1, H is ``_kernel_sum``
         over the atoms inside (0, 1) and the nodes.  Atoms only, with at
         most ``_ATOM_ROUTE_MAX_ATOMS`` inside (0, 1), take the atom route,
-        the affine f = w0 + w1 x with none among them.  g(x) = x f(1/x)
-        swaps w0 with w1 and t_i with 1 - t_i: exact.
+        w0 A + w1 B with none among them.
         """
         ends = dict(atoms)
         w0, w1 = ends.get(0.0, 0.0), ends.get(1.0, 0.0)
-        interior = tuple((t, w) for t, w in atoms if 0.0 < t < 1.0)
+        interior = tuple((t, 1.0 - t, w) for t, w in atoms if 0.0 < t < 1.0)
         if not len(ts) and len(interior) <= _ATOM_ROUTE_MAX_ATOMS:
             self._atoms = (w0, w1, interior)
-        ts = np.concatenate([np.array([t for t, _ in interior]), ts])
-        ws = np.concatenate([np.array([w for _, w in interior]), ws])
-        us = 1.0 - ts
-        f = functools.partial(_kernel_sum, w0=w0, w1=w1, ts=ts, us=us, ws=ws)
-        g = functools.partial(_kernel_sum, w0=w1, w1=w0, ts=us, us=ts, ws=ws)
-        self.repr_function = ReprFunction(f, w0, float(f(1.0)))
-        self._fn_array = f
-        self._reflected = ReprFunction(g, w1, float(g(1.0)))
-
-    def _takes_atom_route(self, a, b, tol) -> bool:
-        """Whether each pivot t A + (1 - t) B of an interior atom, if any,
-        is positive definite, for (..., n, n) operands that
-        ``_operand_spectra`` checks to be PSD.  Operands that
-        ``_certified_pd`` vouches for pass without spectra: their smallest
-        eigenvalues exceed twice the slack.  Otherwise ``_is_pd`` decides
-        on the pivot's Weyl bounds: for the ascending spectra wa and wb,
-        t wa + (1 - t) wb is ascending, its first entry bounds the pivot's
-        smallest eigenvalue from below and its last the largest from above.
-        That holds when A or B is positive definite and the other one's
-        eigenvalues in the PSD slack below 0 are small against it; a pivot
-        near singular would amplify them."""
-        spectra = _operand_spectra(a, b, tol)
-        if spectra is None:
-            return True
-        n = a.shape[-1]
-        wa, wb = (w.reshape(-1, n) for w in spectra)
-        return all(
-            _is_pd(t * x + (1.0 - t) * y, tol)
-            for x, y in zip(wa, wb)
-            for t, _ in self._atoms[2]
+        ts = np.concatenate([np.array([t for t, _, _ in interior]), ts])
+        ws = np.concatenate([np.array([w for _, _, w in interior]), ws])
+        self._take_perspective(
+            functools.partial(_kernel_sum, w0=w0, w1=w1, ts=ts, us=1.0 - ts, ws=ws)
         )
 
-    def _h(self, c, d):
-        """h = c f(d/c) from f's array form, for c > 0 in C's spectrum and d
-        in I - C's; a failure of f names the points d/c."""
-        x = d / c
-        try:
-            return c * self._fn_array(x)
-        except Exception as exc:
-            raise ValueError(
-                f"scalar function evaluation failed on the spectrum {x.tolist()}: {exc}"
-            ) from exc
+    def _takes_atom_route(self, spectra, tol) -> bool:
+        """Whether each pivot t A + u B of an interior atom, if any, is
+        positive definite, given the operands' ``spectra`` from
+        ``_operand_spectra``.  Operands that ``_certified_pd`` vouches for,
+        whose spectra are None, pass: their smallest eigenvalues exceed
+        twice the slack.  Otherwise ``_is_pd`` decides on the pivot's Weyl
+        bounds: for the ascending spectra wa and wb, t wa + u wb is
+        ascending, its first entry bounds the pivot's smallest eigenvalue
+        from below and its last the largest from above.  That holds when A
+        or B is positive definite and the other one's eigenvalues in the
+        PSD slack below 0 are small against it; a pivot near singular would
+        amplify them."""
+        if spectra is None:
+            return True
+        wa, wb = (w.reshape(-1, w.shape[-1]) for w in spectra)
+        return all(
+            _is_pd(t * x + u * y, tol) for x, y in zip(wa, wb) for t, u, _ in self._atoms[2]
+        )
 
-    def _around_sum(self, a, b, tol):
-        """A sigma B = X h(C) X^T around S = A + B = X X^T (module
+    def _around_sum(self, a, b, tol, spectra=None):
+        """A sigma B = X H(C, I - C) X^T around S = A + B = X X^T (module
         docstring) for (..., n, n) operands, or None for a stack with a pair
         that needs its operands' spectra.  A null direction of S
-        (``_RANK_FACTOR``) gets 0 in X and X^+.  1 - c is read from B as
-        v^T X^+ B X^+^T v for C's eigenvector v, so it does not cancel near
-        c = 1.  Where S is regular and C's spectrum lies more than
-        8 n eps cond(S) inside (0, 1), C vouches that A = X C X^T and
-        B = X (I - C) X^T are PSD.  Otherwise A, then B, is checked, and C's
-        dim ker A least eigenvalues go to 0, its dim ker B - dim ker S
-        greatest to 1, and h(0) is lim f(y)/y."""
+        (``_RANK_FACTOR``) gets 0 in X and X^+.  H takes C's spectrum c and
+        d = v^T X^+ B X^+^T v for C's eigenvector v, which does not cancel
+        near c = 1.  Where S is regular and c lies more than 8 n eps cond(S)
+        inside (0, 1), C vouches that A and B are PSD.  Otherwise the
+        operands' ``spectra``, given or checked here A first, set C's
+        dim ker A least eigenvalues to 0 and dim ker B - dim ker S greatest
+        to 1."""
         n, stack = a.shape[-1], a.ndim > 2
         omega, q = _eigh(a + b, "sum of the operands")
         lo, cut = omega[..., 0], _RANK_FACTOR * n * omega[..., -1]
@@ -422,22 +434,22 @@ class _FunctionBackedConnection(Connection):
         d = np.add.reduce(w * (b @ w), axis=-2)
         # For regular S, 8 n eps cond(S) is cut / lo; d falls as c rises.
         vouched = np.minimum(c[..., 0], d[..., -1]) * lo > cut
-        if regular and (vouched.all() if stack else vouched):
-            h = self._h(c, d)
-        elif stack:
-            return None
-        else:
-            wa = _checked_spectrum(a, tol, "left operand")
-            wb = _checked_spectrum(b, tol, "right operand")
+        if not (regular and (vouched.all() if stack else vouched)):
+            if stack:
+                return None
+            wa, wb = spectra or (
+                _checked_spectrum(a, tol, "left operand"),
+                _checked_spectrum(b, tol, "right operand"),
+            )
             k_a, k_b = (int(np.count_nonzero(e <= _RANK_FACTOR * n * e[-1])) for e in (wa, wb))
             k_b -= int(np.count_nonzero(omega <= cut))
             c, d = np.clip(c, 0.0, 1.0), np.maximum(d, 0.0)
             ones = n - min(max(k_b, 0), n - k_a)
             c[:k_a], c[ones:], d[ones:] = 0.0, 1.0, 0.0
-            live = c > 0.0
-            # h(0) is the transpose's g(0); a user f's comes from a probe.
-            h = np.full(n, 0.0 if live.all() else (self._reflected or _reflect(self.fn)).f_at_0)
-            h[live] = self._h(c[live], d[live])
+            # Where c is 0, H(0, 1) = lim f(y)/y: d = 1 - c in the range of
+            # S, and outside it X is 0, where H(0, 0) could read 0/0.
+            d[c == 0.0] = 1.0
+        h = self._perspective(c, d)
         y = x @ v
         return _sym((y * h[..., None, :]) @ y.swapaxes(-1, -2))
 
@@ -447,7 +459,8 @@ class _FunctionBackedConnection(Connection):
 
         1. ``_atom_apply`` when ``_takes_atom_route``, at every dim; with no
            interior atom, alpha A + beta B, exact for every PSD pair;
-        2. any other pair: ``_around_sum``, the step around S = A + B.
+        2. any other pair: ``_around_sum``, the step around S = A + B, which
+           reuses the operands' spectra that step 1 solved.
 
         A stack takes either step in one call.  One rule keeps a stack's
         errors those of its pairs: a stack with a pair whose operands'
@@ -457,9 +470,12 @@ class _FunctionBackedConnection(Connection):
         """
         stack = a.ndim > 2
         try:
-            if self._atoms is not None and self._takes_atom_route(a, b, tol):
-                return _atom_apply(self._atoms, a, b)
-            out = self._around_sum(a, b, tol)
+            spectra = None
+            if self._atoms is not None:
+                spectra = _operand_spectra(a, b, tol)
+                if self._takes_atom_route(spectra, tol):
+                    return _atom_apply(self._atoms, a, b)
+            out = self._around_sum(a, b, tol, spectra)
             if out is not None:
                 return out
         except Exception:
@@ -505,14 +521,11 @@ class BuiltinConnection(_FunctionBackedConnection):
         if atoms is not None:
             self._from_measure(atoms)
             return
-        # Geometric(a), 0 < a < 1, and the logarithmic mean have densities;
-        # their transposes are geometric(1 - a) and the logarithmic mean.
+        # Geometric(a), 0 < a < 1, and the logarithmic mean have densities.
         if kind == "logarithmic":
-            self.repr_function = self._reflected = ReprFunction(_log_mean, 0.0, 1.0)
+            self._take_perspective(_log_mean_perspective)
         else:
-            self.repr_function = ReprFunction(lambda x: x**weight, 0.0, 1.0)
-            self._reflected = ReprFunction(lambda x: x ** (1.0 - weight), 0.0, 1.0)
-        self._fn_array = self.repr_function.fn
+            self._take_perspective(lambda c, d: c ** (1.0 - weight) * d**weight)
 
     def __repr__(self) -> str:
         if self.weight is None:
@@ -528,11 +541,9 @@ class FunctionConnection(_FunctionBackedConnection):
     """
 
     def __init__(self, f):
-        if isinstance(f, ReprFunction):
-            self.repr_function = f
-        else:
-            self.repr_function = ReprFunction.from_callable(f)
-        self._fn_array = _per_eigenvalue(self.repr_function)
+        if not isinstance(f, ReprFunction):
+            f = ReprFunction.from_callable(f)
+        self._take_perspective(_quotient_perspective(f), f)
 
     def __repr__(self) -> str:
         return f"FunctionConnection({self.repr_function!r})"
@@ -541,41 +552,28 @@ class FunctionConnection(_FunctionBackedConnection):
 class TransposeConnection(_FunctionBackedConnection):
     """The transpose (A, B) -> B sigma A of an inner connection: that of
     its measure reflected by t -> 1 - t, with g(x) = x f(1/x) (Kubo and
-    Ando).  Where the package's evaluator runs the inner connection and its
-    ``_reflected`` g is known, f is g, the route is the inner one reflected,
-    the atom record (w0, w1, ((t, w), ...)) to (w1, w0, ((1 - t, w), ...)),
-    and the evaluator runs on the caller's own (A, B).  A transpose of a
-    transpose takes the inner route and f as they are.  Of any other
-    connection, a user function or one with its own ``_apply_raw``, it is a
-    ``_SwappedTranspose``, which runs the inner evaluator on (B, A) and
-    takes g as x f(1/x)."""
+    Ando).  Its perspective is the inner one's swapped, H(d, c), so g is
+    H(., 1), and its atom record (w1, w0, ((u, t, w), ...)) reflects the
+    inner (w0, w1, ((t, u, w), ...)) exactly, twice over too.  It runs on the
+    caller's own (A, B), except as a ``_SwappedTranspose`` of a connection
+    whose class has its own ``_apply_raw``, run on (B, A); where that has no
+    perspective, H is c f(d/c) of its ``fn``."""
 
     def __new__(cls, inner: Connection | None = None):
         # inner is None only where ``copy`` makes an instance to fill in.
-        if cls is TransposeConnection and inner is not None and not (
-            _returns_symmetric(inner) and inner._reflected is not None
-        ):
+        if cls is TransposeConnection and inner is not None and not _returns_symmetric(inner):
             cls = _SwappedTranspose
         return super().__new__(cls)
 
     def __init__(self, inner: Connection):
         self.inner = inner
-        if type(inner) is TransposeConnection:
-            # Copied, not reflected twice: 1 - (1 - t) need not be t.
-            inner = inner.inner
-            self._atoms = inner._atoms
-            self._reflected = inner._reflected
-            self.repr_function, self._fn_array = inner.repr_function, inner._fn_array
-        elif inner._reflected is not None:
-            if inner._atoms is not None:
-                w0, w1, interior = inner._atoms
-                self._atoms = (w1, w0, tuple((1.0 - t, w) for t, w in interior))
-            # The transpose of g is f.
-            self.repr_function, self._reflected = inner._reflected, inner.repr_function
-            self._fn_array = self.repr_function.fn
-        else:
-            self.repr_function = _reflect(inner.fn)
-            self._reflected = ReprFunction.from_callable(inner.fn)
+        if getattr(inner, "_atoms", None) is not None:
+            w0, w1, interior = inner._atoms
+            self._atoms = (w1, w0, tuple((u, t, w) for t, u, w in interior))
+        h = getattr(inner, "_perspective", None) or _quotient_perspective(
+            ReprFunction.from_callable(inner.fn)
+        )
+        self._take_perspective(lambda c, d: h(d, c))
 
     def __repr__(self) -> str:
         return f"TransposeConnection({self.inner!r})"
@@ -628,8 +626,8 @@ def apply(
     w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B, one linear solve
     per interior atom, when A or B is positive definite, at every dim, and
     with no interior atom for every PSD pair.  Every other pair takes the
-    form of Pusz and Woronowicz around A + B, X h(C) X^T, with the kernels
-    of A, B and A + B counted exactly; no pair takes a limit.  Measure
+    form of Pusz and Woronowicz around A + B, X H(C, I - C) X^T, with the
+    kernels of A, B and A + B counted exactly; no pair takes a limit.  Measure
     connections take the same routes with their quadrature-built f.  The
     result is PSD within slack, and for dim 1 equals the scalar a * f(b/a),
     and b lim f(y)/y for a = 0.

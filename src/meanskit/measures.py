@@ -6,12 +6,12 @@ harmonic interpolants,
     A sigma B = integral over [0,1] of (A !_t B) d mu(t),
 
 with scalar kernel 1 !_t x = x / ((1-t) x + t).  The connection is
-evaluated through its representing function f(x) = integral of
-(1 !_t x) d mu(t), which atoms contribute exactly and a density through a
-precomputed quadrature plan.  ``_from_measure`` states f once, for
-measures and atom builtins alike; the scalar ``repr_fn_from_measure`` and
-matrix evaluation both use it, through the one function-backed evaluator,
-so a matrix result is as accurate as the scalar quadrature.  A measure of
+evaluated through the perspective c f(d/c) of its representing function
+f(x) = integral of (1 !_t x) d mu(t), which atoms contribute exactly and a
+density through a precomputed quadrature plan.  ``_from_measure`` states
+it once, for measures and atom builtins alike; the scalar
+``repr_fn_from_measure`` and matrix evaluation both use it, so a matrix
+result is as accurate as the scalar quadrature.  A measure of
 at most two atoms inside (0, 1) and no density is evaluated as the sum of
 its atoms' weighted harmonic means when A or B is positive definite, by
 one linear solve each.
@@ -253,18 +253,17 @@ def weighted_harmonic_kernel(x: float, t: float) -> float:
 
 
 class MeasureConnection(_FunctionBackedConnection):
-    """Connection with associated measure mu, applied through its
-    representing function
+    """Connection with associated measure mu, applied through the
+    perspective of its representing function
 
-        f(x) = w0 + w1 x + sum_i w_i x / ((1 - t_i) x + t_i),
+        H(c, d) = w0 c + w1 d + sum_i w_i c d / (t_i c + (1 - t_i) d),
 
     where w0 and w1 are the atoms at t = 0 and t = 1 and (t_i, w_i) are the
-    interior atoms and the density's quadrature nodes.  By congruence
-    invariance this equals the integral of (A !_t B) d mu(t) under the
-    same quadrature.  Its route, f and g follow from mu by the rule that
-    atom builtins share, ``_from_measure``: for atoms only, at most two
-    inside (0, 1), w0 A + w1 B and one linear solve per interior atom, so
-    affine w0 A + w1 B with no mass inside (0, 1).
+    interior atoms and the density's quadrature nodes: the integral of
+    (A !_t B) d mu(t) under the same quadrature.  Its route and H follow
+    from mu by the rule that atom builtins share, ``_from_measure``: for
+    atoms only, at most two inside (0, 1), w0 A + w1 B and one linear solve
+    per interior atom.
     """
 
     def __init__(self, measure: BorelMeasure):

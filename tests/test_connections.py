@@ -4,6 +4,7 @@ import copy
 import math
 import traceback
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,7 +46,12 @@ from meanskit.linalg import (
     spectrum,
 )
 from meanskit.linalg import _certified_pd, _check_spectra, _psd_scale
-from meanskit.measures import BorelMeasure, connection_from_measure, measure_of_builtin
+from meanskit.measures import (
+    BorelMeasure,
+    MeasureConnection,
+    connection_from_measure,
+    measure_of_builtin,
+)
 from meanskit.verify import REMARK_A, REMARK_B, random_pd, standard_battery, standard_means
 
 
@@ -375,7 +381,7 @@ def _fail_cholesky_near(monkeypatch, marker):
 
 class TestRouteAttributes:
     """Each builtin's atom-route record ``_atoms`` = (w0, w1, interior) and
-    the value at 0 of its ``_reflected``, lim f(y)/y, which follow from its
+    its perspective's value H(0, 1) = lim f(y)/y, which follow from its
     measure."""
 
     AFFINE_LEFT = ((1.0, 0.0, ()), 0.0)
@@ -385,7 +391,7 @@ class TestRouteAttributes:
         ("left_trivial", None): AFFINE_LEFT,
         ("right_trivial", None): AFFINE_RIGHT,
         ("logarithmic", None): CURVED,
-        ("parallel_sum", None): ((0.0, 0.0, ((0.5, 0.5),)), 0.0),
+        ("parallel_sum", None): ((0.0, 0.0, ((0.5, 0.5, 0.5),)), 0.0),
         ("sum", None): ((1.0, 1.0, ()), 1.0),
         ("zero", None): ((0.0, 0.0, ()), 0.0),
         ("arithmetic", 0.0): AFFINE_LEFT,
@@ -399,16 +405,16 @@ class TestRouteAttributes:
         ("geometric", 0.75): CURVED,
         ("geometric", 1.0): AFFINE_RIGHT,
         ("harmonic", 0.0): AFFINE_LEFT,
-        ("harmonic", 0.25): ((0.0, 0.0, ((0.25, 1.0),)), 0.0),
-        ("harmonic", 0.5): ((0.0, 0.0, ((0.5, 1.0),)), 0.0),
-        ("harmonic", 0.75): ((0.0, 0.0, ((0.75, 1.0),)), 0.0),
+        ("harmonic", 0.25): ((0.0, 0.0, ((0.25, 0.75, 1.0),)), 0.0),
+        ("harmonic", 0.5): ((0.0, 0.0, ((0.5, 0.5, 1.0),)), 0.0),
+        ("harmonic", 0.75): ((0.0, 0.0, ((0.75, 0.25, 1.0),)), 0.0),
         ("harmonic", 1.0): AFFINE_RIGHT,
     }
 
     @pytest.mark.parametrize("kind, weight", TABLE)
     def test_route_attributes(self, kind, weight):
         conn = make_builtin(kind, weight)
-        got = (conn._atoms, conn._reflected.f_at_0)
+        got = (conn._atoms, float(conn._perspective(0.0, 1.0)))
         assert got == self.TABLE[kind, weight]
 
 
@@ -753,9 +759,9 @@ def _record_around_sum(monkeypatch):
     calls = []
     around_sum = connections._FunctionBackedConnection._around_sum
 
-    def recording(self, a, b, tol):
+    def recording(self, a, b, tol, spectra=None):
         calls.append(a.shape)
-        return around_sum(self, a, b, tol)
+        return around_sum(self, a, b, tol, spectra)
 
     monkeypatch.setattr(connections._FunctionBackedConnection, "_around_sum", recording)
     return calls
@@ -896,6 +902,19 @@ class TestAtomRoute:
         got = apply(conn, SymMatrix(a), SymMatrix(b)).data
         assert calls == ["cholesky", "eigvalsh", "eigvalsh"]
         assert np.array_equal(got, connections._atom_apply(conn._atoms, a, b))
+
+    def test_declined_pair_solves_each_spectrum_once(self, monkeypatch):
+        # Both operands are singular, so the atom route declines the pair,
+        # and the step around A + B takes the spectra that decided it.  A
+        # connection without atoms solves them in that step.
+        a, b = SymMatrix.diagonal([1.0, 0.0, 1.0]), SymMatrix.diagonal([0.0, 1.0, 1.0])
+        calls = _record_solvers(monkeypatch)
+        got = apply(make_builtin("harmonic", 0.5), a, b).data
+        assert calls == ["cholesky", "eigvalsh", "eigvalsh", "eigh", "eigh"]
+        assert np.abs(got - np.diag([0.0, 0.0, 1.0])).max() <= 1e-15
+        calls.clear()
+        apply(make_builtin("geometric", 0.25), a, b)
+        assert calls == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
 
     @pytest.mark.parametrize("name", ["harmonic(0.25)", "parallel_sum", "two_atoms"])
     @pytest.mark.parametrize("dim", [8, 16, 33])
@@ -1065,9 +1084,9 @@ class TestRoutingTable:
             calls.append(("atom", a.shape))
             return atom_apply(atoms, a, b)
 
-        def around(self, a, b, tol):
+        def around(self, a, b, tol, spectra=None):
             calls.append(("around_sum", a.shape))
-            return around_sum(self, a, b, tol)
+            return around_sum(self, a, b, tol, spectra)
 
         monkeypatch.setattr(connections, "_atom_apply", atom)
         monkeypatch.setattr(connections._FunctionBackedConnection, "_around_sum", around)
@@ -1127,7 +1146,9 @@ class TestPositiveDefiniteCertificate:
             for _, _, a, b in pairs:
                 out.append(_outcome(lambda: conn._apply_raw(a, b, DEFAULT_TOL)))
                 if conn._atoms is not None:
-                    out.append(_outcome(lambda: conn._takes_atom_route(a, b, DEFAULT_TOL)))
+                    out.append(_outcome(lambda: conn._takes_atom_route(
+                        connections._operand_spectra(a, b, DEFAULT_TOL), DEFAULT_TOL
+                    )))
             # Each multiple's two pairs as one stack.
             for i in range(0, len(pairs), 2):
                 a = np.stack([pairs[i][2], pairs[i + 1][2]])
@@ -1416,7 +1437,8 @@ class TestArrayForm:
     }
     CONNECTIONS["arcsine"] = connection_from_measure(measure_of_builtin("geometric", 0.5))
     CONNECTIONS["three_atoms"] = connection_from_measure(_THREE_ATOMS)
-    # A transpose's g of a builtin or a measure is a closed form on arrays.
+    # A transpose's g of a builtin or a measure is its perspective H(x, 1),
+    # a closed form on arrays.
     CONNECTIONS.update(
         {f"transpose_{name}": transpose(conn) for name, conn in CONNECTIONS.items()}
     )
@@ -1425,7 +1447,7 @@ class TestArrayForm:
     def test_matches_scalar_fn(self, conn):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = conn._fn_array(np.array(self.POINTS))
+            got = conn.repr_function.fn(np.array(self.POINTS))
         want = np.array([conn.fn(x) for x in self.POINTS])
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         for x in self.POINTS:
@@ -1489,7 +1511,7 @@ class TestBuiltinFunctionsFromAtoms:
         assert got.f_at_1.hex() == want.f_at_1.hex()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = np.broadcast_to(conn._fn_array(self.POINTS), self.POINTS.shape)
+            values = np.broadcast_to(conn._perspective(1.0, self.POINTS), self.POINTS.shape)
         reference = np.broadcast_to(want.fn(self.POINTS), self.POINTS.shape)
         assert values.dtype == np.float64
         assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
@@ -1569,7 +1591,7 @@ class TestTranspose:
 
     def test_transpose_of_harmonic_takes_the_reflected_atom_route(self, monkeypatch):
         t = transpose(make_builtin("harmonic", 0.25))
-        assert t._atoms == (0.0, 0.0, ((0.75, 1.0),))
+        assert t._atoms == (0.0, 0.0, ((0.75, 0.25, 1.0),))
         seen = []
         atom_apply = connections._atom_apply
 
@@ -1581,7 +1603,7 @@ class TestTranspose:
         rng = np.random.default_rng(260)
         a, b = (_well_conditioned_pd(4, rng) for _ in range(2))
         got = apply(t, SymMatrix(a), SymMatrix(b)).data
-        assert seen == [(0.0, 0.0, ((0.75, 1.0),))]
+        assert seen == [(0.0, 0.0, ((0.75, 0.25, 1.0),))]
         want = _anderson_duffin(((0.25, 1.0),), b, a)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -1590,7 +1612,7 @@ class TestTranspose:
         # either constructor; a copy keeps the class it copies.
         cases = [
             (make_builtin("geometric", 0.25), False),
-            (connection_from_function(math.sqrt), True),
+            (connection_from_function(math.sqrt), False),
             (_Product(), True),
             (_OwnEvaluator(math.sqrt), True),
         ]
@@ -1613,16 +1635,33 @@ class TestTranspose:
             make_builtin("geometric", 0.25),
             make_builtin("logarithmic"),
             connection_from_measure(measure_of_builtin("geometric", 0.5)),
+            connection_from_function(math.sqrt),
         ):
             got = apply(transpose(conn), SymMatrix(a), SymMatrix(b)).data
             want = _around_pd(_scalar_form(conn), b, a, dim - dim // 2)
             swapped = apply(conn, SymMatrix(b), SymMatrix(a)).data
             for value in (want, swapped):
                 assert np.linalg.norm(got - value) <= 1e-12 * np.linalg.norm(want), conn
+        if dim == 1:
+            return
+        # Both singular on different eigenvectors, A + B positive definite:
+        # the atom route declines the pair, and the step around A + B gives
+        # B !_{1/2} A, 2 a b / (a + b) on the shared eigenvectors.
+        u = _rotation(dim, rng)
+        wa, wb = rng.uniform(0.5, 2.0, (2, dim))
+        wa[0] = wb[1] = 0.0
+        a, b = (u * wa) @ u.T, (u * wb) @ u.T
+        conn = make_builtin("harmonic", 0.5)
+        got = apply(transpose(conn), SymMatrix(a), SymMatrix(b)).data
+        want = (u * (2.0 * wa * wb / (wa + wb))) @ u.T
+        swapped = apply(conn, SymMatrix(b), SymMatrix(a)).data
+        for value in (want, swapped):
+            assert np.linalg.norm(got - value) <= 1e-12 * np.linalg.norm(want)
 
-    def test_transposed_user_function_runs_it_on_the_swapped_pair(self):
-        # A user f's g(x) = x f(1/x) has a probed value at 0 and raises
-        # below about 5.6e-309, so the transpose runs f itself on (B, A).
+    def test_transposed_user_function_matches_it_on_the_swapped_pair(self):
+        # The transpose runs the package's evaluator on the caller's own
+        # pair with f's perspective swapped, d f(c/d), whose value at d = 0
+        # is probed as lim f(y)/y; it is f on (B, A) to round-off.
         user, geometric = connection_from_function(math.sqrt), make_builtin("geometric", 0.5)
         rng = np.random.default_rng(263)
         a = SymMatrix(_well_conditioned_pd(4, rng))
@@ -1630,7 +1669,8 @@ class TestTranspose:
         tiny = SymMatrix.diagonal([1.0, 1e-310])
         for x, y in ((a, b), (b, a), (SymMatrix.identity(2), tiny)):
             got = apply(transpose(user), x, y).data
-            assert np.array_equal(got, apply(user, y, x).data)
+            want = apply(user, y, x).data
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             assert np.abs(got - apply(geometric, x, y).data).max() <= 1e-5
 
     def test_subnormal_argument_never_gives_inf(self):
@@ -1683,12 +1723,17 @@ class TestTranspose:
         assert transpose(transpose(user)).fn(0.0) == user.fn(0.0)
 
     @pytest.mark.parametrize(
-        "kind,weight",
-        [("geometric", 0.5), ("harmonic", 0.25), ("arithmetic", 0.3)],
-        ids=["around_sum", "atom", "affine"],
+        "make",
+        [
+            lambda: make_builtin("geometric", 0.5),
+            lambda: make_builtin("harmonic", 0.25),
+            lambda: make_builtin("arithmetic", 0.3),
+            lambda: connection_from_function(math.sqrt),
+        ],
+        ids=["around_sum", "atom", "affine", "user_function"],
     )
-    def test_not_psd_error_names_the_callers_operand(self, kind, weight):
-        conn = make_builtin(kind, weight)
+    def test_not_psd_error_names_the_callers_operand(self, make):
+        conn = make()
         psd, bad = np.diag([2.0, 1.0]), np.diag([1.0, -1.0])
         # Where both fail, the caller's A is named, as for every connection.
         cases = [(psd, bad, "right"), (bad, psd, "left"), (bad, bad, "left")]
@@ -1853,7 +1898,9 @@ class TestFunctionConnection:
 
     def test_user_sqrt_is_the_geometric_mean_on_singular_right_operands(self):
         # A clipped zero eigenvalue of M takes f_at_0, so a probe value there
-        # would put sqrt(1e-12) where the geometric mean has 0.
+        # would put sqrt(1e-12) where the geometric mean has 0.  The user's
+        # perspective c sqrt(d/c) and the geometric mean's c^(1/2) d^(1/2)
+        # agree to round-off, here within 4 eps of the largest entry.
         user, geo = connection_from_function(math.sqrt), make_builtin("geometric", 0.5)
         rng = np.random.default_rng(612)
         for n in range(2, 9):
@@ -1864,7 +1911,8 @@ class TestFunctionConnection:
                 d = rng.uniform(0.1, 2.0, n)
                 d[: n // 2] = 0.0
                 b = SymMatrix((q * d) @ q.T)
-                assert np.array_equal(apply(user, a, b).data, apply(geo, a, b).data)
+                got, want = apply(user, a, b).data, apply(geo, a, b).data
+                assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * np.abs(want).max()
 
     def test_repr_function_invariants(self):
         f = ReprFunction.from_callable(lambda x: (1.0 + x) / 2.0)
@@ -1936,6 +1984,70 @@ class TestHugeOperands:
         conn = make_builtin("geometric", 0.25)
         raw = conn._apply_raw(a.data, b.data, DEFAULT_TOL)
         assert np.array_equal(apply(conn, a, b).data, raw)
+
+
+def _exact_perspective(atoms, a, b, nodes=((), ())):
+    """a f(b/a) of the measure with the atoms (t, w) and the quadrature
+    nodes ts and weights ws, in exact rational arithmetic: w a at t = 0,
+    w b at t = 1 and w a b / (t a + (1 - t) b) inside (0, 1)."""
+    a, b = Fraction(a), Fraction(b)
+    total = Fraction(0)
+    for t, w in list(atoms) + list(zip(*nodes)):
+        t, w = Fraction(float(t)), Fraction(float(w))
+        total += w * a * b / (t * a + (1 - t) * b)
+    return float(total)
+
+
+class TestSmallestOperands:
+    """A = 1e-310 I and B = I: C's spectrum is 1e-310, where d/c would
+    overflow.  Every builtin and measure, and its transpose on (B, A),
+    returns the scalar a f(b/a) with no floating-point warning."""
+
+    TINY = 1e-310
+
+    @staticmethod
+    def _cases():
+        cases = {}
+        for kind in BUILTIN_KINDS:
+            for weight in (0.0, 0.25, 0.5, 0.75, 1.0) if kind in WEIGHTED_KINDS else (None,):
+                cases[f"{kind}({weight})"] = make_builtin(kind, weight)
+        cases["arcsine"] = connection_from_measure(measure_of_builtin("geometric", 0.5))
+        cases["two_atoms"] = connection_from_measure(BorelMeasure(atoms=((0.3, 0.5), (0.7, 0.4))))
+        return cases
+
+    @staticmethod
+    def _want(conn, a=TINY, b=1.0):
+        if isinstance(conn, MeasureConnection):
+            return _exact_perspective(conn.measure.atoms, a, b, conn.measure.density_nodes())
+        if conn.kind == "logarithmic":
+            return (b - a) / (math.log(b) - math.log(a))
+        if conn.kind == "geometric" and 0.0 < conn.weight < 1.0:
+            return a ** (1.0 - conn.weight) * b**conn.weight
+        return _exact_perspective(connections._builtin_atoms(conn.kind, conn.weight), a, b)
+
+    @pytest.mark.parametrize("name", list(_cases()))
+    def test_closed_form_with_no_warning(self, name):
+        conn = self._cases()[name]
+        tiny, eye = SymMatrix.identity(2) * self.TINY, SymMatrix.identity(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [apply(conn, tiny, eye).data, apply(transpose(conn), eye, tiny).data]
+        want = self._want(conn)
+        for out in got:
+            assert out[0, 1] == out[1, 0] == 0.0
+            assert np.diag(out) == pytest.approx([want, want], rel=1e-12, abs=0.0)
+
+    def test_user_function_names_the_overflowing_quotient(self):
+        # Only f is given, so d/c = 1e310 has no value to take.
+        tiny, eye = SymMatrix.identity(2) * self.TINY, SymMatrix.identity(2)
+        user = connection_from_function(math.sqrt)
+        message = "representing function: d/c overflows in c f(d/c) at c = [1e-310, 1e-310]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for conn, a, b in ((user, tiny, eye), (transpose(user), eye, tiny)):
+                with pytest.raises(ValueError) as info:
+                    apply(conn, a, b)
+                assert str(info.value) == message
 
 
 def _route_cases(dim):
@@ -2037,10 +2149,8 @@ class TestResultWrapping:
             "own_evaluator": lambda: _OwnEvaluator(math.sqrt),
             "product": _Product,
         }
-        # A user function's transpose runs it on (B, A) through the swap,
-        # so its result is symmetrized like a foreign one.
         cases = [
-            (prefix + name, wrap(make()), name in own and prefix + name != "transpose user_function")
+            (prefix + name, wrap(make()), name in own)
             for name, make in {**own, **foreign}.items()
             for prefix, wrap in (("", lambda c: c), ("transpose ", transpose))
         ]

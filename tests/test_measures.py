@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanskit.connections import AUDIT_GRID, apply, is_mean, make_builtin, repr_fn_eval
+from meanskit.connections import AUDIT_GRID, apply, is_mean, make_builtin, repr_fn_eval, transpose
 from meanskit.linalg import DEFAULT_TOL, SymMatrix, frobenius
 from meanskit.measures import (
     BorelMeasure,
@@ -428,25 +428,26 @@ class TestMeasureOfBuiltin:
     )
     def test_trivial_builtins_match_their_measures(self, kind, weight):
         # One rule builds both connections from the same atoms, so they share
-        # their route, f, its array form and g bit for bit, and agree bit for
-        # bit at every dim.
+        # their route, perspective, f and the transpose's g bit for bit, and
+        # agree bit for bit at every dim.
         builtin = make_builtin(kind, weight)
         conn = connection_from_measure(measure_of_builtin(kind, weight))
         assert conn._atoms == builtin._atoms
         points = np.array(sorted(AUDIT_GRID) + [0.0, 5e-324, 1e-310])
         for got, want in [
             (conn.repr_function, builtin.repr_function),
-            (conn._reflected, builtin._reflected),
+            (transpose(conn).repr_function, transpose(builtin).repr_function),
         ]:
             assert got.f_at_0.hex() == want.f_at_0.hex()
             assert got.f_at_1.hex() == want.f_at_1.hex()
             for x in points.tolist():
                 assert got(x).hex() == want(x).hex(), x
-        for got, want in [
-            (conn._fn_array, builtin._fn_array),
-            (conn._reflected.fn, builtin._reflected.fn),
-        ]:
-            assert np.array_equal(got(points).view(np.uint64), want(points).view(np.uint64))
+            assert np.array_equal(
+                got.fn(points).view(np.uint64), want.fn(points).view(np.uint64)
+            )
+        for c, d in [(1.0, points), (points, 1.0), (points, points[::-1])]:
+            got, want = conn._perspective(c, d), builtin._perspective(c, d)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         for dim in (1, 2, 8, 16, 33):
             rng = np.random.default_rng([350, dim])
             a, b = random_pd(dim, rng), random_pd(dim, rng)
