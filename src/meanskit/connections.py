@@ -44,6 +44,7 @@ from .linalg import (
     _float,
     _is_pd,
     _lapack,
+    _per_eigenvalue,
     _sym,
 )
 
@@ -165,31 +166,26 @@ class ReprFunction:
 
 
 def _quotient_perspective(f: ReprFunction) -> Callable:
-    """H(c, d) = c f(d/c) of a function known only as f, in Python floats
-    with one call of f per point where c > 0, and H(0, d) = d lim f(y)/y,
-    probed at y = 1 / _ZERO_PROBE.  A quotient d/c beyond the largest double
-    raises and names those c; a failure of f names the points d/c."""
+    """H(c, d) = c f(d/c) of a function known only as f, f called per point
+    by ``_per_eigenvalue``, and H(0, d) = d lim f(y)/y at y = 1 / _ZERO_PROBE.
+    A quotient d/c beyond the largest double raises and names those c."""
+    per_point = _per_eigenvalue(f)
 
     def h(c, d):
         c, d = np.asarray(c, float), np.asarray(d, float)
         if c.shape != d.shape:
             c, d = np.broadcast_arrays(c, d)
-        cs, ds = c.ravel().tolist(), d.ravel().tolist()
-        ys = [y / x if x > 0.0 else 0.0 for x, y in zip(cs, ds)]
+        # Python floats: numpy's per-call overhead would double H at n = 2.
+        cs = c.ravel().tolist()
+        ys = [y / x if x > 0.0 else 0.0 for x, y in zip(cs, d.ravel().tolist())]
         if math.inf in ys:
             at = [x for x, y in zip(cs, ys) if y == math.inf]
             raise ValueError(f"representing function: d/c overflows in c f(d/c) at c = {at}")
-        try:
-            values = [x * f(y) for x, y in zip(cs, ys)]
-        except Exception as exc:
-            raise ValueError(
-                f"scalar function evaluation failed on the spectrum {ys}: {exc}"
-            ) from exc
-        if 0.0 in cs:
-            # f(0) stood in at c = 0, where H(0, d) = d lim f(y)/y.
-            lim = _ZERO_PROBE * f(1.0 / _ZERO_PROBE)
-            values = [v if x > 0.0 else y * lim for v, x, y in zip(values, cs, ds)]
-        return np.array(values).reshape(c.shape)
+        values = c * per_point(np.array(ys).reshape(c.shape))
+        if 0.0 not in cs:
+            return values
+        # f(0) stood in at c = 0, where H(0, d) = d lim f(y)/y.
+        return np.where(c > 0.0, values, d * (_ZERO_PROBE * f(1.0 / _ZERO_PROBE)))
 
     return h
 
@@ -212,17 +208,21 @@ def _log_mean(x):
     return value
 
 
-def _log_mean_perspective(c, d):
-    """H(c, d) = c L(d/c) = d L(c/d) of the logarithmic mean, L = _log_mean:
-    the first where d/c is finite, so that H(1, x) = L(x) bit for bit, and
-    the second elsewhere, where c/d is below 2**-1000 or 0/0, which L takes
-    to 0.  (d - c)/(log d - log c) would cancel near c = d."""
-    c, d = np.asarray(c), np.asarray(d)
+def _quotient_form(c, d, f, swapped):
+    """H(c, d) = c f(d/c) of geometric(a) or the logarithmic mean, as a
+    user's f has it, where that is finite, else ``swapped(c, d)``, c^(1-a) d^a
+    or d L(c/d), which takes no d/c.  fn is f(x) = H(1, x), a transpose's fn
+    swapped(x, 1).  Testing d/c first skips the error state and the swapped
+    form, which double the log mean's 8 us at n = 2 (x86_64, numpy 2.4)."""
+    if isinstance(c, float) and c == 1.0:
+        return f(d)
+    if isinstance(d, float):
+        return swapped(c, d)
     if (d * 2.0**-1000 < c).all():
-        return c * _log_mean(d / c)
+        return c * f(d / c)
     with np.errstate(all="ignore"):
-        q = d / c
-        return np.where(np.isfinite(q), c * _log_mean(q), d * _log_mean(c / d))
+        h = c * f(d / c)
+        return np.where(np.isfinite(h), h, swapped(c, d))
 
 
 def _builtin_atoms(kind: str, weight: float | None) -> tuple | None:
@@ -437,10 +437,8 @@ class _FunctionBackedConnection(Connection):
         if not (regular and (vouched.all() if stack else vouched)):
             if stack:
                 return None
-            wa, wb = spectra or (
-                _checked_spectrum(a, tol, "left operand"),
-                _checked_spectrum(b, tol, "right operand"),
-            )
+            wa = spectra[0] if spectra else _checked_spectrum(a, tol, "left operand")
+            wb = spectra[1] if spectra else _checked_spectrum(b, tol, "right operand")
             k_a, k_b = (int(np.count_nonzero(e <= _RANK_FACTOR * n * e[-1])) for e in (wa, wb))
             k_b -= int(np.count_nonzero(omega <= cut))
             c, d = np.clip(c, 0.0, 1.0), np.maximum(d, 0.0)
@@ -521,11 +519,13 @@ class BuiltinConnection(_FunctionBackedConnection):
         if atoms is not None:
             self._from_measure(atoms)
             return
-        # Geometric(a), 0 < a < 1, and the logarithmic mean have densities.
+        # Geometric(a), 0 < a < 1, and the logarithmic mean have densities;
+        # (d - c)/(log d - log c) would cancel near c = d.
         if kind == "logarithmic":
-            self._take_perspective(_log_mean_perspective)
+            f, swapped = _log_mean, lambda c, d: d * _log_mean(c / d)
         else:
-            self._take_perspective(lambda c, d: c ** (1.0 - weight) * d**weight)
+            f, swapped = (lambda q: q**weight), lambda c, d: c ** (1.0 - weight) * d**weight
+        self._take_perspective(functools.partial(_quotient_form, f=f, swapped=swapped))
 
     def __repr__(self) -> str:
         if self.weight is None:

@@ -498,12 +498,22 @@ def loewner_leq(A: SymMatrix, B: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> bo
     return is_psd(SymMatrix._of_symmetric(diff), tol)
 
 
-def _per_eigenvalue(
-    fn: Callable[[float], float]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Array form of a scalar function that calls it once per eigenvalue,
-    with a Python float."""
-    return lambda w: np.array([float(fn(float(x))) for x in w.flat]).reshape(w.shape)
+def _per_eigenvalue(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Array form of a scalar function that calls it once per point, with a
+    Python float.  A failure of fn on an array raises ValueError naming its
+    points; on a 0-d array, one call of fn, fn's own error stands."""
+
+    def array_form(w):
+        try:
+            return np.array([float(fn(x)) for x in w.ravel().tolist()]).reshape(w.shape)
+        except Exception as exc:
+            if not w.ndim or isinstance(exc, NotPSDError):
+                raise
+            raise ValueError(
+                f"scalar function evaluation failed on the spectrum {w.tolist()}: {exc}"
+            ) from exc
+
+    return array_form
 
 
 def _fn_calculus_raw(
@@ -513,15 +523,7 @@ def _fn_calculus_raw(
     of f: it maps the clipped spectra, shape (..., n), to their values."""
     w, q = _eigh(m)
     _check_spectra(w, tol, "matrix")
-    w = np.maximum(w, 0.0)
-    try:
-        fw = fn(w)
-    except NotPSDError:
-        raise
-    except Exception as exc:
-        raise ValueError(
-            f"scalar function evaluation failed on the spectrum {w.tolist()}: {exc}"
-        ) from exc
+    fw = fn(np.maximum(w, 0.0))
     return _sym((q * fw[..., None, :]) @ q.swapaxes(-1, -2))
 
 
