@@ -16,8 +16,8 @@ weighted harmonic means, the parallel sum, and atom measures with at most
 two atoms inside (0, 1)), are evaluated as the sum of weighted harmonic
 means w0 A + w1 B + sum_i w_i A (t_i A + (1 - t_i) B)^{-1} B when A or B is
 positive definite; with no atom inside (0, 1) that is alpha A + beta B,
-exact for every PSD pair.  Builtins, measures, user functions and their
-transposes all share this one evaluator.  Connection values are immutable
+exact for every PSD pair.  Builtins, measures, user functions and every
+transpose share this one evaluator.  Connection values are immutable
 and freely shareable across threads; ``apply`` is reentrant.
 """
 
@@ -33,6 +33,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _EPS,
     SingularMatrixError,
     SymMatrix,
     Tolerances,
@@ -90,14 +91,15 @@ _ZERO_PROBE = 1e-12
 # CPU time).  Three would gain 8% at most, so the limit stays.
 _ATOM_ROUTE_MAX_ATOMS = 2
 
-# Operands whose squared entries sum to more than this (or overflow) are
-# scaled by a power of two for evaluation, and the result is scaled back:
-# (cA) sigma (cB) = c (A sigma B) for c > 0.  Below it nothing is scaled,
-# and every entry and Frobenius norm is at most 2**500.
+# Operands with an entry above this are scaled by the smallest power of two
+# that brings their largest entry to at most this, and the result is scaled
+# back: (cA) sigma (cB) = c (A sigma B) for c > 0.  Scaling no further keeps
+# a small operand from underflowing to 0; ``_apply_raw`` met no overflow on
+# PD pairs with entries up to 2**1010 at dims 1 to 128.
 _SCALE_ABOVE = 2.0**1000
 
 # An eigenvalue at most n times this times its spectrum's largest is 0.
-_RANK_FACTOR = 8.0 * float(np.finfo(float).eps)
+_RANK_FACTOR = 8.0 * _EPS
 
 BUILTIN_KINDS = (
     "left_trivial",
@@ -287,10 +289,14 @@ class Connection(ABC):
         a, b = A.data, B.data
         _check_same_dim(a, b)
         wrap = SymMatrix._of_symmetric if _returns_symmetric(self) else SymMatrix
-        if np.vdot(a, a) + np.vdot(b, b) <= _SCALE_ABOVE:
+        exponent = 0
+        # No entry is above the threshold where the squares sum to at most it.
+        if np.vdot(a, a) + np.vdot(b, b) > _SCALE_ABOVE:
+            # r = m 2**e, m in [0.5, 1), is at most 2**(e - 1) iff m = 0.5.
+            m, e = math.frexp(max(np.abs(a).max(), np.abs(b).max()) / _SCALE_ABOVE)
+            exponent = max(e - (m == 0.5), 0)
+        if not exponent:
             return wrap(self._apply_raw(a, b, tol))
-        # Evaluate with the largest entry scaled into [1, 2).
-        exponent = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1] - 1
         scaled = self._apply_raw(np.ldexp(a, -exponent), np.ldexp(b, -exponent), tol)
         with np.errstate(over="ignore"):
             x = np.ldexp(scaled, exponent)
@@ -328,17 +334,24 @@ def _operand_spectra(a, b, tol):
     )
 
 
-def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _atom_apply(atoms: tuple, a: np.ndarray, b: np.ndarray, spectra) -> np.ndarray:
     """w0 A + w1 B plus w A (t A + u B)^{-1} B, one linear solve, per
     interior atom (t, u = 1 - t, w) of the record (w0, w1, interior), for
     operands of shape (..., n, n) (Anderson and Duffin's parallel sum; Kubo
     and Ando).  It needs each pivot positive definite, and then no limit
     for a singular operand.  Only a solve needs ``_sym``; w0 A + w1 B is
-    symmetric."""
+    symmetric.  Where the operands' ``spectra`` (None where
+    ``_certified_pd`` vouches for them, which needs them near in scale) put
+    B's largest eigenvalue below eps times A's, the solve for B can
+    underflow, so the equal B (t A + u B)^{-1} A is taken."""
     w0, w1, interior = atoms
     out = w0 * a + w1 * b
+    left, right = a, b
+    if spectra is not None and interior:
+        flip = (spectra[1][..., -1:] < _EPS * spectra[0][..., -1:])[..., None]
+        left, right = np.where(flip, b, a), np.where(flip, a, b)
     for t, u, w in interior:
-        out = out + w * (a @ _lapack("solve", t * a + u * b, b))
+        out = out + w * (left @ _lapack("solve", t * a + u * b, right))
     return _sym(out) if interior else out
 
 
@@ -472,7 +485,7 @@ class _FunctionBackedConnection(Connection):
             if self._atoms is not None:
                 spectra = _operand_spectra(a, b, tol)
                 if self._takes_atom_route(spectra, tol):
-                    return _atom_apply(self._atoms, a, b)
+                    return _atom_apply(self._atoms, a, b, spectra)
             out = self._around_sum(a, b, tol, spectra)
             if out is not None:
                 return out
@@ -554,16 +567,10 @@ class TransposeConnection(_FunctionBackedConnection):
     its measure reflected by t -> 1 - t, with g(x) = x f(1/x) (Kubo and
     Ando).  Its perspective is the inner one's swapped, H(d, c), so g is
     H(., 1), and its atom record (w1, w0, ((u, t, w), ...)) reflects the
-    inner (w0, w1, ((t, u, w), ...)) exactly, twice over too.  It runs on the
-    caller's own (A, B), except as a ``_SwappedTranspose`` of a connection
-    whose class has its own ``_apply_raw``, run on (B, A); where that has no
-    perspective, H is c f(d/c) of its ``fn``."""
-
-    def __new__(cls, inner: Connection | None = None):
-        # inner is None only where ``copy`` makes an instance to fill in.
-        if cls is TransposeConnection and inner is not None and not _returns_symmetric(inner):
-            cls = _SwappedTranspose
-        return super().__new__(cls)
+    inner (w0, w1, ((t, u, w), ...)) exactly, twice over too.  It runs the
+    package's evaluator on the caller's own (A, B), whatever evaluator the
+    inner connection's class has; where the inner has no perspective, H is
+    c f(d/c) of its ``fn``."""
 
     def __init__(self, inner: Connection):
         self.inner = inner
@@ -577,17 +584,6 @@ class TransposeConnection(_FunctionBackedConnection):
 
     def __repr__(self) -> str:
         return f"TransposeConnection({self.inner!r})"
-
-
-class _SwappedTranspose(TransposeConnection):
-    """A transpose that runs the inner connection's own ``_apply_raw`` on
-    (B, A), whose errors name the inner connection's operands."""
-
-    def _apply_raw(self, a, b, tol):
-        return self.inner._apply_raw(b, a, tol)
-
-    # Pair by pair, through the swap.
-    _apply_stack = Connection._apply_stack
 
 
 def _returns_symmetric(conn: Connection) -> bool:

@@ -745,9 +745,9 @@ def _record_atom_route(monkeypatch):
     calls = []
     atom_apply = connections._atom_apply
 
-    def recording(atoms, a, b):
+    def recording(atoms, a, b, spectra):
         calls.append(a.shape)
-        return atom_apply(atoms, a, b)
+        return atom_apply(atoms, a, b, spectra)
 
     monkeypatch.setattr(connections, "_atom_apply", recording)
     return calls
@@ -886,7 +886,7 @@ class TestAtomRoute:
         for dim in range(1, 17):
             rng = np.random.default_rng([332, dim])
             a, b = random_pd(dim, rng), random_pd(dim, rng)
-            want = SymMatrix(atom_apply(conn._atoms, a.data, b.data)).data
+            want = SymMatrix(atom_apply(conn._atoms, a.data, b.data, None)).data
             calls.clear()
             assert np.array_equal(apply(conn, a, b).data, want), dim
             assert calls == [(dim, dim)], dim
@@ -901,7 +901,7 @@ class TestAtomRoute:
         calls = _record_solvers(monkeypatch)
         got = apply(conn, SymMatrix(a), SymMatrix(b)).data
         assert calls == ["cholesky", "eigvalsh", "eigvalsh"]
-        assert np.array_equal(got, connections._atom_apply(conn._atoms, a, b))
+        assert np.array_equal(got, connections._atom_apply(conn._atoms, a, b, None))
 
     def test_declined_pair_solves_each_spectrum_once(self, monkeypatch):
         # Both operands are singular, so the atom route declines the pair,
@@ -1080,9 +1080,9 @@ class TestRoutingTable:
         atom_apply = connections._atom_apply
         around_sum = connections._FunctionBackedConnection._around_sum
 
-        def atom(atoms, a, b):
+        def atom(atoms, a, b, spectra):
             calls.append(("atom", a.shape))
-            return atom_apply(atoms, a, b)
+            return atom_apply(atoms, a, b, spectra)
 
         def around(self, a, b, tol, spectra=None):
             calls.append(("around_sum", a.shape))
@@ -1595,9 +1595,9 @@ class TestTranspose:
         seen = []
         atom_apply = connections._atom_apply
 
-        def recording(atoms, a, b):
+        def recording(atoms, a, b, spectra):
             seen.append(atoms)
-            return atom_apply(atoms, a, b)
+            return atom_apply(atoms, a, b, spectra)
 
         monkeypatch.setattr(connections, "_atom_apply", recording)
         rng = np.random.default_rng(260)
@@ -1608,18 +1608,20 @@ class TestTranspose:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_every_transpose_keeps_its_type_and_inner(self):
-        # A connection with its own evaluator keeps the swap, through
-        # either constructor; a copy keeps the class it copies.
+        # Through either constructor, also of a connection with its own
+        # evaluator, a transpose runs the package's evaluator; a copy keeps
+        # the class it copies.
         cases = [
-            (make_builtin("geometric", 0.25), False),
-            (connection_from_function(math.sqrt), False),
-            (_Product(), True),
-            (_OwnEvaluator(math.sqrt), True),
+            make_builtin("geometric", 0.25),
+            connection_from_function(math.sqrt),
+            _Product(),
+            _OwnEvaluator(math.sqrt),
         ]
-        for inner, swapped in cases:
+        cases += [conn for _, conn in _stack_cases()]
+        for inner in cases:
             for t in (transpose(inner), connections.TransposeConnection(inner)):
-                assert isinstance(t, connections.TransposeConnection)
-                assert isinstance(t, connections._SwappedTranspose) is swapped
+                assert type(t) is connections.TransposeConnection
+                assert connections._returns_symmetric(t)
                 assert t.inner is inner
                 clone = copy.copy(t)
                 assert type(clone) is type(t) and clone.inner is inner
@@ -1672,6 +1674,16 @@ class TestTranspose:
             want = apply(user, y, x).data
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             assert np.abs(got - apply(geometric, x, y).data).max() <= 1e-5
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_transpose_of_an_own_evaluator_is_its_f_on_the_swapped_pair(self, dim):
+        # The inner's own evaluator, A B, is not run: the transpose is
+        # sqrt's perspective swapped, geometric(1/2) on (B, A).
+        t, geometric = transpose(_OwnEvaluator(math.sqrt)), make_builtin("geometric", 0.5)
+        rng = np.random.default_rng([265, dim])
+        a, b = random_pd(dim, rng), random_pd(dim, rng)
+        got, want = apply(t, a, b).data, apply(geometric, b, a).data
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_user_functions_error_on_one_point_is_its_own(self):
         # fn of a transpose, and of a double transpose, is one call of f,
@@ -1742,8 +1754,10 @@ class TestTranspose:
             lambda: make_builtin("harmonic", 0.25),
             lambda: make_builtin("arithmetic", 0.3),
             lambda: connection_from_function(math.sqrt),
+            lambda: _Product(),
+            lambda: _OwnEvaluator(math.sqrt),
         ],
-        ids=["around_sum", "atom", "affine", "user_function"],
+        ids=["around_sum", "atom", "affine", "user_function", "product", "own_evaluator"],
     )
     def test_not_psd_error_names_the_callers_operand(self, make):
         conn = make()
@@ -1767,6 +1781,10 @@ class TestTranspose:
                     # The traceback reaches the check that raised.
                     frames = traceback.extract_tb(info.value.__traceback__)
                     assert frames[-1].name == "_psd_scale"
+                # An evaluator of its own checks nothing; a double transpose
+                # is the package's evaluator on the inner's f.
+                if not connections._returns_symmetric(conn):
+                    conn = connection_from_function(conn.fn)
                 with pytest.raises(NotPSDError) as plain:
                     apply(conn, SymMatrix(a), SymMatrix(b))
                 with pytest.raises(NotPSDError) as twice:
@@ -1972,10 +1990,11 @@ class TestHugeOperands:
             warnings.simplefilter("error")
             got = apply(conn, a, a).data[0, 0]
         assert got == pytest.approx(1e308, rel=4 * np.finfo(float).eps)
-        # The operands were scaled by a power of two, so the result is the
-        # scaled evaluation scaled back, bit for bit.
-        scaled = apply(conn, a * 2.0**-1023, a * 2.0**-1023).data[0, 0]
-        assert got == scaled * 2.0**1023
+        # The operands were scaled by the smallest power of two that brings
+        # 1e308 to at most 2**1000, so the result is the scaled evaluation
+        # scaled back, bit for bit.
+        scaled = apply(conn, a * 2.0**-24, a * 2.0**-24).data[0, 0]
+        assert got == scaled * 2.0**24
 
     def test_unrepresentable_result_raises(self):
         a = SymMatrix([[1e308]])
@@ -1983,8 +2002,8 @@ class TestHugeOperands:
             warnings.simplefilter("error")
             with pytest.raises(ResultOverflowError) as err:
                 apply(make_builtin("sum"), a, a)
-        assert err.value.exponent == 1023
-        assert err.value.scaled[0, 0] == 2.0 * (1e308 * 2.0**-1023)
+        assert err.value.exponent == 24
+        assert err.value.scaled[0, 0] == 2.0 * (1e308 * 2.0**-24)
 
     def test_operands_below_the_threshold_keep_their_bits(self):
         rng = np.random.default_rng(613)
@@ -1994,6 +2013,49 @@ class TestHugeOperands:
         conn = make_builtin("geometric", 0.25)
         raw = conn._apply_raw(a.data, b.data, DEFAULT_TOL)
         assert np.array_equal(apply(conn, a, b).data, raw)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 128])
+    def test_largest_entry_up_to_2_to_the_1000_is_not_scaled(self, dim):
+        rng = np.random.default_rng([614, dim])
+        m = random_pd(dim, rng).data
+        # A's largest entry lies in [2**999, 2**1000), and B's is 2**1000.
+        a = np.ldexp(m, 1000 - math.frexp(np.abs(m).max())[1])
+        b = 2.0**1000 * np.eye(dim)
+        assert 2.0**999 <= np.abs(a).max() < 2.0**1000
+        for conn in (make_builtin("geometric", 0.25), make_builtin("harmonic", 0.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = apply(conn, SymMatrix(a), SymMatrix(b)).data
+                raw = conn._apply_raw(a, b, DEFAULT_TOL)
+            assert np.array_equal(got, raw), conn
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    @pytest.mark.parametrize("s", [1e-200, 1e-300])
+    def test_scaling_never_zeroes_the_smaller_operand(self, dim, s):
+        # 1/s is below 2**1000, so nothing is scaled; scaling 1/s into
+        # [1, 2) would take s below the smallest double.
+        cases = {
+            "harmonic": (make_builtin("harmonic", 0.5), ((0.5, 1.0),)),
+            "parallel_sum": (make_builtin("parallel_sum"), ((0.5, 0.5),)),
+            "two_atoms": (connection_from_measure(_TWO_ATOMS), _TWO_ATOMS.atoms),
+        }
+        small, large = SymMatrix.identity(dim) * s, SymMatrix.identity(dim) * (1.0 / s)
+        # One stack holds both orders, so that one item solves for A.
+        stacks = np.stack([small.data, large.data]), np.stack([large.data, small.data])
+        for name, (conn, atoms) in cases.items():
+            want = _exact_perspective(atoms, s, 1.0 / s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                stack = conn._apply_stack(*stacks, DEFAULT_TOL)
+                got = [
+                    (apply(conn, small, large).data, want),
+                    (apply(transpose(conn), large, small).data, want),
+                    (stack[0], want),
+                    (stack[1], _exact_perspective(atoms, 1.0 / s, s)),
+                ]
+            for out, x in got:
+                assert np.count_nonzero(out - np.diag(np.diag(out))) == 0, name
+                assert np.diag(out) == pytest.approx([x] * dim, rel=1e-12, abs=0.0), name
 
 
 def _exact_perspective(atoms, a, b, nodes=((), ())):
@@ -2074,8 +2136,8 @@ def _route_cases(dim):
         ("atom", make_builtin("harmonic", 0.5), a, b, "atom"),
         ("around_sum", geometric, a, b, "around_sum"),
         ("around_sum_singular", geometric, singular, b, "around_sum"),
-        ("scaled", geometric, a * 1e300, b * 1e300, None),
-        ("scaled_atom", make_builtin("parallel_sum"), a * 1e300, b * 1e300, "atom"),
+        ("scaled", geometric, a * 2.0**1010, b * 2.0**1010, None),
+        ("scaled_atom", make_builtin("parallel_sum"), a * 2.0**1010, b * 2.0**1010, "atom"),
         ("transpose", transpose(make_builtin("geometric", 0.25)), a, b, None),
         ("transpose_atom", transpose(make_builtin("harmonic", 0.25)), a, b, "atom"),
         ("measure", arcsine, a, b, None),
@@ -2125,8 +2187,8 @@ class TestResultWrapping:
             if recorder is not None:
                 assert len(recorders[recorder]) > seen[recorder], route
             if route.startswith("scaled"):
-                # An entry above 2**500 puts the pair above the scaling threshold.
-                assert np.abs(a.data).max() > 2.0**500
+                # An entry above 2**1000 makes ``apply`` scale the pair.
+                assert np.abs(a.data).max() > 2.0**1000
             assert not out.data.flags.writeable, route
             # The raw bits tell -0.0 from 0.0.
             bits = out.data.view(np.uint64)
@@ -2144,9 +2206,10 @@ class TestResultWrapping:
         assert not np.array_equal(a.data @ b.data, (a.data @ b.data).T)
         for conn in (_Product(), _OwnEvaluator(lambda x: x)):
             assert np.array_equal(apply(conn, a, b).data, SymMatrix(a.data @ b.data).data)
-            assert np.array_equal(
-                apply(transpose(conn), a, b).data, SymMatrix(b.data @ a.data).data
-            )
+            # The transpose is the package's evaluator on f(x) = x, whose
+            # transpose is left-trivial.
+            got = apply(transpose(conn), a, b).data
+            assert np.linalg.norm(got - a.data) <= 1e-14 * np.linalg.norm(a.data)
 
     def test_only_the_package_evaluators_result_is_wrapped_as_it_is(self, monkeypatch):
         a, b = SymMatrix([[2.0, 1.0], [1.0, 1.0]]), SymMatrix([[1.0, 0.0], [0.0, 3.0]])
@@ -2159,16 +2222,17 @@ class TestResultWrapping:
             "own_evaluator": lambda: _OwnEvaluator(math.sqrt),
             "product": _Product,
         }
+        # Every transpose runs the package's evaluator.
         cases = [
-            (prefix + name, wrap(make()), name in own)
+            (prefix + name, wrap(make()), name in own or wrap is transpose)
             for name, make in {**own, **foreign}.items()
             for prefix, wrap in (("", lambda c: c), ("transpose ", transpose))
         ]
         cases += [
             ("double transpose builtin", transpose(transpose(own["builtin"]())), True),
-            ("double transpose product", transpose(transpose(_Product())), False),
+            ("double transpose product", transpose(transpose(_Product())), True),
             ("own swap builtin", _OwnSwap(own["builtin"]()), False),
-            ("transpose own swap builtin", transpose(_OwnSwap(own["builtin"]())), False),
+            ("transpose own swap builtin", transpose(_OwnSwap(own["builtin"]())), True),
         ]
         for name, conn, as_is in cases:
             # An instance attribute records the evaluator's array; the
@@ -2183,7 +2247,7 @@ class TestResultWrapping:
             assert np.array_equal(out.data, SymMatrix(raws[-1]).data), name
 
     @pytest.mark.parametrize("dim", [1, 2, 8])
-    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**1010])
     def test_non_finite_user_value_raises_as_construction_does(self, dim, scale):
         conn = connection_from_function(lambda x: math.nan if x > 0.0 else 0.0)
         a = SymMatrix.identity(dim) * scale
